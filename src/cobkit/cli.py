@@ -6,7 +6,8 @@ switch modes where they apply.  Rationals are printed as exact decimals
 in text and CSV and as 'p/q' strings in JSON.  Exit codes: 0 success,
 1 usage error, 2 domain error (a violated precondition is printed),
 3 internal invariant failure.  The environment variable COBKIT_MAX_N
-(default 1000) caps the scan sweep size.
+(default 1000) caps the scan sweep size; a value that is not an integer
+is a usage error.
 """
 
 import argparse
@@ -61,7 +62,7 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _emit_csv(rows: list[list[str]]) -> None:
+def _emit_csv(rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -82,22 +83,21 @@ def _space_row(
     ]
 
 
+def _report_row(report: lens.OrderReport) -> list[str]:
+    return _space_row(report.space, report.bounds, report.cf, report.order)
+
+
 def _cmd_lens(args) -> int:
     space = lens.LensSpace(args.alpha, args.beta)
     cf = contfrac.parse_cf(args.cf) if args.cf else None
     report = lens.classify_order(space, cf)
-    used = cf
-    if used is None and space.beta % 2 == 1:
-        used = contfrac.find_admissible_cf(space.alpha, space.beta)
-    elif used is None:
-        used = contfrac.find_admissible_cf(space.alpha, space.alpha - space.beta)
     b = report.bounds
     if args.json:
         _emit_json(
             {
                 "alpha": space.alpha,
                 "beta": space.beta,
-                "cf": contfrac.format_cf(used),
+                "cf": contfrac.format_cf(report.cf),
                 "bounds": b.to_json_dict(),
                 "order": report.order,
                 "order_reason": report.certificate.reason
@@ -106,10 +106,10 @@ def _cmd_lens(args) -> int:
             }
         )
     elif args.csv:
-        _emit_csv([_space_row(space, b, used, report.order)])
+        _emit_csv([_report_row(report)])
     else:
         print(f"L({space.alpha},{space.beta})")
-        print(f"  expansion: {contfrac.format_cf(used)}")
+        print(f"  expansion: {contfrac.format_cf(report.cf)}")
         print(f"  m_lower:    {dec(b.m_lower)}")
         print(f"  mbar_upper: {dec(b.mbar_upper)}")
         print(f"  rokhlin:    {b.rokhlin.value}")
@@ -268,7 +268,7 @@ def _cmd_genus_bound(args) -> int:
             raise UsageError("need --lens ALPHA BETA or --h, --rokhlin and --m-lower")
         h = args.h
         rk = RokhlinClass(args.rokhlin)
-        m_lower = Fraction(args.m_lower)
+        m_lower = args.m_lower
     bound = surgery.slice_genus_lower(h, rk, m_lower)
     if args.json:
         _emit_json(
@@ -313,47 +313,60 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _scan_rows(alpha_max: int) -> list[list[str]]:
-    rows = []
+def _scan_reports(alpha_max: int):
+    """Order reports of every L(alpha, beta), alpha odd, beta odd and coprime."""
     for alpha in range(3, alpha_max + 1, 2):
         for beta in range(1, alpha, 2):
-            if gcd(alpha, beta) != 1:
-                continue
-            space = lens.LensSpace(alpha, beta)
-            report = lens.classify_order(space)
-            cf = contfrac.find_admissible_cf(alpha, beta)
-            rows.append(_space_row(space, report.bounds, cf, report.order))
-    return rows
+            if gcd(alpha, beta) == 1:
+                yield lens.classify_order(lens.LensSpace(alpha, beta))
+
+
+def _scan_cap() -> int:
+    raw = os.environ.get(SCAN_CAP_ENV)
+    if raw is None:
+        return SCAN_CAP_DEFAULT
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{SCAN_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def _cmd_scan(args) -> int:
-    cap = int(os.environ.get(SCAN_CAP_ENV, str(SCAN_CAP_DEFAULT)))
+    cap = _scan_cap()
     if args.alpha_max > cap:
         raise DomainError(
             f"scan requires alpha_max <= {SCAN_CAP_ENV} (currently {cap})"
         )
     if args.alpha_max < 3:
         raise DomainError("scan requires alpha_max >= 3")
-    rows = _scan_rows(args.alpha_max)
+    reports = _scan_reports(args.alpha_max)
     if args.json:
         _emit_json(
             {
                 "rows": [
                     {
-                        "alpha": int(r[0]),
-                        "beta": int(r[1]),
-                        "m_lower": str(Fraction(r[2])),
-                        "mbar_upper": str(Fraction(r[3])),
-                        "cf": r[4],
-                        "order": r[5],
+                        "alpha": r.space.alpha,
+                        "beta": r.space.beta,
+                        "m_lower": str(r.bounds.m_lower),
+                        "mbar_upper": str(r.bounds.mbar_upper),
+                        "cf": contfrac.format_cf(r.cf),
+                        "order": r.order,
                     }
-                    for r in rows
+                    for r in reports
                 ]
             }
         )
     else:
-        _emit_csv(rows)
+        _emit_csv(_report_row(r) for r in reports)
     return 0
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact rational such as '-3/2' or '0.25'."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def build_parser() -> Parser:
@@ -411,7 +424,12 @@ def build_parser() -> Parser:
     p.add_argument("--cf", help="expansion for the --lens pair")
     p.add_argument("--h", type=int)
     p.add_argument("--rokhlin", type=int)
-    p.add_argument("--m-lower", dest="m_lower", help="certified lower bound for m, e.g. '-3/2'")
+    p.add_argument(
+        "--m-lower",
+        dest="m_lower",
+        type=_fraction,
+        help="certified lower bound for m, e.g. '-3/2'",
+    )
     add_modes(p, csv_mode=False)
     p.set_defaults(func=_cmd_genus_bound)
 

@@ -252,23 +252,25 @@ def infinite_order_certificate(x: MBounds) -> OrderCertificate:
     return OrderCertificate("unknown", "no certificate applies")
 
 
-def branched_cover_bounds(sigma_knot: int, genus_upper: int) -> MBounds:
+def branched_cover_bounds(
+    sigma_knot: int, genus_upper: int, provenance: tuple[str, ...] = ()
+) -> MBounds:
     """Bounds for the branched double cover of a knot.
 
     (5/4) sigma(K) - 2g <= m <= mbar <= (5/4) sigma(K) + 2g for any g
     at least the smooth slice genus, and the Rokhlin invariant is
-    sigma(K) mod 16.
+    sigma(K) mod 16.  provenance lines, if given, precede the cover's own.
     """
     if genus_upper < 0:
         raise DomainError("branched_cover_bounds requires genus_upper >= 0")
     if sigma_knot % 2 != 0:
         raise DomainError("knot signatures are even")
-    s = Fraction(5, 4) * sigma_knot
     return MBounds(
-        m_lower=s - 2 * genus_upper,
-        mbar_upper=s + 2 * genus_upper,
+        m_lower=Fraction(5 * sigma_knot - 8 * genus_upper, 4),
+        mbar_upper=Fraction(5 * sigma_knot + 8 * genus_upper, 4),
         rokhlin=RokhlinClass(sigma_knot),
-        provenance=(
+        provenance=tuple(provenance)
+        + (
             f"branched double cover (sigma(K)={sigma_knot}, slice genus <= {genus_upper})",
         ),
     )

@@ -7,7 +7,7 @@ deterministic bounded backtracking.  The all-positive variant, when it
 exists, certifies infinite order of the associated lens space class.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -21,13 +21,15 @@ class AdmissibleCF:
     The record itself does not enforce admissibility; build through
     admissible_cf or find_admissible_cf to get a validated instance,
     or run validate_admissible on raw data.  target beta = alpha = 1
-    is allowed as the unknot presentation [1].
+    is allowed as the unknot presentation [1].  A record remembers that
+    it passed validate_admissible, so later checks do not refold it.
     """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
     alpha: int
     beta: int
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def terms(self) -> tuple[int, ...]:
@@ -41,17 +43,22 @@ class AdmissibleCF:
 
 
 def eval_terms(terms) -> Fraction:
-    """Fold a continued fraction [t1, t2, ..., tm] exactly, innermost first."""
+    """Fold a continued fraction [t1, t2, ..., tm] exactly, innermost first.
+
+    The value p/q of the tail folds as (p, q) <- (t*p + q, p).  Each step
+    has determinant -1, so p and q stay coprime and the final Fraction
+    only fixes the sign.
+    """
     if not terms:
         raise DomainError("eval requires at least one term")
-    value = Fraction(terms[-1])
+    p, q = terms[-1], 1
     for t in reversed(terms[:-1]):
-        if value == 0:
+        if p == 0:
             raise EvaluationError(
                 "zero intermediate denominator while evaluating continued fraction"
             )
-        value = Fraction(t) + 1 / value
-    return value
+        p, q = t * p + q, p
+    return Fraction(p, q)
 
 
 def eval_cf(a, b) -> Fraction:
@@ -69,7 +76,13 @@ def eval_cf(a, b) -> Fraction:
 
 
 def validate_admissible(cf: AdmissibleCF) -> tuple[bool, str | None]:
-    """Check shape, sign pattern, and target; return (ok, first violation)."""
+    """Check shape, sign pattern, and target; return (ok, first violation).
+
+    A pass is remembered on the record, and a remembered pass is
+    returned without checking again.
+    """
+    if cf._valid:
+        return True, None
     a, b = cf.a, cf.b
     if len(a) == 0:
         return False, "a must be nonempty"
@@ -97,6 +110,7 @@ def validate_admissible(cf: AdmissibleCF) -> tuple[bool, str | None]:
         return False, "expansion hits a zero intermediate denominator"
     if value != Fraction(alpha, beta):
         return False, f"expansion evaluates to {value}, not {alpha}/{beta}"
+    object.__setattr__(cf, "_valid", True)
     return True, None
 
 
@@ -134,6 +148,71 @@ def _check_pair(alpha: int, beta: int) -> None:
         raise DomainError("requires odd beta")
 
 
+def _a_candidates(p: int, q: int) -> list[int]:
+    """Terms to try at an a-position with value p/q, q > 0.
+
+    floor leaves a positive remainder and ceil a negative one, so the
+    candidate whose remainder sign matches its own sign is the one
+    nearer zero.
+    """
+    lo = p // q
+    cands = [cand for cand in (lo, lo + 1) if cand != 0 and cand * q != p]
+    cands.sort(key=abs)
+    return cands
+
+
+def _b_candidates(p: int, q: int, sign: int) -> list[int]:
+    """Terms to try at a b-position with value p/q after an a-term of this sign."""
+    even_floor = 2 * ((p // q) // 2)
+    cands = []
+    for cand in (even_floor, even_floor + 2, 2 * sign):
+        if cand == 0 or (cand > 0) != (sign > 0):
+            continue
+        if cand * q == p or cand in cands:
+            continue
+        cands.append(cand)
+    return cands
+
+
+def _search_terms(alpha: int, beta: int, max_terms: int) -> list[int] | None:
+    """Depth-first search for the interleaved terms; the first success wins.
+
+    A node is the value p/q (lowest terms, q > 0) still to expand and
+    the sign of the preceding a-term (0 at an a-position); its depth is
+    the number of terms chosen so far.  The stack holds each open
+    node's untried candidates in order, so the search visits nodes in
+    the order of a recursive descent without using the interpreter's
+    stack.
+    """
+    path: list[int] = []
+    stack = []
+    p, q, sign = alpha, beta, 0
+    while True:
+        if len(path) < max_terms:
+            if sign == 0:
+                if q == 1 and p != 0:
+                    path.append(p)
+                    return path
+                cands = _a_candidates(p, q)
+            else:
+                cands = _b_candidates(p, q, sign)
+            stack.append((p, q, sign, iter(cands)))
+        while stack:
+            p, q, sign, untried = stack[-1]
+            cand = next(untried, None)
+            if cand is not None:
+                break
+            stack.pop()
+        else:
+            return None
+        del path[len(stack) - 1 :]
+        path.append(cand)
+        p, q = q, p - cand * q
+        if q < 0:
+            p, q = -p, -q
+        sign = (1 if cand > 0 else -1) if sign == 0 else 0
+
+
 def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
     """Deterministic admissible expansion of alpha/beta (beta odd).
 
@@ -150,50 +229,7 @@ def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
     internal failure.
     """
     _check_pair(alpha, beta)
-    max_terms = 2 * euclid_steps(alpha, beta) + 4
-
-    def at_a(p: int, q: int, remaining: int):
-        # value p/q in lowest terms, q > 0
-        if remaining <= 0:
-            return None
-        if q == 1 and p != 0:
-            return [p]
-        lo = p // q
-        cands = []
-        for cand in (lo, lo + 1):
-            if cand != 0 and cand * q != p and cand not in cands:
-                cands.append(cand)
-        cands.sort(key=lambda c: 0 if ((p - c * q > 0) == (c > 0)) else 1)
-        for cand in cands:
-            num, den = q, p - cand * q
-            if den < 0:
-                num, den = -num, -den
-            tail = at_b(num, den, 1 if cand > 0 else -1, remaining - 1)
-            if tail is not None:
-                return [cand] + tail
-        return None
-
-    def at_b(p: int, q: int, sign: int, remaining: int):
-        if remaining <= 0:
-            return None
-        even_floor = 2 * ((p // q) // 2)
-        cands = []
-        for cand in (even_floor, even_floor + 2, 2 * sign):
-            if cand == 0 or (cand > 0) != (sign > 0):
-                continue
-            if cand * q == p or cand in cands:
-                continue
-            cands.append(cand)
-        for cand in cands:
-            num, den = q, p - cand * q
-            if den < 0:
-                num, den = -num, -den
-            tail = at_a(num, den, remaining - 1)
-            if tail is not None:
-                return [cand] + tail
-        return None
-
-    terms = at_a(alpha, beta, max_terms)
+    terms = _search_terms(alpha, beta, 2 * euclid_steps(alpha, beta) + 4)
     assert terms is not None, (
         f"admissible expansion search exhausted for {alpha}/{beta}"
     )

@@ -63,6 +63,37 @@ def _plat(space: LensSpace, cf: AdmissibleCF | None) -> tuple[FourPlat, Admissib
     return FourPlat(cf), cf
 
 
+def _cover_bounds(
+    space: LensSpace, cf: AdmissibleCF | None
+) -> tuple[MBounds, AdmissibleCF]:
+    """m_bounds together with the odd-beta expansion it was computed from."""
+    if space.beta % 2 == 0:
+        if cf is not None:
+            raise DomainError(
+                "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
+            )
+        inner, used = _cover_bounds(mirror(space), None)
+        out = reverse_orientation(inner)
+        bounds = MBounds(
+            m_lower=out.m_lower,
+            mbar_upper=out.mbar_upper,
+            rokhlin=out.rokhlin,
+            provenance=(f"L({space.alpha},{space.beta}) as reversed mirror",)
+            + out.provenance,
+        )
+        return bounds, used
+    plat, used = _plat(space, cf)
+    bounds = branched_cover_bounds(
+        signature(plat),
+        slice_genus_upper(plat).value,
+        provenance=(
+            f"L({space.alpha},{space.beta}) branched over S({space.alpha},{space.beta})",
+            f"expansion {format_cf(used)}",
+        ),
+    )
+    return bounds, used
+
+
 def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
     """Certified m and mbar bounds and the Rokhlin class of L(alpha, beta).
 
@@ -70,34 +101,7 @@ def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
     supplied) presents the two-bridge cover; the branched double cover
     bounds with its signature and slice genus bound give the interval.
     """
-    if space.beta % 2 == 0:
-        if cf is not None:
-            raise DomainError(
-                "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
-            )
-        inner = m_bounds(mirror(space))
-        out = reverse_orientation(inner)
-        return MBounds(
-            m_lower=out.m_lower,
-            mbar_upper=out.mbar_upper,
-            rokhlin=out.rokhlin,
-            provenance=(f"L({space.alpha},{space.beta}) as reversed mirror",)
-            + out.provenance,
-        )
-    plat, used = _plat(space, cf)
-    sigma = signature(plat)
-    genus = slice_genus_upper(plat).value
-    base = branched_cover_bounds(sigma, genus)
-    return MBounds(
-        m_lower=base.m_lower,
-        mbar_upper=base.mbar_upper,
-        rokhlin=base.rokhlin,
-        provenance=(
-            f"L({space.alpha},{space.beta}) branched over S({space.alpha},{space.beta})",
-            f"expansion {format_cf(used)}",
-        )
-        + base.provenance,
-    )
+    return _cover_bounds(space, cf)[0]
 
 
 def rokhlin(space: LensSpace, cf: AdmissibleCF | None = None) -> RokhlinClass:
@@ -135,7 +139,9 @@ ORDER_ANNOTATIONS: dict[tuple[int, int], tuple[str, str]] = {
 class OrderReport:
     """Order classification of [L] in the homology cobordism group.
 
-    order is 'inf', an annotated label like '<=2' or '0', or '?'.
+    order is 'inf', an annotated label like '<=2' or '0', or '?'.  cf is
+    the expansion the bounds came from: of alpha/beta, or of the
+    odd-beta mirror alpha/(alpha - beta) when beta is even.
     """
 
     space: LensSpace
@@ -144,22 +150,18 @@ class OrderReport:
     certificate: OrderCertificate
     positive_cf: AdmissibleCF | None
     annotation: str | None
+    cf: AdmissibleCF
 
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
     """Classify the order of [L(alpha, beta)]: infinite if the bound
     certificate fires or a greedy all-positive expansion exists,
     otherwise an annotated known order, otherwise unknown."""
-    bounds = m_bounds(space, cf)
+    bounds, used = _cover_bounds(space, cf)
     cert = infinite_order_certificate(bounds)
-    pos_pair = (
-        (space.alpha, space.beta)
-        if space.beta % 2 == 1
-        else (space.alpha, space.alpha - space.beta)
-    )
-    positive = find_positive_cf(*pos_pair)
+    positive = find_positive_cf(used.alpha, used.beta)
     if cert.verdict == "infinite":
-        return OrderReport(space, "inf", bounds, cert, positive, None)
+        return OrderReport(space, "inf", bounds, cert, positive, None, used)
     if positive is not None:
         side = (
             "" if space.beta % 2 == 1 else " of the reversed orientation"
@@ -168,12 +170,12 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
             "infinite",
             f"all-positive expansion {format_cf(positive)}{side} certifies infinite order",
         )
-        return OrderReport(space, "inf", bounds, cert, positive, None)
+        return OrderReport(space, "inf", bounds, cert, positive, None, used)
     note = ORDER_ANNOTATIONS.get((space.alpha, space.beta))
     if note is not None:
         label, reason = note
-        return OrderReport(space, label, bounds, cert, None, reason)
-    return OrderReport(space, "?", bounds, cert, None, None)
+        return OrderReport(space, label, bounds, cert, None, reason, used)
+    return OrderReport(space, "?", bounds, cert, None, None, used)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from cobkit.cli import SCAN_CAP_ENV, dec, main
 from cobkit.cobordism import MBounds
+from cobkit.contfrac import eval_terms
 
 GOLDEN_TABLE_CSV = """\
 alpha,beta,m_lower,mbar_upper,cf,order
@@ -100,6 +102,16 @@ class TestLens:
     def test_supplied_cf(self, capsys):
         payload = run_json(capsys, "lens", "13", "5", "--cf", "[2,2,-3]", "--json")
         assert payload["cf"] == "[2,2,-3]"
+
+    def test_long_euclid_chain(self, capsys):
+        # F(2002)/F(2001): the even-beta mirror F(2002)/F(2000) takes about
+        # 2,000 Euclid steps
+        beta, alpha = 0, 1
+        for _ in range(2001):
+            beta, alpha = alpha, beta + alpha
+        payload = run_json(capsys, "lens", str(alpha), str(beta), "--json")
+        value = eval_terms([int(t) for t in payload["cf"][1:-1].split(",")])
+        assert value == Fraction(alpha, alpha - beta)
 
     def test_csv_single_row(self, capsys):
         code, out, _ = run(capsys, "lens", "3", "1", "--csv")
@@ -222,6 +234,14 @@ class TestGenusBound:
         code, _, err = run(capsys, "genus-bound")
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    def test_bad_m_lower(self, capsys, value):
+        code, _, err = run(
+            capsys, "genus-bound", "--h", "39", "--rokhlin", "2", f"--m-lower={value}"
+        )
+        assert code == 1
+        assert err.startswith("usage error: ") and "--m-lower" in err
+
 
 class TestScan:
     def test_deterministic(self, capsys):
@@ -265,6 +285,24 @@ class TestScan:
     def test_minimum(self, capsys):
         code, _, err = run(capsys, "scan", "--alpha-max", "2")
         assert code == 2
+
+    def test_env_cap_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv(SCAN_CAP_ENV, "abc")
+        code, out, err = run(capsys, "scan", "--alpha-max", "9")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and SCAN_CAP_ENV in err
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ((), "920cbbd365285225a459c242e8719e0448ad997ef4dddd421827b6f7012d52c6"),
+            (("--json",), "ac222cbc6cc0944153431907983fd032f89c916a3b4a9743ebb3f7b01a4aa7fc"),
+        ],
+    )
+    def test_output_pinned(self, capsys, mode, digest):
+        code, out, _ = run(capsys, "scan", "--alpha-max", "99", *mode)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExitCodes:

@@ -18,6 +18,24 @@ from cobkit.contfrac import (
 )
 from cobkit.errors import DomainError, EvaluationError
 
+
+def fraction_fold(terms) -> Fraction:
+    """Reference fold with Fraction arithmetic, innermost term first."""
+    value = Fraction(terms[-1])
+    for t in reversed(terms[:-1]):
+        if value == 0:
+            raise EvaluationError("zero intermediate denominator")
+        value = t + 1 / value
+    return value
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 coprime_pairs = st.tuples(st.integers(3, 301), st.integers(1, 299)).filter(
     lambda t: t[1] < t[0] and t[1] % 2 == 1 and math.gcd(t[0], t[1]) == 1
 )
@@ -53,6 +71,26 @@ class TestEval:
         with pytest.raises(DomainError):
             eval_terms([])
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(-6, 6) | st.integers(-(10**30), 10**30), min_size=1, max_size=12))
+    def test_integer_fold_matches_fraction_fold(self, terms):
+        try:
+            expected = fraction_fold(terms)
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                eval_terms(terms)
+        else:
+            value = eval_terms(terms)
+            assert isinstance(value, Fraction) and value == expected
+
+    def test_zero_terms(self):
+        assert eval_terms([0]) == 0
+        assert eval_terms([2, 0, 3]) == fraction_fold([2, 0, 3]) == 5
+        with pytest.raises(EvaluationError):
+            eval_terms([1, 0])
+        with pytest.raises(EvaluationError):
+            eval_terms([1, 1, -1, 1])
+
 
 class TestValidate:
     def test_accepts_search_output(self):
@@ -84,6 +122,24 @@ class TestValidate:
         cf = AdmissibleCF(a=(3,), b=(), alpha=3, beta=2)
         ok, reason = validate_admissible(cf)
         assert not ok and "odd" in reason
+
+    def test_pass_is_remembered(self, monkeypatch):
+        cf = find_admissible_cf(39, 17)
+
+        def refold(a, b):
+            raise AssertionError("a validated record was folded again")
+
+        monkeypatch.setattr("cobkit.contfrac.eval_cf", refold)
+        assert validate_admissible(cf) == (True, None)
+        fresh = AdmissibleCF(cf.a, cf.b, cf.alpha, cf.beta)
+        assert fresh == cf
+        with pytest.raises(AssertionError):
+            validate_admissible(fresh)
+
+    def test_failure_is_not_remembered(self):
+        bad = AdmissibleCF(a=(2, -1), b=(2,), alpha=11, beta=3)
+        assert validate_admissible(bad)[0] is False
+        assert validate_admissible(bad)[0] is False
 
     def test_zero_term_rejected(self):
         cf = AdmissibleCF(a=(2, 0), b=(1,), alpha=7, beta=3)
@@ -117,6 +173,13 @@ class TestSearch:
             find_admissible_cf(3, 5)
         with pytest.raises(DomainError):
             find_admissible_cf(3, 0)
+
+    def test_long_euclid_chain(self):
+        # about 2,000 Euclid steps: deeper than the interpreter's recursion limit
+        alpha, beta = fibonacci(2002), fibonacci(2000)
+        cf = find_admissible_cf(alpha, beta)
+        assert eval_terms(cf.terms) == Fraction(alpha, beta)
+        assert len(cf.terms) <= 2 * euclid_steps(alpha, beta) + 4
 
     @settings(max_examples=150, deadline=None)
     @given(coprime_pairs)

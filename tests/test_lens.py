@@ -147,6 +147,19 @@ class TestClassifyOrder:
         assert report.annotation is None
         assert report.certificate.verdict == "unknown"
 
+    def test_reports_expansion_of_odd_representative(self):
+        for alpha in range(3, 60, 2):
+            for beta in range(1, alpha):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                odd_beta = beta if beta % 2 == 1 else alpha - beta
+                report = classify_order(LensSpace(alpha, beta))
+                assert report.cf == find_admissible_cf(alpha, odd_beta)
+
+    def test_reports_supplied_expansion(self):
+        cf = admissible_cf((2, -3), (1,))
+        assert classify_order(LensSpace(13, 5), cf).cf is cf
+
     def test_annotations_cover_expected_keys(self):
         assert set(ORDER_ANNOTATIONS) == {(5, 3), (13, 5), (9, 5)}
 

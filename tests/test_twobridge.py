@@ -26,6 +26,12 @@ class TestFourPlat:
         with pytest.raises(DomainError):
             FourPlat(bad)
 
+    def test_rejects_hand_built_wrong_target(self):
+        # shape and signs are admissible; only folding shows 7/3 != 11/3
+        bad = AdmissibleCF(a=(2, -1), b=(2,), alpha=11, beta=3)
+        with pytest.raises(DomainError):
+            FourPlat(bad)
+
     def test_knot_detection(self):
         assert plat("[3]").is_knot
         assert plat("[1,2,-2]").is_knot

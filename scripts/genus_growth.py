@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 
-from cobkit.cli import dec
+from cobkit.arith import dec
 from cobkit.lens import family, m_bounds
 from cobkit.surgery import slice_genus_lower
 

@@ -11,10 +11,9 @@ Usage: python scripts/order_census.py --alpha-max 99
 import argparse
 import sys
 from collections import Counter
-from math import gcd
 
-from cobkit.cli import dec
-from cobkit.lens import LensSpace, classify_order
+from cobkit.arith import dec
+from cobkit.lens import census
 
 
 def main(argv=None) -> int:
@@ -28,25 +27,19 @@ def main(argv=None) -> int:
     tally = Counter()
     reasons = Counter()
     unknown = []
-    total = 0
-    for alpha in range(3, args.alpha_max + 1, 2):
-        for beta in range(1, alpha, 2):
-            if gcd(alpha, beta) != 1:
-                continue
-            total += 1
-            report = classify_order(LensSpace(alpha, beta))
-            tally[report.order] += 1
-            if report.order == "inf":
-                kind = (
-                    "bound certificate"
-                    if "expansion" not in report.certificate.reason
-                    else "positive expansion"
-                )
-                reasons[kind] += 1
-            elif report.order == "?":
-                unknown.append((alpha, beta, report.bounds))
+    for report in census(args.alpha_max):
+        tally[report.order] += 1
+        if report.order == "inf":
+            kind = (
+                "bound certificate"
+                if "expansion" not in report.certificate.reason
+                else "positive expansion"
+            )
+            reasons[kind] += 1
+        elif report.order == "?":
+            unknown.append(report)
 
-    print(f"classes scanned: {total} (odd alpha <= {args.alpha_max})")
+    print(f"classes scanned: {sum(tally.values())} (odd alpha <= {args.alpha_max})")
     for label in ("inf", "<=2", "0", "?"):
         if tally[label]:
             print(f"  order {label:>4}: {tally[label]}")
@@ -55,10 +48,10 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unresolved: {len(unknown)}")
         if args.show_unknown:
-            for alpha, beta, bounds in unknown:
+            for r in unknown:
                 print(
-                    f"  L({alpha},{beta})  m in [{dec(bounds.m_lower)}, "
-                    f"{dec(bounds.mbar_upper)}]  R={bounds.rokhlin.value}"
+                    f"  L({r.space.alpha},{r.space.beta})  m in [{dec(r.bounds.m_lower)}, "
+                    f"{dec(r.bounds.mbar_upper)}]  R={r.bounds.rokhlin.value}"
                 )
     return 0
 

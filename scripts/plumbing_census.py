@@ -13,7 +13,7 @@ import argparse
 import sys
 from collections import defaultdict
 
-from cobkit.cli import dec
+from cobkit.arith import dec
 from cobkit.errors import DomainError
 from cobkit.plumbing import (
     MpqrTriple,
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
                 str(knot.signature),
             ]
         )
-        by_total[t.total].append(f"({t.p},{t.q},{t.r})")
+        by_total[t.total].append((f"({t.p},{t.q},{t.r})", bounds))
 
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     for r in [header] + rows:
@@ -68,8 +68,8 @@ def main(argv=None) -> int:
     for total in sorted(by_total):
         group = by_total[total]
         if len(group) > 1:
-            m = dec(-total / 4 + 1)
-            print(f"  p+q+r={total} (m={m}): {' '.join(group)}")
+            m = dec(group[0][1].m_exact)
+            print(f"  p+q+r={total} (m={m}): {' '.join(name for name, _ in group)}")
     return 0
 
 

@@ -1,5 +1,6 @@
 """Exact elementary number theory: extended gcd, Jacobi symbols,
-quadratic residues by enumeration, and Dedekind sums.
+quadratic residues by enumeration, Dedekind sums, and the exact decimal
+form of a rational.
 
 Everything here is integer or Fraction arithmetic, no floating point.
 """
@@ -98,3 +99,24 @@ def dedekind_sum(q: int, p: int) -> Fraction:
             continue
         total += (2 * k - p) * (2 * r - p)
     return Fraction(total, 4 * p * p)
+
+
+def dec(x) -> str:
+    """Exact decimal form of a rational with denominator 2^a 5^b."""
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    d, k2, k5 = den, 0, 0
+    while d % 2 == 0:
+        d //= 2
+        k2 += 1
+    while d % 5 == 0:
+        d //= 5
+        k5 += 1
+    if d != 1:
+        return f"{num}/{den}"
+    k = max(k2, k5)
+    scaled = abs(num) * 10**k // den
+    s = str(scaled).rjust(k + 1, "0")
+    ip, fp = (s[:-k], s[-k:]) if k else (s, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{ip}.{fp}"

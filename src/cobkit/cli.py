@@ -17,10 +17,10 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import gcd
 
 from . import contfrac, lens, plumbing, surgery, twobridge
-from .cobordism import MBounds, RokhlinClass
+from .arith import dec
+from .cobordism import RokhlinClass
 from .errors import DomainError
 
 SCAN_CAP_ENV = "COBKIT_MAX_N"
@@ -37,27 +37,6 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def dec(x) -> str:
-    """Exact decimal form of a rational with denominator 2^a 5^b."""
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    d, k2, k5 = den, 0, 0
-    while d % 2 == 0:
-        d //= 2
-        k2 += 1
-    while d % 5 == 0:
-        d //= 5
-        k5 += 1
-    if d != 1:
-        return f"{num}/{den}"
-    k = max(k2, k5)
-    scaled = abs(num) * 10**k // den
-    s = str(scaled).rjust(k + 1, "0")
-    ip, fp = (s[:-k], s[-k:]) if k else (s, "0")
-    sign = "-" if num < 0 else ""
-    return f"{sign}{ip}.{fp}"
-
-
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
@@ -70,21 +49,15 @@ def _emit_csv(rows) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _space_row(
-    space: lens.LensSpace, bounds: MBounds, cf: contfrac.AdmissibleCF, order: str
-) -> list[str]:
+def _csv_row(report: lens.OrderReport) -> list[str]:
     return [
-        str(space.alpha),
-        str(space.beta),
-        dec(bounds.m_lower),
-        dec(bounds.mbar_upper),
-        contfrac.format_cf(cf),
-        order,
+        str(report.space.alpha),
+        str(report.space.beta),
+        dec(report.bounds.m_lower),
+        dec(report.bounds.mbar_upper),
+        contfrac.format_cf(report.cf),
+        report.order,
     ]
-
-
-def _report_row(report: lens.OrderReport) -> list[str]:
-    return _space_row(report.space, report.bounds, report.cf, report.order)
 
 
 def _cmd_lens(args) -> int:
@@ -100,13 +73,11 @@ def _cmd_lens(args) -> int:
                 "cf": contfrac.format_cf(report.cf),
                 "bounds": b.to_json_dict(),
                 "order": report.order,
-                "order_reason": report.certificate.reason
-                if report.annotation is None
-                else report.annotation,
+                "order_reason": report.reason,
             }
         )
     elif args.csv:
-        _emit_csv([_report_row(report)])
+        _emit_csv([_csv_row(report)])
     else:
         print(f"L({space.alpha},{space.beta})")
         print(f"  expansion: {contfrac.format_cf(report.cf)}")
@@ -114,8 +85,7 @@ def _cmd_lens(args) -> int:
         print(f"  mbar_upper: {dec(b.mbar_upper)}")
         print(f"  rokhlin:    {b.rokhlin.value}")
         print(f"  order:      {report.order}")
-        reason = report.annotation if report.annotation else report.certificate.reason
-        print(f"  reason:     {reason}")
+        print(f"  reason:     {report.reason}")
     return 0
 
 
@@ -286,9 +256,7 @@ def _cmd_genus_bound(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows = [
-        _space_row(row.space, row.bounds, row.cf, row.order) for row in lens.table1()
-    ]
+    reports = lens.table1()
     if args.json:
         _emit_json(
             {
@@ -300,25 +268,18 @@ def _cmd_table1(args) -> int:
                         "cf": contfrac.format_cf(row.cf),
                         "order": row.order,
                     }
-                    for row in lens.table1()
+                    for row in reports
                 ]
             }
         )
     elif args.csv:
-        _emit_csv(rows)
+        _emit_csv(_csv_row(r) for r in reports)
     else:
-        widths = [max(len(r[i]) for r in [CSV_HEADER] + rows) for i in range(6)]
-        for r in [CSV_HEADER] + rows:
+        rows = [CSV_HEADER] + [_csv_row(r) for r in reports]
+        widths = [max(len(r[i]) for r in rows) for i in range(6)]
+        for r in rows:
             print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)))
     return 0
-
-
-def _scan_reports(alpha_max: int):
-    """Order reports of every L(alpha, beta), alpha odd, beta odd and coprime."""
-    for alpha in range(3, alpha_max + 1, 2):
-        for beta in range(1, alpha, 2):
-            if gcd(alpha, beta) == 1:
-                yield lens.classify_order(lens.LensSpace(alpha, beta))
 
 
 def _scan_cap() -> int:
@@ -339,7 +300,7 @@ def _cmd_scan(args) -> int:
         )
     if args.alpha_max < 3:
         raise DomainError("scan requires alpha_max >= 3")
-    reports = _scan_reports(args.alpha_max)
+    reports = lens.census(args.alpha_max)
     if args.json:
         _emit_json(
             {
@@ -357,7 +318,7 @@ def _cmd_scan(args) -> int:
             }
         )
     else:
-        _emit_csv(_report_row(r) for r in reports)
+        _emit_csv(_csv_row(r) for r in reports)
     return 0
 
 

@@ -9,6 +9,7 @@ Orientation convention: L(alpha, beta) is -alpha/beta surgery on the
 unknot.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -52,46 +53,36 @@ def mirror(space: LensSpace) -> LensSpace:
     return LensSpace(space.alpha, space.alpha - space.beta)
 
 
-def _plat(space: LensSpace, cf: AdmissibleCF | None) -> tuple[FourPlat, AdmissibleCF]:
-    assert space.beta % 2 == 1
-    if cf is None:
-        cf = find_admissible_cf(space.alpha, space.beta)
-    elif (cf.alpha, cf.beta) != (space.alpha, space.beta):
-        raise DomainError(
-            f"expansion targets {cf.alpha}/{cf.beta}, not {space.alpha}/{space.beta}"
-        )
-    return FourPlat(cf), cf
-
-
 def _cover_bounds(
     space: LensSpace, cf: AdmissibleCF | None
 ) -> tuple[MBounds, AdmissibleCF]:
     """m_bounds together with the odd-beta expansion it was computed from."""
-    if space.beta % 2 == 0:
-        if cf is not None:
-            raise DomainError(
-                "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
-            )
-        inner, used = _cover_bounds(mirror(space), None)
-        out = reverse_orientation(inner)
-        bounds = MBounds(
-            m_lower=out.m_lower,
-            mbar_upper=out.mbar_upper,
-            rokhlin=out.rokhlin,
-            provenance=(f"L({space.alpha},{space.beta}) as reversed mirror",)
-            + out.provenance,
+    reversed_mirror = space.beta % 2 == 0
+    odd = mirror(space) if reversed_mirror else space
+    if cf is None:
+        cf = find_admissible_cf(odd.alpha, odd.beta)
+    elif reversed_mirror:
+        raise DomainError(
+            "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
         )
-        return bounds, used
-    plat, used = _plat(space, cf)
+    elif (cf.alpha, cf.beta) != (space.alpha, space.beta):
+        raise DomainError(
+            f"expansion targets {cf.alpha}/{cf.beta}, not {space.alpha}/{space.beta}"
+        )
+    head = (
+        (f"L({space.alpha},{space.beta}) as reversed mirror",) if reversed_mirror else ()
+    )
+    plat = FourPlat(cf)
     bounds = branched_cover_bounds(
         signature(plat),
         slice_genus_upper(plat).value,
-        provenance=(
-            f"L({space.alpha},{space.beta}) branched over S({space.alpha},{space.beta})",
-            f"expansion {format_cf(used)}",
+        provenance=head
+        + (
+            f"L({odd.alpha},{odd.beta}) branched over S({odd.alpha},{odd.beta})",
+            f"expansion {format_cf(cf)}",
         ),
     )
-    return bounds, used
+    return (reverse_orientation(bounds) if reversed_mirror else bounds), cf
 
 
 def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
@@ -107,14 +98,7 @@ def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
 def rokhlin(space: LensSpace, cf: AdmissibleCF | None = None) -> RokhlinClass:
     """Rokhlin invariant: sigma(S(alpha, beta)) mod 16, negated for the
     mirror when beta is even."""
-    if space.beta % 2 == 0:
-        if cf is not None:
-            raise DomainError(
-                "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
-            )
-        return -rokhlin(mirror(space))
-    plat, _ = _plat(space, cf)
-    return RokhlinClass(signature(plat))
+    return m_bounds(space, cf).rokhlin
 
 
 # Known order facts that the certificates here cannot derive.  Values
@@ -141,7 +125,8 @@ class OrderReport:
 
     order is 'inf', an annotated label like '<=2' or '0', or '?'.  cf is
     the expansion the bounds came from: of alpha/beta, or of the
-    odd-beta mirror alpha/(alpha - beta) when beta is even.
+    odd-beta mirror alpha/(alpha - beta) when beta is even.  reason is
+    the annotation when there is one, otherwise the certificate's reason.
     """
 
     space: LensSpace
@@ -151,6 +136,10 @@ class OrderReport:
     positive_cf: AdmissibleCF | None
     annotation: str | None
     cf: AdmissibleCF
+
+    @property
+    def reason(self) -> str:
+        return self.certificate.reason if self.annotation is None else self.annotation
 
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
@@ -178,12 +167,13 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
     return OrderReport(space, "?", bounds, cert, None, None, used)
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    space: LensSpace
-    cf: AdmissibleCF
-    bounds: MBounds
-    order: str
+def census(alpha_max: int) -> Iterator[OrderReport]:
+    """Order reports of every L(alpha, beta) with odd alpha <= alpha_max
+    and beta odd and coprime, in (alpha, beta) order."""
+    for alpha in range(3, alpha_max + 1, 2):
+        for beta in range(1, alpha, 2):
+            if gcd(alpha, beta) == 1:
+                yield classify_order(LensSpace(alpha, beta))
 
 
 # Fixed presentations for every lens space with odd |H_1| <= 13 (beta
@@ -205,19 +195,17 @@ _TABLE_CFS: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...] = (
 )
 
 
-def table1() -> tuple[Table1Row, ...]:
-    """Bounds and orders for all lens spaces with odd |H_1| up to 13.
+def table1() -> tuple[OrderReport, ...]:
+    """Order reports for all lens spaces with odd |H_1| up to 13.
 
     Uses the fixed expansions above so the emitted intervals are stable;
-    the order column comes from classify_order (certificates plus the
+    the order comes from classify_order (certificates plus the
     annotation table)."""
     rows = []
     for alpha, beta, a, b in _TABLE_CFS:
         cf = admissible_cf(a, b)
         assert (cf.alpha, cf.beta) == (alpha, beta)
-        space = LensSpace(alpha, beta)
-        report = classify_order(space, cf)
-        rows.append(Table1Row(space=space, cf=cf, bounds=report.bounds, order=report.order))
+        rows.append(classify_order(LensSpace(alpha, beta), cf))
     return tuple(rows)
 
 

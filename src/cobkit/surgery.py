@@ -10,7 +10,7 @@ the Arf invariant converts the surgery into a spin filling, which turns
 the m and mbar machinery into genus bounds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import lens as lens_mod
@@ -303,10 +303,8 @@ def slice_knot_surgery_class(n: int) -> MBounds:
         return S3
     inner = lens_mod.m_bounds(lens_mod.LensSpace(n, 1))
     out = reverse_orientation(inner)
-    return MBounds(
-        m_lower=out.m_lower,
-        mbar_upper=out.mbar_upper,
-        rokhlin=out.rokhlin,
+    return replace(
+        out,
         provenance=(f"{n}-surgery on a slice knot, cobordant to -L({n},1)",)
         + out.provenance,
     )

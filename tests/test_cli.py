@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cobkit.cli import SCAN_CAP_ENV, dec, main
+from cobkit.arith import dec
+from cobkit.cli import SCAN_CAP_ENV, main
 from cobkit.cobordism import MBounds
 from cobkit.contfrac import eval_terms
 
@@ -302,6 +303,40 @@ class TestScan:
     def test_output_pinned(self, capsys, mode, digest):
         code, out, _ = run(capsys, "scan", "--alpha-max", "99", *mode)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestRenderPinned:
+    """sha256 of stdout for every rendering of a lens record, recorded
+    before the lens record and its renderers were unified."""
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (("lens", "39", "17"), 0, "6c3ef607bb3c08fe984d5bd043ece16026caa8e4090629197835873ee1bb3604"),
+            (("lens", "39", "17", "--json"), 0, "d108224ce3c0d43618ecd397512cce2942890e6c4cdd2699364c9afa1217b45d"),
+            (("lens", "39", "17", "--csv"), 0, "17f3d5d6061371472a104c00c2bc0d5aff2c8968b56fe2679a9d634211b0b2db"),
+            (("lens", "39", "22"), 0, "8489fc52b57684b415b898cba81feb19bf6ea1e0fbe83e06115852667dc6bd51"),
+            (("lens", "39", "22", "--json"), 0, "b181455611d0432e3fb24ce10ebef15c0e07247dc47ba3f677b967c623b69ce8"),
+            (("lens", "39", "22", "--csv"), 0, "dde37cee07e984b73098a8c6acc3aebdbd3f25aca1968f848ed760e6bfb11ab4"),
+            (("lens", "5", "2"), 0, "1127ccf7ff661f58ba343c47620774abfe146960459388fd9c3a031714a5722b"),
+            (("lens", "5", "2", "--json"), 0, "0ea285d7204053ea5e9d81dcb03b68bca9820b138c39e30a996c861f3ff14062"),
+            (("lens", "5", "2", "--csv"), 0, "581fee25b030244ff4525b91f4fbb19d390aed2257f8c8f76dac3054e081d21c"),
+            (("lens", "9", "5"), 0, "286c85bac707db6de1ec5a8c27bca1908aa811c189e3643d84c8e070f28df799"),
+            (("lens", "9", "5", "--json"), 0, "27603e72fa3c0ec08e8680ec291428415550fca749841adc35b282320924b48d"),
+            (("lens", "9", "5", "--csv"), 0, "a85009ef73ef44f4c7de53b1df96274b55b97575d5ba220a2e9bc944d713fa96"),
+            (("lens", "13", "5", "--cf", "[2,2,-3]", "--json"), 0, "c241d9bf33a226fa908dce1a667c4a17327ce962191311d74456666c94923cac"),
+            (("table1",), 0, "80a820b919016cff84befd2d4fe7103b2ccb4b6dacb51761aede5b9973572b26"),
+            (("table1", "--json"), 0, "2ddc8d973e309a277623ed6816b8ee3654e4a1ec8b2907df96c6069ffadcf0ce"),
+            (("table1", "--csv"), 0, "733940569a7915739e52b0b520bc0643247816885b0b723d900db68117102abc"),
+            (("genus-bound", "--lens", "39", "17", "--json"), 0, "a0b1098e226953930c71a559a79b7c07466aac72fc75531959333ec8476294d3"),
+            # R(L(39,22)) = 14 fails h - 1 = -R mod 8: a domain error, no stdout
+            (("genus-bound", "--lens", "39", "22", "--json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ],
+    )
+    def test_output_pinned(self, capsys, argv, code, digest):
+        got, out, _ = run(capsys, *argv)
+        assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -9,6 +9,7 @@ from cobkit.errors import DomainError
 from cobkit.lens import (
     ORDER_ANNOTATIONS,
     LensSpace,
+    census,
     classify_order,
     family,
     m_bounds,
@@ -59,8 +60,13 @@ class TestMBounds:
     def test_even_beta_routes_through_mirror(self):
         x = m_bounds(LensSpace(5, 2))
         assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (-2, 2, 0)
-        assert x.provenance[0] == "L(5,2) as reversed mirror"
-        assert x.provenance[-1] == "orientation reversed"
+        assert x.provenance == (
+            "L(5,2) as reversed mirror",
+            "L(5,3) branched over S(5,3)",
+            "expansion [1,2,-2]",
+            "branched double cover (sigma(K)=0, slice genus <= 1)",
+            "orientation reversed",
+        )
 
     def test_supplied_expansion(self):
         cf = admissible_cf((2, -3), (1,))
@@ -140,12 +146,14 @@ class TestClassifyOrder:
         report = classify_order(LensSpace(9, 5))
         assert report.order == "0"
         assert "acyclic" in report.annotation
+        assert report.reason == report.annotation
 
     def test_unknown(self):
         report = classify_order(LensSpace(13, 7))
         assert report.order == "?"
         assert report.annotation is None
         assert report.certificate.verdict == "unknown"
+        assert report.reason == "no certificate applies"
 
     def test_reports_expansion_of_odd_representative(self):
         for alpha in range(3, 60, 2):
@@ -162,6 +170,17 @@ class TestClassifyOrder:
 
     def test_annotations_cover_expected_keys(self):
         assert set(ORDER_ANNOTATIONS) == {(5, 3), (13, 5), (9, 5)}
+
+
+class TestCensus:
+    def test_each_coprime_odd_pair_once_in_order(self):
+        reports = list(census(99))
+        pairs = [(r.space.alpha, r.space.beta) for r in reports]
+        assert len(pairs) == 1003
+        assert pairs == sorted(set(pairs))
+        assert all(a % 2 == b % 2 == 1 and math.gcd(a, b) == 1 for a, b in pairs)
+        assert pairs[0] == (3, 1) and pairs[-1] == (99, 97)
+        assert reports[0] == classify_order(LensSpace(3, 1))
 
 
 class TestTable:

@@ -280,6 +280,13 @@ class TestSliceKnotSurgery:
             Fraction(-3, 2),
             10,
         )
+        assert x.provenance == (
+            "7-surgery on a slice knot, cobordant to -L(7,1)",
+            "L(7,1) branched over S(7,1)",
+            "expansion [7]",
+            "branched double cover (sigma(K)=6, slice genus <= 3)",
+            "orientation reversed",
+        )
 
     def test_matches_genus_zero_estimate(self):
         for n in (3, 7, 9, 11):

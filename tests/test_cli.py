@@ -308,7 +308,8 @@ class TestScan:
 
 class TestRenderPinned:
     """sha256 of stdout for every rendering of a lens record, recorded
-    before the lens record and its renderers were unified."""
+    before the lens record and its renderers were unified, and for every
+    other verb and mode, recorded before the verbs shared one renderer."""
 
     @pytest.mark.parametrize(
         "argv, code, digest",
@@ -332,12 +333,70 @@ class TestRenderPinned:
             (("genus-bound", "--lens", "39", "17", "--json"), 0, "a0b1098e226953930c71a559a79b7c07466aac72fc75531959333ec8476294d3"),
             # R(L(39,22)) = 14 fails h - 1 = -R mod 8: a domain error, no stdout
             (("genus-bound", "--lens", "39", "22", "--json"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (("cf", "11", "9"), 0, "df8bd23a9ef5603a0921ec259602eee42a74c55552aa5e76580872004aa6b48b"),
+            (("cf", "11", "9", "--json"), 0, "895ebbe5fa9b39463685b2bb733c6b2146873239c67ed08a27c7e198f13964e0"),
+            (("cf", "21", "17", "--positive"), 0, "81db4a2d78317549eeeb08c22095d752adfbcd7a96eb0a45f24bcfa9f09fc8ec"),
+            (("cf", "21", "17", "--positive", "--json"), 0, "1b92031860411f9698a1adb91fedca8d42620268a7cd86a40cb4c8edbf5516b8"),
+            (("cf", "5", "3", "--positive"), 0, "c94303895d57db899fc515aa94797f00537815e12c90af214f9c5802451b222b"),
+            (("cf", "5", "3", "--positive", "--json"), 0, "ec8d7ae378580abca4902453a463bb353cb249f941826c26b38cc182309d531b"),
+            (("twobridge", "[2,4,-1,-2,2]"), 0, "b3b032fff31a1ef7ea22d05588c5808e37ab72299989ef0f847de6d95d07b068"),
+            (("twobridge", "[2,4,-1,-2,2]", "--json"), 0, "fd87dd73d6b726e445b2fbe74735ec907b479706142e4153b97e457a125cbe21"),
+            (("twobridge", "[2]"), 0, "7cb6e992d599b669a5e522b37f7b5cecb0b7c570f3cdd01a67daaf74064ed2e5"),
+            (("twobridge", "[2]", "--json"), 0, "c8aa6ee3bea54fe4572ea305a1f84c18d1fae2f0a98ef1ed48911e6fc4828861"),
+            (("plumbing", "2", "3", "7"), 0, "54faa0719632259995ddd4db6aa8009d0fbd4cc393355c0334054b5cc5388022"),
+            (("plumbing", "2", "3", "7", "--json"), 0, "0b37ad89e43b59d5167376f5031181d74b6f933ad8926acf83e5080ffb15dd64"),
+            (("montesinos", "2", "3", "7"), 0, "8ccf8eb222082ef01ace9e1e0f87f8c94169fecf5a17c9e84430bc19bf155ada"),
+            (("montesinos", "2", "3", "7", "--json"), 0, "1a216b442423ec0216561f6cd55284819e56f41d79e87d197d152c7dde821d69"),
+            (("surgery-check", "--h", "21", "--rokhlin", "8"), 0, "4d6de13893907a7fe6cd2916eca328522cd1b2d54ea757c266a1b9ab9cb21c22"),
+            (("surgery-check", "--h", "21", "--rokhlin", "8", "--json"), 0, "2557f98c513239f0aa54d6092092aabc671e0f87c1ae3174c1ba99be396c4fa1"),
+            (("surgery-check", "--h", "3", "--rokhlin", "2"), 0, "94d73f83d19b84b8164103dfd0921f9ef3526b15a20188b8942b8a208e00eee7"),
+            (("surgery-check", "--h", "3", "--rokhlin", "2", "--json"), 0, "f0a5b0da400a61185547a0f19d12ad88ffabbdedfa0773a4a3b53982fc76c76d"),
+            (("surgery-check", "--lens", "5", "2"), 0, "975871c892b0c031064ed2ca4f0b13a2d86510d5b031abee45b7e777718e3eca"),
+            (("surgery-check", "--lens", "5", "2", "--json"), 0, "5b478bdd77c9a46c3c1c0b17b46c50b129f676d1e07d34e21a24bd7579ffa94c"),
+            (("surgery-check", "--det", "15"), 0, "70c6deb1419708e705e207818ab6a18c38013443d1603ec88c5969b34aaf76cc"),
+            (("surgery-check", "--det", "15", "--json"), 0, "8e068973a566d46c400d2e10239cad207bfab8c3775f8b497539b2370fb03c7d"),
+            (("surgery-check", "--lens", "7", "2", "--det", "21"), 0, "e59f3dc3ca11db5042aef9339ab7e27371217b6dd96eab266e20a49cbaebdc88"),
+            (("surgery-check", "--lens", "7", "2", "--det", "21", "--json"), 0, "a6f5dcf9153c4dfd78cd035a5f0fdd33410691e32c9cf1d3d4afc84c512249b1"),
+            (("genus-bound", "--lens", "39", "17"), 0, "879a42920fa2dbd86c71d84120360b17394f16e4c009aaef61d2f8d6c3a74a45"),
+            (("genus-bound", "--h", "39", "--rokhlin", "2", "--m-lower=-3/2"), 0, "879a42920fa2dbd86c71d84120360b17394f16e4c009aaef61d2f8d6c3a74a45"),
+            (("genus-bound", "--h", "39", "--rokhlin", "2", "--m-lower=-3/2", "--json"), 0, "a0b1098e226953930c71a559a79b7c07466aac72fc75531959333ec8476294d3"),
         ],
     )
     def test_output_pinned(self, capsys, argv, code, digest):
         got, out, _ = run(capsys, *argv)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "verb, digest",
+        [
+            ("lens", "e33735bbc930d3f46453a262723011c81532724eaa8b2186f2eea59f7799c031"),
+            ("cf", "9a5308f416b8f0d20387bfada568cd9352741e53478c5153ad9789c7803fd77f"),
+            ("twobridge", "958059b4e2391e8741cd0551894172b11394148608806d803822b52bb1042d5d"),
+            ("plumbing", "73cd47a1b9034c2c7ad5b1dea1e3b059a04c64ad354b9005fefb69e0f54ffe98"),
+            ("montesinos", "6b832bb8675bb5ae6eba36ad6f458a487c35c684b466378ebfeb7f815d788014"),
+            ("surgery-check", "8a6fb20ad0b31a9fdc8df9eab6855114f37617dd2a98558c8416a17c84dea13c"),
+            ("genus-bound", "ed62e5b930aa41ab7cf70ed61641cb8b62a5ffb248a4c7c40dd8af0f2d6ad8be"),
+            ("table1", "b25d615a040ac85c4a8ce1dfad589cdc5704e3acae0384d4b341d2d1a4d03134"),
+            ("scan", "85e908bbd0abbc07da832722e5c4d52a8b749d7a58df5c53e4f3102137962e12"),
+        ],
+    )
+    def test_help_pinned(self, capsys, monkeypatch, verb, digest):
+        # argparse wraps help to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run(capsys, verb, "--help")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (("lens", "three", "1"), 1, "usage error: argument alpha: invalid int value: 'three'\n"),
+            (("lens", "4", "1"), 2, "domain error: LensSpace requires odd alpha >= 1\n"),
+        ],
+    )
+    def test_stderr_pinned(self, capsys, argv, code, err):
+        assert run(capsys, *argv) == (code, "", err)
 
 
 class TestExitCodes:

@@ -1,6 +1,6 @@
 """Exact elementary number theory: extended gcd, Jacobi symbols,
 quadratic residues by enumeration, Dedekind sums, and the exact decimal
-form of a rational.
+form of a rational under a cap on the digits printed.
 
 Everything here is integer or Fraction arithmetic, no floating point.
 """
@@ -11,6 +11,20 @@ from .errors import DomainError, ResourceLimitError
 
 # is_square_mod enumerates all residues; refuse moduli beyond this cap.
 SQUARE_ENUM_LIMIT = 10**6
+
+# Largest number of decimal digits read or printed.  Python refuses to
+# convert an int of more than 4300 digits to text by default; the margin
+# keeps the few digits a bound gains over its inputs printable.
+DIGIT_LIMIT = 4000
+_DIGIT_BOUND = 10**DIGIT_LIMIT
+
+
+def check_digits(x):
+    """x, an int or Fraction, unless its numerator or denominator has
+    more than DIGIT_LIMIT digits: that raises ResourceLimitError."""
+    if abs(x.numerator) < _DIGIT_BOUND and x.denominator < _DIGIT_BOUND:
+        return x
+    raise ResourceLimitError(f"a number exceeds the {DIGIT_LIMIT}-digit cap")
 
 
 def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
@@ -102,8 +116,12 @@ def dedekind_sum(q: int, p: int) -> Fraction:
 
 
 def dec(x) -> str:
-    """Exact decimal form of a rational with denominator 2^a 5^b."""
-    x = Fraction(x)
+    """Exact decimal form of a rational with denominator 2^a 5^b, else p/q.
+
+    Raises ResourceLimitError rather than print a number of more than
+    DIGIT_LIMIT digits.
+    """
+    x = check_digits(Fraction(x))
     num, den = x.numerator, x.denominator
     d, k2, k5 = den, 0, 0
     while d % 2 == 0:
@@ -115,7 +133,7 @@ def dec(x) -> str:
     if d != 1:
         return f"{num}/{den}"
     k = max(k2, k5)
-    scaled = abs(num) * 10**k // den
+    scaled = check_digits(abs(num) * 10**k // den)
     s = str(scaled).rjust(k + 1, "0")
     ip, fp = (s[:-k], s[-k:]) if k else (s, "0")
     sign = "-" if num < 0 else ""

@@ -7,7 +7,9 @@ in text and CSV and as 'p/q' strings in JSON.  Exit codes: 0 success,
 1 usage error, 2 domain error (a violated precondition is printed),
 3 internal invariant failure.  The environment variable COBKIT_MAX_N
 (default 1000) caps the scan sweep size; a value that is not an integer
-is a usage error.
+is a usage error.  Numbers are capped at 4000 decimal digits: a longer
+integer or rational argument is a usage error, and a result that would
+print a longer number is a domain error; both messages name the cap.
 """
 
 import argparse
@@ -15,12 +17,15 @@ import csv
 import io
 import json
 import os
+import string
 import sys
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
 from . import contfrac, lens, plumbing, surgery, twobridge
-from .arith import dec
-from .cobordism import RokhlinClass
+from .arith import DIGIT_LIMIT, check_digits, dec
+from .cobordism import MBounds, RokhlinClass
 from .errors import DomainError
 
 SCAN_CAP_ENV = "COBKIT_MAX_N"
@@ -37,16 +42,36 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+@dataclass(frozen=True)
+class Output:
+    """What a verb prints: the --json document, with Fraction and record
+    values left for _render; the text-mode template filled from it (None
+    aligns the CSV cells); and the lens records behind CSV rows."""
+
+    doc: dict
+    text: str | None = None
+    reports: Iterable[lens.OrderReport] = ()
 
 
-def _emit_csv(rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+class _Text(string.Formatter):
+    """str.format that prints rationals as exact decimals."""
+
+    def format_field(self, value, format_spec):
+        if isinstance(value, Fraction):
+            return dec(value)
+        return super().format_field(value, format_spec)
+
+
+def _json_value(value):
+    """JSON form of a value json cannot encode itself."""
+    if isinstance(value, Fraction):
+        return str(check_digits(value))
+    if isinstance(value, MBounds):
+        return value.to_json_dict()
+    if is_dataclass(value):
+        return asdict(value)
+    # rows are built lazily, so a mode that does not print them never builds them
+    return list(value)
 
 
 def _csv_row(report: lens.OrderReport) -> list[str]:
@@ -60,226 +85,182 @@ def _csv_row(report: lens.OrderReport) -> list[str]:
     ]
 
 
-def _cmd_lens(args) -> int:
-    space = lens.LensSpace(args.alpha, args.beta)
+def _render(args, out: Output) -> str:
+    """The one output path: JSON, CSV or text, as the mode flags ask."""
+    if args.json:
+        return json.dumps(out.doc, indent=2, default=_json_value) + "\n"
+    if args.csv:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(map(_csv_row, out.reports))
+        return buf.getvalue()
+    if out.text is None:
+        rows = [CSV_HEADER, *map(_csv_row, out.reports)]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "".join("  ".join(map(str.ljust, row, widths)) + "\n" for row in rows)
+    return _Text().format(out.text, **out.doc)
+
+
+_LENS_TEXT = """\
+L({alpha},{beta})
+  expansion: {cf}
+  m_lower:    {bounds.m_lower}
+  mbar_upper: {bounds.mbar_upper}
+  rokhlin:    {bounds.rokhlin.value}
+  order:      {order}
+  reason:     {order_reason}
+"""
+
+
+def _cmd_lens(args) -> Output:
     cf = contfrac.parse_cf(args.cf) if args.cf else None
-    report = lens.classify_order(space, cf)
-    b = report.bounds
-    if args.json:
-        _emit_json(
-            {
-                "alpha": space.alpha,
-                "beta": space.beta,
-                "cf": contfrac.format_cf(report.cf),
-                "bounds": b.to_json_dict(),
-                "order": report.order,
-                "order_reason": report.reason,
-            }
-        )
-    elif args.csv:
-        _emit_csv([_csv_row(report)])
-    else:
-        print(f"L({space.alpha},{space.beta})")
-        print(f"  expansion: {contfrac.format_cf(report.cf)}")
-        print(f"  m_lower:    {dec(b.m_lower)}")
-        print(f"  mbar_upper: {dec(b.mbar_upper)}")
-        print(f"  rokhlin:    {b.rokhlin.value}")
-        print(f"  order:      {report.order}")
-        print(f"  reason:     {report.reason}")
-    return 0
+    report = lens.classify_order(lens.LensSpace(args.alpha, args.beta), cf)
+    doc = {
+        "alpha": report.space.alpha,
+        "beta": report.space.beta,
+        "cf": contfrac.format_cf(report.cf),
+        "bounds": report.bounds,
+        "order": report.order,
+        "order_reason": report.reason,
+    }
+    return Output(doc, _LENS_TEXT, [report])
 
 
-def _cmd_cf(args) -> int:
-    if args.positive:
-        cf = contfrac.find_positive_cf(args.alpha, args.beta)
-    else:
-        cf = contfrac.find_admissible_cf(args.alpha, args.beta)
-    if args.json:
-        _emit_json(
-            {
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "positive": bool(args.positive),
-                "cf": None if cf is None else contfrac.format_cf(cf),
-                "a": None if cf is None else list(cf.a),
-                "b": None if cf is None else list(cf.b),
-            }
-        )
-    else:
-        if cf is None:
-            print(f"{args.alpha}/{args.beta}: no greedy all-positive expansion")
-        else:
-            print(f"{args.alpha}/{args.beta} = {contfrac.format_cf(cf)}")
-    return 0
+def _cmd_cf(args) -> Output:
+    find = contfrac.find_positive_cf if args.positive else contfrac.find_admissible_cf
+    cf = find(args.alpha, args.beta)
+    doc = {
+        "alpha": args.alpha,
+        "beta": args.beta,
+        "positive": args.positive,
+        "cf": None if cf is None else contfrac.format_cf(cf),
+        "a": None if cf is None else cf.a,
+        "b": None if cf is None else cf.b,
+    }
+    if cf is None:
+        return Output(doc, "{alpha}/{beta}: no greedy all-positive expansion\n")
+    return Output(doc, "{alpha}/{beta} = {cf}\n")
 
 
-def _cmd_twobridge(args) -> int:
+# %s slots: knot or link, and its slice genus line
+_TWOBRIDGE_TEXT = """\
+S({alpha},{beta}) = {cf} (%s)
+  signature:   {signature}
+  determinant: {determinant}
+  odd terms:   o+={odd_positive} o-={odd_negative}
+  slice genus: %s
+"""
+_KNOT_GENUS = (
+    "<= {slice_genus_upper.value} (seifert {slice_genus_upper.seifert_genus}, "
+    "changes +{slice_genus_upper.pos_changes}/-{slice_genus_upper.neg_changes})"
+)
+
+
+def _cmd_twobridge(args) -> Output:
     cf = contfrac.parse_cf(args.cf)
     plat = twobridge.FourPlat(cf)
-    sig = twobridge.signature(plat)
     oc = twobridge.odd_counts(plat)
-    det = twobridge.determinant(plat)
-    genus = twobridge.slice_genus_upper(plat) if plat.is_knot else None
-    if args.json:
-        _emit_json(
-            {
-                "alpha": cf.alpha,
-                "beta": cf.beta,
-                "cf": contfrac.format_cf(cf),
-                "is_knot": plat.is_knot,
-                "signature": sig,
-                "determinant": det,
-                "odd_positive": oc.pos,
-                "odd_negative": oc.neg,
-                "slice_genus_upper": None
-                if genus is None
-                else {
-                    "value": genus.value,
-                    "pos_changes": genus.pos_changes,
-                    "neg_changes": genus.neg_changes,
-                    "seifert_genus": genus.seifert_genus,
-                },
-            }
-        )
-    else:
-        kind = "knot" if plat.is_knot else "link"
-        print(f"S({cf.alpha},{cf.beta}) = {contfrac.format_cf(cf)} ({kind})")
-        print(f"  signature:   {sig}")
-        print(f"  determinant: {det}")
-        print(f"  odd terms:   o+={oc.pos} o-={oc.neg}")
-        if genus is None:
-            print("  slice genus: n/a (links are out of scope)")
-        else:
-            print(
-                f"  slice genus: <= {genus.value} "
-                f"(seifert {genus.seifert_genus}, changes +{genus.pos_changes}/-{genus.neg_changes})"
-            )
-    return 0
+    doc = {
+        "alpha": cf.alpha,
+        "beta": cf.beta,
+        "cf": contfrac.format_cf(cf),
+        "is_knot": plat.is_knot,
+        "signature": twobridge.signature(plat),
+        "determinant": twobridge.determinant(plat),
+        "odd_positive": oc.pos,
+        "odd_negative": oc.neg,
+        "slice_genus_upper": twobridge.slice_genus_upper(plat) if plat.is_knot else None,
+    }
+    kind = ("knot", _KNOT_GENUS) if plat.is_knot else ("link", "n/a (links are out of scope)")
+    return Output(doc, _TWOBRIDGE_TEXT % kind)
 
 
-def _cmd_plumbing(args) -> int:
+_PLUMBING_TEXT = """\
+T({p},{q},{r})
+  rank:        {rank}
+  signature:   {signature}
+  |det|:       {determinant_abs}
+  m:           {bounds.m_exact} (exact)
+  mbar:        {bounds.mbar_exact} (exact)
+  rokhlin:     {bounds.rokhlin.value}
+"""
+
+
+def _cmd_plumbing(args) -> Output:
     triple = plumbing.MpqrTriple(args.p, args.q, args.r)
-    inv = plumbing.tpqr_invariants(triple)
-    bounds = plumbing.sigma_pqr_bounds(triple)
-    if args.json:
-        _emit_json(
-            {
-                "p": triple.p,
-                "q": triple.q,
-                "r": triple.r,
-                "rank": inv.rank,
-                "signature": inv.signature,
-                "determinant_abs": inv.determinant_abs,
-                "bounds": bounds.to_json_dict(),
-            }
-        )
-    else:
-        print(f"T({triple.p},{triple.q},{triple.r})")
-        print(f"  rank:        {inv.rank}")
-        print(f"  signature:   {inv.signature}")
-        print(f"  |det|:       {inv.determinant_abs}")
-        print(f"  m:           {dec(bounds.m_exact)} (exact)")
-        print(f"  mbar:        {dec(bounds.mbar_exact)} (exact)")
-        print(f"  rokhlin:     {bounds.rokhlin.value}")
-    return 0
+    doc = {
+        **asdict(triple),
+        **asdict(plumbing.tpqr_invariants(triple)),
+        "bounds": plumbing.sigma_pqr_bounds(triple),
+    }
+    return Output(doc, _PLUMBING_TEXT)
 
 
-def _cmd_montesinos(args) -> int:
+_MONTESINOS_TEXT = """\
+Montesinos knot of T({p},{q},{r})
+  slice genus:       {slice_genus}
+  unknotting number: {unknotting_number}
+  signature:         {signature}
+"""
+
+
+def _cmd_montesinos(args) -> Output:
     triple = plumbing.MpqrTriple(args.p, args.q, args.r)
-    inv = plumbing.montesinos_invariants(triple)
-    if args.json:
-        _emit_json(
-            {
-                "p": triple.p,
-                "q": triple.q,
-                "r": triple.r,
-                "slice_genus": inv.slice_genus,
-                "unknotting_number": inv.unknotting_number,
-                "signature": inv.signature,
-            }
-        )
-    else:
-        print(f"Montesinos knot of T({triple.p},{triple.q},{triple.r})")
-        print(f"  slice genus:       {inv.slice_genus}")
-        print(f"  unknotting number: {inv.unknotting_number}")
-        print(f"  signature:         {inv.signature}")
-    return 0
+    doc = {**asdict(triple), **asdict(plumbing.montesinos_invariants(triple))}
+    return Output(doc, _MONTESINOS_TEXT)
 
 
-def _cmd_surgery_check(args) -> int:
-    lens_pair = tuple(args.lens) if args.lens else None
+def _cmd_surgery_check(args) -> Output:
     report = surgery.obstruction_report(
         h=args.h,
         rokhlin=None if args.rokhlin is None else RokhlinClass(args.rokhlin),
-        lens_pair=lens_pair,
+        lens_pair=tuple(args.lens) if args.lens else None,
         det=args.det,
     )
-    if args.json:
-        _emit_json(report.to_dict())
-    else:
-        for t in report.tests:
-            print(f"{t.name}: {t.verdict} ({t.detail})")
-        print(f"conclusion: {report.conclusion}")
-    return 0
+    test = "{tests[%d][name]}: {tests[%d][verdict]} ({tests[%d][detail]})\n"
+    text = "".join(test % (i, i, i) for i in range(len(report.tests)))
+    return Output(asdict(report), text + "conclusion: {conclusion}\n")
 
 
-def _cmd_genus_bound(args) -> int:
+def _cmd_genus_bound(args) -> Output:
     if args.lens is not None:
         if args.h is not None or args.rokhlin is not None or args.m_lower is not None:
             raise UsageError("--lens replaces --h/--rokhlin/--m-lower")
         space = lens.LensSpace(*args.lens)
         cf = contfrac.parse_cf(args.cf) if args.cf else None
         bounds = lens.m_bounds(space, cf)
-        h = space.alpha
-        rk = bounds.rokhlin
-        m_lower = bounds.m_lower
+        h, rk, m_lower = space.alpha, bounds.rokhlin, bounds.m_lower
     else:
         if args.h is None or args.rokhlin is None or args.m_lower is None:
             raise UsageError("need --lens ALPHA BETA or --h, --rokhlin and --m-lower")
-        h = args.h
-        rk = RokhlinClass(args.rokhlin)
-        m_lower = args.m_lower
-    bound = surgery.slice_genus_lower(h, rk, m_lower)
-    if args.json:
-        _emit_json(
-            {
-                "h": h,
-                "rokhlin": rk.value,
-                "m_lower": str(m_lower),
-                "genus_lower": str(bound),
-            }
-        )
-    else:
-        print(f"h = {h}, rokhlin = {rk.value}, m_lower = {dec(m_lower)}")
-        print(f"any knot with this surgery has slice genus >= {dec(bound)}")
-    return 0
+        h, rk, m_lower = args.h, RokhlinClass(args.rokhlin), args.m_lower
+    doc = {
+        "h": h,
+        "rokhlin": rk.value,
+        "m_lower": m_lower,
+        "genus_lower": surgery.slice_genus_lower(h, rk, m_lower),
+    }
+    return Output(
+        doc,
+        "h = {h}, rokhlin = {rokhlin}, m_lower = {m_lower}\n"
+        "any knot with this surgery has slice genus >= {genus_lower}\n",
+    )
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> Output:
     reports = lens.table1()
-    if args.json:
-        _emit_json(
-            {
-                "rows": [
-                    {
-                        "alpha": row.space.alpha,
-                        "beta": row.space.beta,
-                        "bounds": row.bounds.to_json_dict(),
-                        "cf": contfrac.format_cf(row.cf),
-                        "order": row.order,
-                    }
-                    for row in reports
-                ]
-            }
-        )
-    elif args.csv:
-        _emit_csv(_csv_row(r) for r in reports)
-    else:
-        rows = [CSV_HEADER] + [_csv_row(r) for r in reports]
-        widths = [max(len(r[i]) for r in rows) for i in range(6)]
-        for r in rows:
-            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)))
-    return 0
+    rows = (
+        {
+            "alpha": r.space.alpha,
+            "beta": r.space.beta,
+            "bounds": r.bounds,
+            "cf": contfrac.format_cf(r.cf),
+            "order": r.order,
+        }
+        for r in reports
+    )
+    return Output({"rows": rows}, None, reports)
 
 
 def _scan_cap() -> int:
@@ -292,7 +273,7 @@ def _scan_cap() -> int:
         raise UsageError(f"{SCAN_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> Output:
     cap = _scan_cap()
     if args.alpha_max > cap:
         raise DomainError(
@@ -300,30 +281,45 @@ def _cmd_scan(args) -> int:
         )
     if args.alpha_max < 3:
         raise DomainError("scan requires alpha_max >= 3")
+    # one sweep, read once: by the JSON rows or by the CSV writer
     reports = lens.census(args.alpha_max)
-    if args.json:
-        _emit_json(
-            {
-                "rows": [
-                    {
-                        "alpha": r.space.alpha,
-                        "beta": r.space.beta,
-                        "m_lower": str(r.bounds.m_lower),
-                        "mbar_upper": str(r.bounds.mbar_upper),
-                        "cf": contfrac.format_cf(r.cf),
-                        "order": r.order,
-                    }
-                    for r in reports
-                ]
-            }
-        )
-    else:
-        _emit_csv(_csv_row(r) for r in reports)
-    return 0
+    rows = (
+        {
+            "alpha": r.space.alpha,
+            "beta": r.space.beta,
+            "m_lower": r.bounds.m_lower,
+            "mbar_upper": r.bounds.mbar_upper,
+            "cf": contfrac.format_cf(r.cf),
+            "order": r.order,
+        }
+        for r in reports
+    )
+    return Output({"rows": rows}, None, reports)
+
+
+def _integer(text: str) -> int:
+    """argparse type for an integer of at most DIGIT_LIMIT digits."""
+    if len(text) > DIGIT_LIMIT:
+        raise argparse.ArgumentTypeError(f"exceeds the {DIGIT_LIMIT}-digit cap")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type for an exact rational such as '-3/2' or '0.25'."""
+    """argparse type for an exact rational such as '-3/2', '0.25' or '1e-3'.
+
+    The text and the power of ten its exponent asks for count against
+    DIGIT_LIMIT before any of it is evaluated.
+    """
+    exponent = text.lower().partition("e")[2]
+    try:
+        size = len(text) + abs(int(exponent or 0))
+    except ValueError:
+        size = len(text)  # not a rational; Fraction says so below
+    if size > DIGIT_LIMIT:
+        raise argparse.ArgumentTypeError(f"exceeds the {DIGIT_LIMIT}-digit cap")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -336,19 +332,20 @@ def build_parser() -> Parser:
 
     def add_modes(p, csv_mode=True):
         p.add_argument("--json", action="store_true", help="JSON output")
+        p.set_defaults(csv=False)
         if csv_mode:
             p.add_argument("--csv", action="store_true", help="CSV output")
 
     p = sub.add_parser("lens", help="bounds, Rokhlin class and order of L(alpha, beta)")
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
+    p.add_argument("alpha", type=_integer)
+    p.add_argument("beta", type=_integer)
     p.add_argument("--cf", help="use this expansion, e.g. '[2,4,-1]'")
     add_modes(p)
     p.set_defaults(func=_cmd_lens)
 
     p = sub.add_parser("cf", help="admissible expansion of alpha/beta")
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
+    p.add_argument("alpha", type=_integer)
+    p.add_argument("beta", type=_integer)
     p.add_argument("--positive", action="store_true", help="greedy all-positive expansion")
     add_modes(p, csv_mode=False)
     p.set_defaults(func=_cmd_cf)
@@ -359,32 +356,32 @@ def build_parser() -> Parser:
     p.set_defaults(func=_cmd_twobridge)
 
     p = sub.add_parser("plumbing", help="invariants of T(p,q,r) and its boundary sphere")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("r", type=int)
+    p.add_argument("p", type=_integer)
+    p.add_argument("q", type=_integer)
+    p.add_argument("r", type=_integer)
     add_modes(p, csv_mode=False)
     p.set_defaults(func=_cmd_plumbing)
 
     p = sub.add_parser("montesinos", help="Montesinos knot invariants for T(p,q,r)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("r", type=int)
+    p.add_argument("p", type=_integer)
+    p.add_argument("q", type=_integer)
+    p.add_argument("r", type=_integer)
     add_modes(p, csv_mode=False)
     p.set_defaults(func=_cmd_montesinos)
 
     p = sub.add_parser("surgery-check", help="integral-surgery obstruction report")
-    p.add_argument("--h", type=int, help="|H_1| of the candidate space")
-    p.add_argument("--rokhlin", type=int, help="Rokhlin invariant (even, mod 16)")
-    p.add_argument("--lens", type=int, nargs=2, metavar=("P", "Q"), help="lens space test")
-    p.add_argument("--det", type=int, help="unknotting number one determinant test")
+    p.add_argument("--h", type=_integer, help="|H_1| of the candidate space")
+    p.add_argument("--rokhlin", type=_integer, help="Rokhlin invariant (even, mod 16)")
+    p.add_argument("--lens", type=_integer, nargs=2, metavar=("P", "Q"), help="lens space test")
+    p.add_argument("--det", type=_integer, help="unknotting number one determinant test")
     add_modes(p, csv_mode=False)
     p.set_defaults(func=_cmd_surgery_check)
 
     p = sub.add_parser("genus-bound", help="slice genus a surgery knot would need")
-    p.add_argument("--lens", type=int, nargs=2, metavar=("ALPHA", "BETA"))
+    p.add_argument("--lens", type=_integer, nargs=2, metavar=("ALPHA", "BETA"))
     p.add_argument("--cf", help="expansion for the --lens pair")
-    p.add_argument("--h", type=int)
-    p.add_argument("--rokhlin", type=int)
+    p.add_argument("--h", type=_integer)
+    p.add_argument("--rokhlin", type=_integer)
     p.add_argument(
         "--m-lower",
         dest="m_lower",
@@ -399,9 +396,9 @@ def build_parser() -> Parser:
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("scan", help="sweep lens spaces with odd alpha <= N")
-    p.add_argument("--alpha-max", dest="alpha_max", type=int, required=True)
+    p.add_argument("--alpha-max", dest="alpha_max", type=_integer, required=True)
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(func=_cmd_scan, csv=True)  # CSV is scan's text mode
 
     return parser
 
@@ -410,7 +407,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        sys.stdout.write(_render(args, args.func(args)))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .arith import check_digits
 from .errors import DomainError, EvaluationError
 
 
@@ -22,7 +23,8 @@ class AdmissibleCF:
     admissible_cf or find_admissible_cf to get a validated instance,
     or run validate_admissible on raw data.  target beta = alpha = 1
     is allowed as the unknot presentation [1].  A record remembers that
-    it passed validate_admissible, so later checks do not refold it.
+    it passed validate_admissible, so later checks do not refold it, and
+    its format_cf text, so it is built once.
     """
 
     a: tuple[int, ...]
@@ -30,6 +32,7 @@ class AdmissibleCF:
     alpha: int
     beta: int
     _valid: bool = field(default=False, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def terms(self) -> tuple[int, ...]:
@@ -291,12 +294,21 @@ def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
 
 
 def format_cf(cf: AdmissibleCF) -> str:
-    """Bracketed text form of the interleaved terms, e.g. [2,4,-1]."""
-    return "[" + ",".join(str(t) for t in cf.terms) + "]"
+    """Bracketed text form of the interleaved terms, e.g. [2,4,-1].
+
+    The text is remembered on the record.
+    """
+    if cf._text is None:
+        object.__setattr__(cf, "_text", "[" + ",".join(map(str, cf.terms)) + "]")
+    return cf._text
 
 
 def parse_cf(text: str) -> AdmissibleCF:
-    """Parse the bracketed interleaved form back into a validated record."""
+    """Parse the bracketed interleaved form back into a validated record.
+
+    An expansion whose value alpha/beta has more than DIGIT_LIMIT digits
+    raises ResourceLimitError: its numbers could not be printed.
+    """
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise DomainError("continued fraction text must look like [a1,2b1,...,an]")
@@ -312,4 +324,6 @@ def parse_cf(text: str) -> AdmissibleCF:
     evens = terms[1::2]
     if any(t % 2 for t in evens):
         raise DomainError("terms at even positions must be even integers")
-    return admissible_cf(terms[0::2], [t // 2 for t in evens])
+    cf = admissible_cf(terms[0::2], [t // 2 for t in evens])
+    check_digits(cf.alpha)
+    return cf

@@ -172,20 +172,11 @@ class ObstructionTest:
     verdict: str  # "pass" or "obstructed"
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "verdict": self.verdict, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class ObstructionReport:
     tests: tuple[ObstructionTest, ...]
     conclusion: str
-
-    def to_dict(self) -> dict:
-        return {
-            "tests": [t.to_dict() for t in self.tests],
-            "conclusion": self.conclusion,
-        }
 
 
 def qr_obstruction(p: int, q: int) -> ObstructionTest:

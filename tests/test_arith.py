@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cobkit.arith import (
+    DIGIT_LIMIT,
     SQUARE_ENUM_LIMIT,
+    check_digits,
+    dec,
     dedekind_sum,
     gcd_ext,
     is_square_mod,
@@ -147,3 +150,20 @@ class TestSawtooth:
     def test_odd_and_periodic(self, x):
         assert sawtooth(-x) == -sawtooth(x)
         assert sawtooth(x + 1) == sawtooth(x)
+
+
+class TestDigitCap:
+    def test_boundary(self):
+        top = 10**DIGIT_LIMIT - 1
+        assert check_digits(top) == top and check_digits(-top) == -top
+        assert check_digits(Fraction(1, top)) == Fraction(1, top)
+        for x in (top + 1, -top - 1, Fraction(1, top + 1)):
+            with pytest.raises(ResourceLimitError, match=f"{DIGIT_LIMIT}-digit cap"):
+                check_digits(x)
+
+    def test_dec_refuses_long_output(self):
+        # the numerator fits, but the exact decimal of x/8 has 3 more digits
+        x = Fraction(10**DIGIT_LIMIT - 1, 8)
+        with pytest.raises(ResourceLimitError):
+            dec(x)
+        assert dec(Fraction(10 ** (DIGIT_LIMIT - 4) + 1, 8)).endswith(".125")

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cobkit.arith import dec
+from cobkit.arith import DIGIT_LIMIT, dec
 from cobkit.cli import SCAN_CAP_ENV, main
 from cobkit.cobordism import MBounds
 from cobkit.contfrac import eval_terms
@@ -242,6 +247,156 @@ class TestGenusBound:
         )
         assert code == 1
         assert err.startswith("usage error: ") and "--m-lower" in err
+
+
+# 3,001 terms: the value alpha/beta has more than 4,300 digits
+LONG_CF = "[" + ",".join(map(str, [99, 98] * 1500 + [99])) + "]"
+# h = 7 mod 8, as h - 1 = -R mod 8 asks for R = 2
+H_4300 = "1" * 4300
+H_4000 = "1" * 4000
+CAP = f"exceeds the {DIGIT_LIMIT}-digit cap"
+
+
+class TestDigitCap:
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    @pytest.mark.parametrize("value", ["1e5000", "1e-5000", "0e4001", "1" * 4001])
+    def test_long_rational_argument(self, capsys, mode, value):
+        code, out, err = run(
+            capsys, "genus-bound", "--h", "39", "--rokhlin", "2", f"--m-lower={value}", *mode
+        )
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --m-lower: {CAP}\n"
+
+    def test_long_integer_argument(self, capsys):
+        code, out, err = run(
+            capsys, "genus-bound", "--h", H_4300, "--rokhlin", "2", "--m-lower=1/4"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --h: {CAP}\n"
+
+    def test_integer_argument_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "surgery-check", "--h", H_4000, "--rokhlin", "2")
+        assert code == 0 and out.endswith("conclusion: framing_sign_forced:+\n")
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_long_expansion_value(self, capsys, mode):
+        code, out, err = run(capsys, "twobridge", LONG_CF, *mode)
+        assert (code, out) == (2, "")
+        assert err == f"domain error: a number {CAP}\n"
+
+    def test_long_result(self, capsys):
+        # h/8 - 1 printed as a decimal needs 4,003 digits; as p/q it fits
+        code, out, err = run(
+            capsys, "genus-bound", "--h", H_4000, "--rokhlin", "2", "--m-lower=1/4"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"domain error: a number {CAP}\n"
+        payload = run_json(
+            capsys, "genus-bound", "--h", H_4000, "--rokhlin", "2", "--m-lower=1/4", "--json"
+        )
+        assert Fraction(payload["genus_lower"]) == Fraction(int(H_4000), 8) - 1
+
+
+def _digits(lead, zeros, tail):
+    return f"{lead}{'0' * zeros}{tail}"
+
+
+# digit counts on either side of the digit cap and of Python's 4,300-digit
+# int-to-str limit
+HUGE = st.one_of(st.integers(3990, 4010), st.integers(4290, 4310), st.just(4400))
+NUMBER = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.builds(_digits, st.integers(-9, 99), HUGE, st.integers(0, 9)),
+)
+RATIONAL = st.one_of(
+    NUMBER,
+    st.builds("{}/{}".format, NUMBER, NUMBER),
+    # |exponent| <= 5000, which evaluates quickly everywhere
+    st.builds(
+        "{}e{}".format,
+        st.integers(-99, 99),
+        st.one_of(st.integers(-30, 30), HUGE, HUGE.map(int.__neg__), st.just(5000)),
+    ),
+    st.builds("{}.{}".format, st.integers(-99, 99), st.integers(0, 10**6)),
+    st.sampled_from(["abc", "1/0", "", "1e", "-3/2", "0.25"]),
+)
+CF_TEXT = st.one_of(
+    st.lists(st.integers(-99, 99), max_size=9).map(
+        lambda terms: "[" + ",".join(map(str, terms)) + "]"
+    ),
+    st.text(max_size=10),
+)
+SMALL = st.integers(-3, 25).map(str)
+MODULUS = st.integers(-(10**4), 10**4).map(str)
+MODE = st.lists(st.sampled_from(["--json", "--csv", "--positive", "--help"]), max_size=2)
+
+
+def _option(flag, *values):
+    return st.tuples(*values).map(lambda drawn: [flag, *drawn])
+
+
+@st.composite
+def congruent_h(draw):
+    """--h and --rokhlin with h - 1 = -R mod 8, which genus-bound needs."""
+    r = draw(st.sampled_from([0, 2, 6, 8, 10, 14]))
+    lead = draw(st.integers(0, 99))
+    zeros = draw(st.one_of(st.integers(3, 30), HUGE))
+    return ["--h", _digits(lead, zeros, (1 - r) % 8), "--rokhlin", str(r)]
+
+
+VERB_ARGS = {
+    "lens": st.tuples(NUMBER, NUMBER).map(list),
+    "cf": st.tuples(NUMBER, NUMBER).map(list),
+    "twobridge": CF_TEXT.map(lambda text: [text]),
+    "plumbing": st.lists(SMALL, min_size=3, max_size=3),
+    "montesinos": st.lists(SMALL, min_size=3, max_size=3),
+    "surgery-check": st.just([]),
+    "genus-bound": st.one_of(
+        st.tuples(congruent_h(), RATIONAL).map(lambda t: [*t[0], f"--m-lower={t[1]}"]),
+        st.tuples(NUMBER, NUMBER).map(lambda ab: ["--lens", *ab]),
+    ),
+    "table1": st.just([]),
+    "scan": st.integers(-3, 51).map(lambda n: ["--alpha-max", str(n)]),
+}
+OPTIONS = st.lists(
+    st.one_of(
+        _option("--cf", CF_TEXT),
+        _option("--h", NUMBER),
+        _option("--rokhlin", SMALL),
+        _option("--lens", MODULUS, MODULUS),
+        _option("--lens", NUMBER, NUMBER),
+        _option("--det", MODULUS),
+        RATIONAL.map(lambda v: [f"--m-lower={v}"]),
+    ),
+    max_size=4,
+).map(lambda groups: [arg for group in groups for arg in group])
+
+
+@st.composite
+def argvs(draw):
+    verb = draw(st.sampled_from(sorted(VERB_ARGS) + ["bogus"]))
+    positional = draw(VERB_ARGS.get(verb, st.just([])))
+    return [verb, *positional, *draw(OPTIONS), *draw(MODE)]
+
+
+class TestFuzz:
+    """Random argv in process: every call returns an exit code, none raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    @example(["genus-bound", "--h", "39", "--rokhlin", "2", "--m-lower=1e5000"])
+    @example(["genus-bound", "--h", "39", "--rokhlin", "2", "--m-lower=1e5000", "--json"])
+    @example(["twobridge", LONG_CF])
+    @example(["genus-bound", "--h", H_4300, "--rokhlin", "2", "--m-lower=1/4"])
+    def test_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        # the cap keeps every scan small whatever --alpha-max is drawn
+        with mock.patch.dict(os.environ, {SCAN_CAP_ENV: "51"}):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestScan:

@@ -16,7 +16,8 @@ from cobkit.contfrac import (
     parse_cf,
     validate_admissible,
 )
-from cobkit.errors import DomainError, EvaluationError
+from cobkit.arith import DIGIT_LIMIT
+from cobkit.errors import DomainError, EvaluationError, ResourceLimitError
 
 
 def fraction_fold(terms) -> Fraction:
@@ -243,6 +244,20 @@ class TestFormatting:
         for text in ("1,2,3", "[]", "[2,2]", "[1,3,2]", "[1,x,2]", "[1 2 3]"):
             with pytest.raises(DomainError):
                 parse_cf(text)
+
+    def test_text_is_remembered(self, monkeypatch):
+        cf = find_admissible_cf(39, 17)
+        text = format_cf(cf)
+        monkeypatch.setattr(AdmissibleCF, "terms", property(lambda self: 1 / 0))
+        assert format_cf(cf) is text
+        fresh = AdmissibleCF(cf.a, cf.b, cf.alpha, cf.beta)
+        assert fresh == cf and hash(fresh) == hash(cf)
+
+    def test_parse_caps_the_value(self):
+        # 3,001 terms whose value alpha/beta has more than DIGIT_LIMIT digits
+        text = "[" + ",".join(map(str, [99, 98] * 1500 + [99])) + "]"
+        with pytest.raises(ResourceLimitError, match=f"{DIGIT_LIMIT}-digit cap"):
+            parse_cf(text)
 
 
 all_positive_terms = st.integers(1, 4).flatmap(

@@ -1,21 +1,26 @@
 """Exact elementary number theory: extended gcd, Jacobi symbols,
-quadratic residues by enumeration, Dedekind sums, and the exact decimal
-form of a rational under a cap on the digits printed.
+quadratic residues by factoring the modulus, Dedekind sums, and the
+exact decimal form of a rational under a cap on the digits printed.
 
 Everything here is integer or Fraction arithmetic, no floating point.
 """
 
+import sys
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
 
-# is_square_mod enumerates all residues; refuse moduli beyond this cap.
+# Largest modulus is_square_mod accepts; a larger one raises
+# ResourceLimitError.  Below it, trial division takes O(sqrt(n)) steps.
 SQUARE_ENUM_LIMIT = 10**6
 
 # Largest number of decimal digits read or printed.  Python refuses to
 # convert an int of more than 4300 digits to text by default; the margin
-# keeps the few digits a bound gains over its inputs printable.
-DIGIT_LIMIT = 4000
+# keeps the few digits a bound gains over its inputs printable.  Where
+# PYTHONINTMAXSTRDIGITS sets a lower limit, the cap keeps the same
+# margin below it (read once, at import).
+_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+DIGIT_LIMIT = min(4000, _STR_DIGITS - 300) if _STR_DIGITS else 4000
 _DIGIT_BOUND = 10**DIGIT_LIMIT
 
 
@@ -72,8 +77,11 @@ def jacobi(a: int, n: int) -> int:
 def is_square_mod(a: int, n: int) -> bool:
     """Whether a is congruent to a square modulo n >= 1.
 
-    Decided by enumerating k*k mod n for 0 <= k <= n // 2, which is the
-    honest definition and fast enough for the moduli this package meets.
+    Factors n by trial division and decides each prime power p^k apart:
+    a = 0 mod p^k is a square; otherwise write a = p^v * u with p not
+    dividing u and v < k.  Then v must be even, and for odd p the unit u
+    a residue, jacobi(u, p) = 1; for p = 2 the unit must be 1 mod 8 when
+    k - v >= 3 and 1 mod 4 when k - v = 2.
     """
     if n < 1:
         raise DomainError("is_square_mod requires n >= 1")
@@ -81,8 +89,33 @@ def is_square_mod(a: int, n: int) -> bool:
         raise ResourceLimitError(
             f"is_square_mod enumeration capped at n <= {SQUARE_ENUM_LIMIT}"
         )
-    a %= n
-    return any((k * k) % n == a for k in range(n // 2 + 1))
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k and not _is_square_mod_prime_power(a % p**k, p, k):
+            return False
+        p += 1 if p == 2 else 2
+    return True
+
+
+def _is_square_mod_prime_power(a: int, p: int, k: int) -> bool:
+    """is_square_mod(a, p^k) for a prime p and 0 <= a < p^k."""
+    if a == 0:
+        return True
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    if v % 2:
+        return False
+    if p == 2:
+        return a % min(8, 2 ** (k - v)) == 1
+    return jacobi(a, p) == 1
 
 
 def sawtooth(x: Fraction) -> Fraction:

@@ -7,9 +7,10 @@ in text and CSV and as 'p/q' strings in JSON.  Exit codes: 0 success,
 1 usage error, 2 domain error (a violated precondition is printed),
 3 internal invariant failure.  The environment variable COBKIT_MAX_N
 (default 1000) caps the scan sweep size; a value that is not an integer
-is a usage error.  Numbers are capped at 4000 decimal digits: a longer
-integer or rational argument is a usage error, and a result that would
-print a longer number is a domain error; both messages name the cap.
+is a usage error.  Numbers are capped at 4000 decimal digits, fewer
+when PYTHONINTMAXSTRDIGITS is below 4300: a longer integer or rational
+argument is a usage error, and a result that would print a longer
+number is a domain error; both messages name the cap.
 """
 
 import argparse

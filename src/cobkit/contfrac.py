@@ -2,9 +2,10 @@
 
 alpha/beta = [a1, 2b1, a2, 2b2, ..., an] with all entries nonzero and
 a_i * b_i > 0 for i < n.  Every coprime pair with 0 < beta < alpha and
-beta odd admits such an expansion; find_admissible_cf produces one by
-deterministic bounded backtracking.  The all-positive variant, when it
-exists, certifies infinite order of the associated lens space class.
+beta odd admits such an expansion; find_admissible_cf produces one in a
+single pass, each term forced by the value still to expand.  The
+all-positive variant, when it exists, certifies infinite order of the
+associated lens space class.
 """
 
 from dataclasses import dataclass, field
@@ -151,110 +152,54 @@ def _check_pair(alpha: int, beta: int) -> None:
         raise DomainError("requires odd beta")
 
 
-def _a_candidates(p: int, q: int) -> list[int]:
-    """Terms to try at an a-position with value p/q, q > 0.
-
-    floor leaves a positive remainder and ceil a negative one, so the
-    candidate whose remainder sign matches its own sign is the one
-    nearer zero.
-    """
-    lo = p // q
-    cands = [cand for cand in (lo, lo + 1) if cand != 0 and cand * q != p]
-    cands.sort(key=abs)
-    return cands
-
-
-def _b_candidates(p: int, q: int, sign: int) -> list[int]:
-    """Terms to try at a b-position with value p/q after an a-term of this sign."""
-    even_floor = 2 * ((p // q) // 2)
-    cands = []
-    for cand in (even_floor, even_floor + 2, 2 * sign):
-        if cand == 0 or (cand > 0) != (sign > 0):
-            continue
-        if cand * q == p or cand in cands:
-            continue
-        cands.append(cand)
-    return cands
-
-
-def _search_terms(alpha: int, beta: int, max_terms: int) -> list[int] | None:
-    """Depth-first search for the interleaved terms; the first success wins.
-
-    A node is the value p/q (lowest terms, q > 0) still to expand and
-    the sign of the preceding a-term (0 at an a-position); its depth is
-    the number of terms chosen so far.  The stack holds each open
-    node's untried candidates in order, so the search visits nodes in
-    the order of a recursive descent without using the interpreter's
-    stack.
-    """
-    path: list[int] = []
-    stack = []
-    p, q, sign = alpha, beta, 0
-    while True:
-        if len(path) < max_terms:
-            if sign == 0:
-                if q == 1 and p != 0:
-                    path.append(p)
-                    return path
-                cands = _a_candidates(p, q)
-            else:
-                cands = _b_candidates(p, q, sign)
-            stack.append((p, q, sign, iter(cands)))
-        while stack:
-            p, q, sign, untried = stack[-1]
-            cand = next(untried, None)
-            if cand is not None:
-                break
-            stack.pop()
-        else:
-            return None
-        del path[len(stack) - 1 :]
-        path.append(cand)
-        p, q = q, p - cand * q
-        if q < 0:
-            p, q = -p, -q
-        sign = (1 if cand > 0 else -1) if sign == 0 else 0
-
-
 def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
     """Deterministic admissible expansion of alpha/beta (beta odd).
 
-    Depth-first search over rounding choices.  At an a-position with
-    value x the candidates are floor(x) and ceil(x), the one whose
-    remainder sign matches the term sign first; a value that is already
-    a nonzero integer terminates the expansion.  At a b-position the
-    term must be even, nonzero, of the same sign as the preceding
-    a-term, and must not consume the whole value; the two bracketing
-    even integers are tried before the minimal fallback of the forced
-    sign.  The first success in this fixed order is returned.  The term
-    count is bounded by 2 * euclid_steps(alpha, beta) + 4; exhausting
-    the bound would contradict the existence of an expansion and is an
-    internal failure.
+    One pass with no choices.  The value still to expand is p/q in
+    lowest terms with q > 0, and q is odd at every a-position.  There a
+    value with q = 1 is the last term; any other is truncated toward
+    zero.  At a b-position the term is the even integer nearest p/q, the
+    lower one when p/q is an odd integer.  Then (p, q) <- (q, p - t*q),
+    signs moved so that q > 0.  Each remainder has |p - t*q| <= q, so
+    every a-position value after the first is an integer or has
+    |x| > 1: its term is nonzero and has the sign the next b-term takes.
+    The term count is bounded by 2 * euclid_steps(alpha, beta) + 4; a
+    longer or invalid expansion is an internal failure.
     """
     _check_pair(alpha, beta)
-    terms = _search_terms(alpha, beta, 2 * euclid_steps(alpha, beta) + 4)
-    assert terms is not None, (
-        f"admissible expansion search exhausted for {alpha}/{beta}"
+    a, b = [], []
+    p, q = alpha, beta
+    while q != 1:
+        t = p // q if p > 0 else -(-p // q)
+        a.append(t)
+        p, q = q, p - t * q
+        if q < 0:
+            p, q = -p, -q
+        t = -((q - p) // (2 * q))  # half the b-term
+        b.append(t)
+        p, q = q, p - 2 * t * q
+        if q < 0:
+            p, q = -p, -q
+    a.append(p)
+    assert len(a) + len(b) <= 2 * euclid_steps(alpha, beta) + 4, (
+        f"admissible expansion overran its bound for {alpha}/{beta}"
     )
-    cf = AdmissibleCF(
-        a=tuple(terms[0::2]),
-        b=tuple(t // 2 for t in terms[1::2]),
-        alpha=alpha,
-        beta=beta,
-    )
+    cf = AdmissibleCF(a=tuple(a), b=tuple(b), alpha=alpha, beta=beta)
     ok, why = validate_admissible(cf)
-    assert ok, f"search produced invalid expansion for {alpha}/{beta}: {why}"
+    assert ok, f"expansion invalid for {alpha}/{beta}: {why}"
     return cf
 
 
 def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
-    """Greedy all-positive expansion of alpha/beta, both odd, or None.
+    """The all-positive expansion of alpha/beta, both odd, or None.
 
     Takes floors at every step: the a-term is floor(x) and must be
     positive, the b-term is floor(x) rounded down to an even integer
-    and must be positive with a nonzero remainder.  Returns None as
-    soon as a step fails; None means the greedy expansion fails, not
-    that no all-positive expansion exists.
+    and must be positive with a nonzero remainder.  Each step is forced:
+    a positive tail after an a-term is more than 2 and after a b-term at
+    least 1, so the a-term must be floor(x) and the b-term the integer
+    in [x - 1, x).  So the expansion is unique when it exists, and None,
+    returned as soon as a step fails, means that none exists.
     """
     _check_pair(alpha, beta)
     if alpha % 2 == 0:

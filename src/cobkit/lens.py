@@ -144,8 +144,9 @@ class OrderReport:
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
     """Classify the order of [L(alpha, beta)]: infinite if the bound
-    certificate fires or a greedy all-positive expansion exists,
-    otherwise an annotated known order, otherwise unknown."""
+    certificate fires or an all-positive expansion exists (the greedy
+    find_positive_cf finds one whenever one exists), otherwise an
+    annotated known order, otherwise unknown."""
     bounds, used = _cover_bounds(space, cf)
     cert = infinite_order_certificate(bounds)
     positive = find_positive_cf(used.alpha, used.beta)

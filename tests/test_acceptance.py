@@ -3,7 +3,7 @@
 Each test prints one [acceptance] PASS or FAIL line (with capture
 suspended so the lines reach the terminal) and enforces the stated
 runtime budget: the table and plumbing checks under one second, each
-property sweep under ten.
+property sweep under ten, the largest admitted inputs under thirty.
 """
 
 import json
@@ -24,7 +24,7 @@ from cobkit.cobordism import (
     infinite_order_certificate,
     reverse_orientation,
 )
-from cobkit.contfrac import eval_cf, find_admissible_cf, validate_admissible
+from cobkit.contfrac import eval_cf, find_admissible_cf, parse_cf, validate_admissible
 from cobkit.errors import DomainError
 from cobkit.lens import LensSpace, family, m_bounds, rokhlin, table1
 from cobkit.plumbing import (
@@ -311,6 +311,23 @@ def test_criterion_8_algebra_laws(criterion):
                 x.mbar_upper,
                 x.rokhlin,
             )
+
+
+def test_criterion_9_large_pair_cli(criterion, capsys):
+    with criterion("criterion 9 (3,990-digit pair through cf and lens --json)", budget=30.0):
+        rng = random.Random(3990)
+        while True:
+            alpha = rng.randrange(10**3989 + 1, 10**3990, 2)
+            beta = rng.randrange(1, alpha, 2)
+            if math.gcd(alpha, beta) == 1:
+                break
+        a, b = str(alpha), str(beta)
+        assert main(["cf", a, b]) == 0
+        head, _, text = capsys.readouterr().out.rstrip("\n").partition(" = ")
+        cf = parse_cf(text)
+        assert head == f"{a}/{b}" and (cf.alpha, cf.beta) == (alpha, beta)
+        assert main(["lens", a, b, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cf"] == text
 
 
 def test_signature_convention_anchor(criterion):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,11 @@ from cobkit.errors import DomainError, ResourceLimitError
 
 def brute_square_mod(a, n):
     return any((k * k - a) % n == 0 for k in range(n))
+
+
+def square_residues(n):
+    """Every square modulo n, by enumeration."""
+    return {k * k % n for k in range(n // 2 + 1)}
 
 
 def sawtooth_sum(q, p):
@@ -90,6 +96,28 @@ class TestIsSquareMod:
         for n in range(1, 40):
             for a in range(-5, n + 5):
                 assert is_square_mod(a, n) == brute_square_mod(a, n)
+
+    def test_matches_enumeration_for_every_residue(self):
+        for n in range(1, 400):
+            squares = square_residues(n)
+            for a in range(n):
+                assert is_square_mod(a, n) == (a in squares), (a, n)
+
+    def test_matches_enumeration_on_large_moduli(self):
+        rng = random.Random(20261018)
+        # random moduli, and high powers of small primes for the 2-adic
+        # and odd prime power rules
+        moduli = [rng.randint(1, SQUARE_ENUM_LIMIT) for _ in range(6)]
+        moduli += [2**19, 3**12, 7**7, 2**6 * 3**4 * 5**3]
+        for n in moduli:
+            squares = square_residues(n)
+            divisors = [d for d in range(1, 1001) if n % d == 0]
+            cases = [rng.randrange(n) for _ in range(100)]
+            cases += [rng.randrange(n) ** 2 % n for _ in range(100)]
+            cases += [rng.choice(divisors) * rng.randrange(n) % n for _ in range(100)]
+            cases += [d * d * rng.randrange(n) ** 2 % n for d in divisors]
+            for a in cases:
+                assert is_square_mod(a, n) == (a in squares), (a, n)
 
     def test_lens_relevant_values(self):
         assert not is_square_mod(2, 5)

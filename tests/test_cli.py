@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -251,6 +254,8 @@ class TestGenusBound:
 
 # 3,001 terms: the value alpha/beta has more than 4,300 digits
 LONG_CF = "[" + ",".join(map(str, [99, 98] * 1500 + [99])) + "]"
+# 401 terms whose value has about 800 digits
+LONG_CF_401 = "[" + ",".join(map(str, [99, 98] * 200 + [99])) + "]"
 # h = 7 mod 8, as h - 1 = -R mod 8 asks for R = 2
 H_4300 = "1" * 4300
 H_4000 = "1" * 4000
@@ -295,6 +300,26 @@ class TestDigitCap:
             capsys, "genus-bound", "--h", H_4000, "--rokhlin", "2", "--m-lower=1/4", "--json"
         )
         assert Fraction(payload["genus_lower"]) == Fraction(int(H_4000), 8) - 1
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["twobridge", LONG_CF_401], 2, "domain error: a number exceeds the 340-digit cap\n"),
+            (["cf", "1" * 341, "1"], 1, "usage error: argument alpha: exceeds the 340-digit cap\n"),
+            (["cf", "1" * 340, "1"], 0, ""),
+        ],
+    )
+    def test_interpreter_limit_below_the_cap(self, argv, code, err):
+        # Python's minimum int-to-str limit leaves a 340-digit cap
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cobkit", *argv], env=env, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (code, err)
+        if code == 0:
+            assert proc.stdout == f"{argv[1]}/1 = [{argv[1]}]\n"
 
 
 def _digits(lead, zeros, tail):

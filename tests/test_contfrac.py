@@ -1,8 +1,9 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cobkit.contfrac import (
     AdmissibleCF,
@@ -37,9 +38,118 @@ def fibonacci(n: int) -> int:
     return a
 
 
+def _a_candidates(p: int, q: int) -> list[int]:
+    """Search oracle: terms to try at an a-position with value p/q, q > 0.
+
+    floor leaves a positive remainder and ceil a negative one, so the
+    candidate whose remainder sign matches its own sign is the one
+    nearer zero.
+    """
+    lo = p // q
+    cands = [cand for cand in (lo, lo + 1) if cand != 0 and cand * q != p]
+    cands.sort(key=abs)
+    return cands
+
+
+def _b_candidates(p: int, q: int, sign: int) -> list[int]:
+    """Search oracle: terms to try at a b-position with value p/q after
+    an a-term of this sign."""
+    even_floor = 2 * ((p // q) // 2)
+    cands = []
+    for cand in (even_floor, even_floor + 2, 2 * sign):
+        if cand == 0 or (cand > 0) != (sign > 0):
+            continue
+        if cand * q == p or cand in cands:
+            continue
+        cands.append(cand)
+    return cands
+
+
+def search_terms(alpha: int, beta: int) -> list[int] | None:
+    """The depth-first search find_admissible_cf once ran, kept as an
+    oracle: it tries the rounding choices in a fixed order, backtracks
+    on dead ends and returns the first success within the term bound.
+
+    A node is the value p/q (lowest terms, q > 0) still to expand and
+    the sign of the preceding a-term (0 at an a-position); its depth is
+    the number of terms chosen so far.  The stack holds each open
+    node's untried candidates in order.
+    """
+    max_terms = 2 * euclid_steps(alpha, beta) + 4
+    path: list[int] = []
+    stack = []
+    p, q, sign = alpha, beta, 0
+    while True:
+        if len(path) < max_terms:
+            if sign == 0:
+                if q == 1 and p != 0:
+                    path.append(p)
+                    return path
+                cands = _a_candidates(p, q)
+            else:
+                cands = _b_candidates(p, q, sign)
+            stack.append((p, q, sign, iter(cands)))
+        while stack:
+            p, q, sign, untried = stack[-1]
+            cand = next(untried, None)
+            if cand is not None:
+                break
+            stack.pop()
+        else:
+            return None
+        del path[len(stack) - 1 :]
+        path.append(cand)
+        p, q = q, p - cand * q
+        if q < 0:
+            p, q = -p, -q
+        sign = (1 if cand > 0 else -1) if sign == 0 else 0
+
+
+def assert_forced_steps(alpha: int, beta: int, terms) -> None:
+    """Replay the expansion: every remainder satisfies |p - t*q| <= q
+    (strictly below q at a-positions), q stays positive, and only the
+    last term leaves nothing."""
+    p, q = alpha, beta
+    for i, t in enumerate(terms[:-1]):
+        r = p - t * q
+        assert r != 0 and abs(r) <= q, (alpha, beta, i)
+        assert i % 2 == 1 or abs(r) < q, (alpha, beta, i)
+        p, q = (q, r) if r > 0 else (-q, -r)
+    assert q == 1 and p == terms[-1], (alpha, beta)
+
+
 coprime_pairs = st.tuples(st.integers(3, 301), st.integers(1, 299)).filter(
     lambda t: t[1] < t[0] and t[1] % 2 == 1 and math.gcd(t[0], t[1]) == 1
 )
+
+
+def all_positive_expansions(p: int, q: int, at_b: bool = False):
+    """Every all-positive admissible expansion of p/q > 0, by exhaustion.
+
+    At an a-position any term 1 <= a <= p/q is tried, at a b-position
+    any even 2 <= t <= p/q.  A term that leaves nothing ends the
+    expansion at an a-position and is refused at a b-position; a larger
+    term leaves a negative remainder, which positive terms cannot
+    continue.
+    """
+    for t in range(2 if at_b else 1, p // q + 1, 2 if at_b else 1):
+        r = p - t * q
+        if r == 0:
+            if not at_b:
+                yield [t]
+            continue
+        for tail in all_positive_expansions(q, r, not at_b):
+            yield [t, *tail]
+
+
+@st.composite
+def large_pairs(draw):
+    """Coprime (alpha, beta), beta odd, with alpha of 1 to 100 digits."""
+    digits = draw(st.integers(1, 100))
+    alpha = draw(st.integers(max(3, 10 ** (digits - 1)), 10**digits - 1))
+    beta = draw(st.integers(0, (alpha - 2) // 2)) * 2 + 1
+    assume(math.gcd(alpha, beta) == 1)
+    return alpha, beta
 
 
 class TestEval:
@@ -193,6 +303,34 @@ class TestSearch:
         assert len(cf.terms) <= 2 * euclid_steps(alpha, beta) + 4
 
 
+class TestDirectRule:
+    """Each term is forced, so the one-pass expansion is the expansion
+    the backtracking search finds first."""
+
+    def test_matches_search_on_every_small_pair(self):
+        start = time.perf_counter()
+        pairs = 0
+        for alpha in range(3, 400):
+            for beta in range(1, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                terms = list(find_admissible_cf(alpha, beta).terms)
+                assert terms == search_terms(alpha, beta), (alpha, beta)
+                assert_forced_steps(alpha, beta, terms)
+                pairs += 1
+        assert pairs == 32334
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_pairs())
+    def test_matches_search_on_large_pairs(self, pair):
+        alpha, beta = pair
+        terms = list(find_admissible_cf(alpha, beta).terms)
+        assert terms == search_terms(alpha, beta)
+        assert_forced_steps(alpha, beta, terms)
+
+
 class TestPositive:
     def test_known_cases(self):
         cf = find_positive_cf(11, 9)
@@ -224,6 +362,23 @@ class TestPositive:
                 assert eval_cf(cf.a, cf.b) == Fraction(alpha, beta)
                 assert validate_admissible(cf)[0]
         assert found > 0
+
+    def test_greedy_is_forced(self):
+        # None means no all-positive expansion exists, and one found is the only one
+        pairs = found = 0
+        for alpha in range(3, 200, 2):
+            for beta in range(1, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                every = list(all_positive_expansions(alpha, beta))
+                cf = find_positive_cf(alpha, beta)
+                assert len(every) <= 1, (alpha, beta, every)
+                assert (cf is None) == (not every), (alpha, beta)
+                if every:
+                    assert list(cf.terms) == every[0], (alpha, beta)
+                    found += 1
+                pairs += 1
+        assert pairs == 4075 and found > 0
 
 
 class TestFormatting:
@@ -271,7 +426,7 @@ all_positive_terms = st.integers(1, 4).flatmap(
 class TestMonotonicity:
     """Raising a term moves the value up or down according to its depth:
     outer-layer terms push the value up, interleaved-layer terms pull it
-    down.  This alternation is what the admissible search exploits.
+    down.
     """
 
     @given(all_positive_terms)

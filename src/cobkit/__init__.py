@@ -64,7 +64,6 @@ from .twobridge import (
     FourPlat,
     GenusBound,
     OddCounts,
-    crossing_change_genus_bound,
     determinant,
     odd_counts,
     signature,

@@ -4,8 +4,8 @@ alpha/beta = [a1, 2b1, a2, 2b2, ..., an] with all entries nonzero and
 a_i * b_i > 0 for i < n.  Every coprime pair with 0 < beta < alpha and
 beta odd admits such an expansion; find_admissible_cf produces one in a
 single pass, each term forced by the value still to expand.  The
-all-positive variant, when it exists, certifies infinite order of the
-associated lens space class.
+all-positive expansion, when it exists, is that forced expansion, so
+find_positive_cf only checks the signs of its terms.
 """
 
 from dataclasses import dataclass, field
@@ -193,49 +193,20 @@ def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
 def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
     """The all-positive expansion of alpha/beta, both odd, or None.
 
-    Takes floors at every step: the a-term is floor(x) and must be
-    positive, the b-term is floor(x) rounded down to an even integer
-    and must be positive with a nonzero remainder.  Each step is forced:
-    a positive tail after an a-term is more than 2 and after a b-term at
-    least 1, so the a-term must be floor(x) and the b-term the integer
-    in [x - 1, x).  So the expansion is unique when it exists, and None,
-    returned as soon as a step fails, means that none exists.
+    The all-positive expansion, when it exists, is the forced one of
+    find_admissible_cf.  A positive tail after an a-term is more than 2
+    and after a b-term at least 1, so an all-positive expansion takes
+    floor(x) at every a-position and the even integer in [x - 1, x) at
+    every b-position.  On such a value those are exactly the forced
+    terms: truncation toward zero, and the nearest even integer, the
+    lower one on a tie.  So the expansion is unique when it exists, and
+    None means that none exists.
     """
     _check_pair(alpha, beta)
     if alpha % 2 == 0:
         raise DomainError("requires odd alpha")
-    max_terms = 2 * euclid_steps(alpha, beta) + 4
-    terms = []
-    p, q = alpha, beta
-    while True:
-        assert len(terms) <= max_terms, (
-            f"greedy positive expansion overran bound for {alpha}/{beta}"
-        )
-        # a-position
-        a = p // q
-        if a <= 0:
-            return None
-        if a * q == p:
-            terms.append(a)
-            break
-        terms.append(a)
-        p, q = q, p - a * q
-        # b-position
-        even_floor = 2 * ((p // q) // 2)
-        if even_floor <= 0 or even_floor * q == p:
-            return None
-        terms.append(even_floor)
-        p, q = q, p - even_floor * q
-    cf = AdmissibleCF(
-        a=tuple(terms[0::2]),
-        b=tuple(t // 2 for t in terms[1::2]),
-        alpha=alpha,
-        beta=beta,
-    )
-    ok, why = validate_admissible(cf)
-    assert ok, f"greedy positive expansion invalid for {alpha}/{beta}: {why}"
-    assert all(t > 0 for t in cf.terms)
-    return cf
+    cf = find_admissible_cf(alpha, beta)
+    return cf if all(t > 0 for t in cf.a + cf.b) else None
 
 
 def format_cf(cf: AdmissibleCF) -> str:

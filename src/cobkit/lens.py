@@ -127,13 +127,14 @@ class OrderReport:
     the expansion the bounds came from: of alpha/beta, or of the
     odd-beta mirror alpha/(alpha - beta) when beta is even.  reason is
     the annotation when there is one, otherwise the certificate's reason.
+    positive_cf, the all-positive expansion of cf's target or None, is
+    computed on access.
     """
 
     space: LensSpace
     order: str
     bounds: MBounds
     certificate: OrderCertificate
-    positive_cf: AdmissibleCF | None
     annotation: str | None
     cf: AdmissibleCF
 
@@ -141,31 +142,35 @@ class OrderReport:
     def reason(self) -> str:
         return self.certificate.reason if self.annotation is None else self.annotation
 
+    @property
+    def positive_cf(self) -> AdmissibleCF | None:
+        return find_positive_cf(self.cf.alpha, self.cf.beta)
+
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
     """Classify the order of [L(alpha, beta)]: infinite if the bound
-    certificate fires or an all-positive expansion exists (the greedy
-    find_positive_cf finds one whenever one exists), otherwise an
-    annotated known order, otherwise unknown."""
+    certificate fires or an all-positive expansion exists, otherwise an
+    annotated known order, otherwise unknown.
+
+    An all-positive expansion is the forced one, and for it
+    sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so m >= (sum(a) - 1)/4 > 0
+    (mbar < 0 after reversal for even beta): the certificate has fired.
+    So find_positive_cf runs only on a supplied cf, which is of
+    alpha/beta itself, whose certificate did not fire.
+    """
     bounds, used = _cover_bounds(space, cf)
     cert = infinite_order_certificate(bounds)
-    positive = find_positive_cf(used.alpha, used.beta)
+    if cert.verdict == "unknown" and cf is not None:
+        positive = find_positive_cf(cf.alpha, cf.beta)
+        if positive is not None:
+            cert = OrderCertificate(
+                "infinite",
+                f"all-positive expansion {format_cf(positive)} certifies infinite order",
+            )
     if cert.verdict == "infinite":
-        return OrderReport(space, "inf", bounds, cert, positive, None, used)
-    if positive is not None:
-        side = (
-            "" if space.beta % 2 == 1 else " of the reversed orientation"
-        )
-        cert = OrderCertificate(
-            "infinite",
-            f"all-positive expansion {format_cf(positive)}{side} certifies infinite order",
-        )
-        return OrderReport(space, "inf", bounds, cert, positive, None, used)
-    note = ORDER_ANNOTATIONS.get((space.alpha, space.beta))
-    if note is not None:
-        label, reason = note
-        return OrderReport(space, label, bounds, cert, None, reason, used)
-    return OrderReport(space, "?", bounds, cert, None, None, used)
+        return OrderReport(space, "inf", bounds, cert, None, used)
+    label, note = ORDER_ANNOTATIONS.get((space.alpha, space.beta), ("?", None))
+    return OrderReport(space, label, bounds, cert, note, used)
 
 
 def census(alpha_max: int) -> Iterator[OrderReport]:

@@ -146,11 +146,12 @@ def m_bounds_from_surgery(n: int, rokhlin, genus_upper: int) -> MBounds:
 
 
 def slice_genus_lower(h: int, rokhlin, m_lower) -> Fraction:
-    """Slice genus any knot needs for its |n| = h surgery to yield a
-    space with the given Rokhlin class and m >= m_lower.
+    """Slice genus any knot needs for its +h surgery to yield a space
+    with the given Rokhlin class and m >= m_lower.
 
-    Requires R != 4 mod 8 (so the framing sign is forced negative) and
-    h - 1 = -R mod 8.  With mu = ((h - 1 + R)/8) mod 2 the bound is
+    Requires R != 4 mod 8 and h - 1 = -R mod 8, the '+' framing.  The
+    '-' framing is not considered, though at R = 0 mod 8 it is allowed
+    too.  With mu = ((h - 1 + R)/8) mod 2 the bound is
     (1/8)(h - 1 + 4 m_lower) - mu, clamped at 0.
     """
     if h < 1 or h % 2 == 0:

@@ -72,18 +72,6 @@ def determinant(plat: FourPlat) -> int:
     return plat.cf.alpha
 
 
-def crossing_change_genus_bound(genus: int, pos: int, neg: int) -> int:
-    """Slice genus bound genus + max(pos, neg) after that many changes.
-
-    Changing pos + neg crossings turns the knot into one bounding a
-    surface of the given genus; each change costs at most one in the
-    larger of the two directions.
-    """
-    if genus < 0 or pos < 0 or neg < 0:
-        raise DomainError("crossing_change_genus_bound requires nonnegative inputs")
-    return genus + max(pos, neg)
-
-
 def slice_genus_upper(plat: FourPlat) -> GenusBound:
     """Smooth slice genus bound for a two-bridge knot.
 
@@ -106,9 +94,7 @@ def slice_genus_upper(plat: FourPlat) -> GenusBound:
     bound = max(s_minus + 2 * oc.pos - 2, s_plus + 2 * oc.neg - 2)
     value, rem = divmod(bound, 4)
     assert rem == 0 and value >= 0
-    assert value == crossing_change_genus_bound(
-        seifert_genus, pos_changes, neg_changes
-    )
+    assert value == seifert_genus + max(pos_changes, neg_changes)
     return GenusBound(
         value=value,
         pos_changes=pos_changes,

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,23 @@ class TestCensus:
         assert all(a % 2 == b % 2 == 1 and math.gcd(a, b) == 1 for a, b in pairs)
         assert pairs[0] == (3, 1) and pairs[-1] == (99, 97)
         assert reports[0] == classify_order(LensSpace(3, 1))
+
+    def test_positive_expansion_implies_bound_certificate(self):
+        # sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so m >= (sum(a) - 1)/4 > 0:
+        # the certificate fires before an all-positive expansion is looked for
+        start = time.perf_counter()
+        positive = 0
+        for report in census(399):
+            cf = report.cf
+            if any(t <= 0 for t in cf.terms):
+                continue
+            positive += 1
+            assert report.order == "inf"
+            assert report.reason.startswith("m >= ")
+            assert report.bounds.m_lower >= Fraction(sum(cf.a) - 1, 4) > 0
+        assert positive == 3597
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
 
 
 class TestTable:

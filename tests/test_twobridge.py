@@ -8,7 +8,6 @@ from cobkit.twobridge import (
     FourPlat,
     GenusBound,
     OddCounts,
-    crossing_change_genus_bound,
     determinant,
     odd_counts,
     signature,
@@ -112,16 +111,3 @@ class TestSliceGenus:
                 b = slice_genus_upper(FourPlat(find_admissible_cf(alpha, beta)))
                 assert b.value == b.seifert_genus + max(b.pos_changes, b.neg_changes)
                 assert b.value >= b.seifert_genus
-
-
-class TestCrossingChange:
-    def test_formula(self):
-        assert crossing_change_genus_bound(0, 0, 0) == 0
-        assert crossing_change_genus_bound(1, 2, 3) == 4
-        assert crossing_change_genus_bound(2, 5, 1) == 7
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            crossing_change_genus_bound(-1, 0, 0)
-        with pytest.raises(DomainError):
-            crossing_change_genus_bound(0, -2, 0)

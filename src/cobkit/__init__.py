@@ -6,7 +6,7 @@ surgeries on knots, together with two-bridge knot invariants and
 obstruction reports.  All arithmetic is exact (integers and Fractions).
 """
 
-from .arith import dedekind_sum, gcd_ext, is_square_mod, jacobi, sawtooth
+from .arith import dedekind_sum, is_square_mod, jacobi, sawtooth
 from .cobordism import (
     MBounds,
     OrderCertificate,
@@ -15,8 +15,6 @@ from .cobordism import (
     SpinFillingData,
     bound_from_filling,
     branched_cover_bounds,
-    connected_sum,
-    furuta_allows,
     infinite_order_certificate,
     merge_bounds,
     reverse_orientation,
@@ -32,7 +30,7 @@ from .contfrac import (
     validate_admissible,
 )
 from .errors import DomainError, EvaluationError, ResourceLimitError
-from .lens import LensSpace, classify_order, family, m_bounds, rokhlin, table1
+from .lens import LensSpace, classify_order, family, m_bounds, table1
 from .plumbing import (
     MontesinosInvariants,
     MpqrTriple,
@@ -42,14 +40,12 @@ from .plumbing import (
     inertia,
     montesinos_invariants,
     sigma_pqr_bounds,
-    signature_exact,
     tpqr_invariants,
 )
 from .surgery import (
     CharSurfaceData,
     ObstructionReport,
     ObstructionTest,
-    SurgeryCandidate,
     arf_from_surgery,
     congruence_obstruction,
     m_bounds_from_surgery,

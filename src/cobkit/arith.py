@@ -1,6 +1,6 @@
-"""Exact elementary number theory: extended gcd, Jacobi symbols,
-quadratic residues by factoring the modulus, Dedekind sums, and the
-exact decimal form of a rational under a cap on the digits printed.
+"""Exact elementary number theory: Jacobi symbols, quadratic residues
+by factoring the modulus, Dedekind sums, and the exact decimal form of
+a rational under a cap on the digits printed.
 
 Everything here is integer or Fraction arithmetic, no floating point.
 """
@@ -30,26 +30,6 @@ def check_digits(x):
     if abs(x.numerator) < _DIGIT_BOUND and x.denominator < _DIGIT_BOUND:
         return x
     raise ResourceLimitError(f"a number exceeds the {DIGIT_LIMIT}-digit cap")
-
-
-def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) > 0 and a*x + b*y = g.
-
-    Both arguments zero is rejected, there is no positive gcd to return.
-    """
-    if a == 0 and b == 0:
-        raise DomainError("gcd_ext requires a != 0 or b != 0")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def jacobi(a: int, n: int) -> int:
@@ -119,7 +99,8 @@ def _is_square_mod_prime_power(a: int, p: int, k: int) -> bool:
 
 
 def sawtooth(x: Fraction) -> Fraction:
-    """((x)): 0 at integers, otherwise x - floor(x) - 1/2."""
+    """((x)): 0 at integers, otherwise x - floor(x) - 1/2.  The
+    definition TestDedekindSum checks dedekind_sum against."""
     x = Fraction(x)
     if x.denominator == 1:
         return Fraction(0)
@@ -131,7 +112,9 @@ def dedekind_sum(q: int, p: int) -> Fraction:
 
     Requires gcd(q, p) = 1.  The terms are computed in integer form,
     ((k/p)) = (2k - p)/(2p) for 0 < k < p, so the whole sum is a single
-    exact division at the end.
+    exact division at the end.  TestDedekindLink checks it against the
+    pipeline's Rokhlin classes, R(L(p,q)) = 4 p^2 s(q,p) mod 8, and
+    criterion 7c against jacobi.
     """
     if p < 1:
         raise DomainError("dedekind_sum requires p >= 1")

@@ -233,6 +233,8 @@ def _cmd_genus_bound(args) -> Output:
         bounds = lens.m_bounds(space, cf)
         h, rk, m_lower = space.alpha, bounds.rokhlin, bounds.m_lower
     else:
+        if args.cf is not None:
+            raise UsageError("--cf needs --lens")
         if args.h is None or args.rokhlin is None or args.m_lower is None:
             raise UsageError("need --lens ALPHA BETA or --h, --rokhlin and --m-lower")
         h, rk, m_lower = args.h, RokhlinClass(args.rokhlin), args.m_lower
@@ -268,6 +270,8 @@ def _scan_cap() -> int:
     raw = os.environ.get(SCAN_CAP_ENV)
     if raw is None:
         return SCAN_CAP_DEFAULT
+    if len(raw) > DIGIT_LIMIT:
+        raise UsageError(f"{SCAN_CAP_ENV} exceeds the {DIGIT_LIMIT}-digit cap")
     try:
         return int(raw)
     except ValueError:

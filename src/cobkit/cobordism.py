@@ -31,12 +31,6 @@ class RokhlinClass:
     def __neg__(self) -> "RokhlinClass":
         return RokhlinClass(-self.value)
 
-    def __add__(self, other: "RokhlinClass") -> "RokhlinClass":
-        return RokhlinClass(self.value + other.value)
-
-    def residue_mod8(self) -> int:
-        return self.value % 8
-
 
 def _quarter(x, what: str) -> Fraction:
     x = Fraction(x)
@@ -118,6 +112,8 @@ class MBounds:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MBounds":
+        """Re-validate a to_json_dict document (TestLens::test_bounds_round_trip
+        reads the CLI's lens --json back through it)."""
         return cls(
             m_lower=Fraction(d["m_lower"]),
             mbar_upper=Fraction(d["mbar_upper"]),
@@ -132,7 +128,9 @@ class MBounds:
 
 @dataclass(frozen=True)
 class SpinFillingData:
-    """Signature and second Betti number of one smooth spin filling."""
+    """Signature and second Betti number of one smooth spin filling.
+    Criterion 7d checks the spin surgery model's filling, through
+    bound_from_filling, against m_bounds_from_surgery."""
 
     sigma: int
     b2: int
@@ -154,7 +152,8 @@ S3 = MBounds(
 
 
 def bound_from_filling(filling: SpinFillingData) -> MBounds:
-    """Both one-filling bounds: (5/4) sigma -+ b2, and sigma mod 16."""
+    """Both one-filling bounds: (5/4) sigma -+ b2, and sigma mod 16
+    (checked against m_bounds_from_surgery by criterion 7d)."""
     s = Fraction(5, 4) * filling.sigma
     return MBounds(
         m_lower=s - filling.b2,
@@ -195,35 +194,6 @@ def reverse_orientation(x: MBounds) -> MBounds:
         rokhlin=None if x.rokhlin is None else -x.rokhlin,
         provenance=x.provenance + ("orientation reversed",),
     )
-
-
-def connected_sum(x: MBounds, y: MBounds) -> MBounds:
-    """Superadditivity of m and subadditivity of mbar under #.
-
-    Lower bounds add and upper bounds add; exactness does not survive
-    because the sum formulas are only inequalities.
-    """
-    return MBounds(
-        m_lower=x.m_lower + y.m_lower,
-        mbar_upper=x.mbar_upper + y.mbar_upper,
-        rokhlin=None
-        if (x.rokhlin is None or y.rokhlin is None)
-        else x.rokhlin + y.rokhlin,
-        provenance=x.provenance + y.provenance,
-    )
-
-
-def furuta_allows(sigma: int, b2: int) -> bool:
-    """Whether a closed smooth spin 4-manifold may have this (sigma, b2).
-
-    Requires sigma = 0 mod 16 and, when sigma is nonzero, the 10/8
-    inequality b2 >= (5/4)|sigma| + 2.
-    """
-    if b2 < 0:
-        raise DomainError("furuta_allows requires b2 >= 0")
-    if sigma % 16 != 0:
-        return False
-    return sigma == 0 or Fraction(5, 4) * abs(sigma) + 2 <= b2
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from math import gcd
 from .cobordism import (
     MBounds,
     OrderCertificate,
-    RokhlinClass,
     branched_cover_bounds,
     infinite_order_certificate,
     reverse_orientation,
@@ -95,12 +94,6 @@ def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
     return _cover_bounds(space, cf)[0]
 
 
-def rokhlin(space: LensSpace, cf: AdmissibleCF | None = None) -> RokhlinClass:
-    """Rokhlin invariant: sigma(S(alpha, beta)) mod 16, negated for the
-    mirror when beta is even."""
-    return m_bounds(space, cf).rokhlin
-
-
 # Known order facts that the certificates here cannot derive.  Values
 # are (order label, reason); they are reported verbatim, never computed.
 ORDER_ANNOTATIONS: dict[tuple[int, int], tuple[str, str]] = {
@@ -127,8 +120,6 @@ class OrderReport:
     the expansion the bounds came from: of alpha/beta, or of the
     odd-beta mirror alpha/(alpha - beta) when beta is even.  reason is
     the annotation when there is one, otherwise the certificate's reason.
-    positive_cf, the all-positive expansion of cf's target or None, is
-    computed on access.
     """
 
     space: LensSpace
@@ -141,10 +132,6 @@ class OrderReport:
     @property
     def reason(self) -> str:
         return self.certificate.reason if self.annotation is None else self.annotation
-
-    @property
-    def positive_cf(self) -> AdmissibleCF | None:
-        return find_positive_cf(self.cf.alpha, self.cf.beta)
 
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:

@@ -118,12 +118,6 @@ def inertia(mat) -> tuple[int, int, int]:
     return pos, zero, neg
 
 
-def signature_exact(mat) -> int:
-    """Signature (positive minus negative inertia) by exact reduction."""
-    pos, _, neg = inertia(mat)
-    return pos - neg
-
-
 def det_exact(mat) -> int:
     """Determinant of an integer matrix by fraction-free elimination."""
     m = [list(row) for row in mat]

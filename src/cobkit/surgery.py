@@ -63,36 +63,10 @@ def congruence_obstruction(h: int, rokhlin) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class SurgeryCandidate:
-    """A framing consistent with the Rokhlin class, with its forced data."""
-
-    n: int
-    rokhlin: RokhlinClass
-    genus_upper: int
-    eps: int = 0
-    mu: int = 0
-
-    def __post_init__(self):
-        if self.genus_upper < 0:
-            raise DomainError("SurgeryCandidate requires genus_upper >= 0")
-        object.__setattr__(self, "rokhlin", _rk(self.rokhlin))
-        mu = arf_from_surgery(self.n, self.rokhlin)
-        if mu is None:
-            raise DomainError(
-                "framing incompatible: n - sign(n) != -R mod 8, no such knot"
-            )
-        object.__setattr__(self, "eps", 1 if self.n > 0 else -1)
-        object.__setattr__(self, "mu", mu)
-
-    @property
-    def h(self) -> int:
-        return abs(self.n)
-
-
-@dataclass(frozen=True)
 class CharSurfaceData:
     """A characteristic surface F in a 4-manifold W: its self-intersection,
-    genus, the Arf invariant it carries, and sigma(W), b2(W)."""
+    genus, the Arf invariant it carries, and sigma(W), b2(W).  Criterion
+    7d feeds it to spin_surgery_model against m_bounds_from_surgery."""
 
     self_intersection: int
     genus: int
@@ -113,7 +87,8 @@ def spin_surgery_model(c: CharSurfaceData) -> SpinFillingData:
     """Spin filling obtained by trading the characteristic surface away.
 
     With e = sign(F.F): sigma' = sigma(W) - (F.F + 8 e Arf) and
-    b2' = b2(W) + 2(genus - 1) + |F.F + 8 e Arf| + 4 Arf.
+    b2' = b2(W) + 2(genus - 1) + |F.F + 8 e Arf| + 4 Arf.  Criterion 7d
+    checks that its filling bounds equal m_bounds_from_surgery.
     """
     eps = 1 if c.self_intersection > 0 else -1
     shifted = c.self_intersection + 8 * eps * c.arf
@@ -129,19 +104,25 @@ def m_bounds_from_surgery(n: int, rokhlin, genus_upper: int) -> MBounds:
     With eps = sign(n), h = |n|, and mu the forced Arf invariant:
     mu = 0:  ((-4-5 eps)/4)(h-1) - 2g <= m <= mbar <= ((4-5 eps)/4)(h-1) + 2g
     mu = 1:  the same with h-1 replaced by h+7 and the constants -4, +4.
+    A negative g, an even or zero n, and a framing whose n - sign(n) is
+    not -R mod 8 are domain errors.
     """
-    cand = SurgeryCandidate(n=n, rokhlin=rokhlin, genus_upper=genus_upper)
-    base = cand.h - 1 if cand.mu == 0 else cand.h + 7
-    extra = 0 if cand.mu == 0 else 4
-    lower = Fraction(-4 - 5 * cand.eps, 4) * base - 2 * genus_upper - extra
-    upper = Fraction(4 - 5 * cand.eps, 4) * base + 2 * genus_upper + extra
+    if genus_upper < 0:
+        raise DomainError("m_bounds_from_surgery requires genus_upper >= 0")
+    rokhlin = _rk(rokhlin)
+    mu = arf_from_surgery(n, rokhlin)
+    if mu is None:
+        raise DomainError("framing incompatible: n - sign(n) != -R mod 8, no such knot")
+    eps = 1 if n > 0 else -1
+    base = abs(n) - 1 if mu == 0 else abs(n) + 7
+    extra = 0 if mu == 0 else 4
+    lower = Fraction(-4 - 5 * eps, 4) * base - 2 * genus_upper - extra
+    upper = Fraction(4 - 5 * eps, 4) * base + 2 * genus_upper + extra
     return MBounds(
         m_lower=lower,
         mbar_upper=upper,
-        rokhlin=cand.rokhlin,
-        provenance=(
-            f"surgery model (n={n}, Arf={cand.mu}, slice genus <= {genus_upper})",
-        ),
+        rokhlin=rokhlin,
+        provenance=(f"surgery model (n={n}, Arf={mu}, slice genus <= {genus_upper})",),
     )
 
 

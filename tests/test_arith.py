@@ -11,7 +11,6 @@ from cobkit.arith import (
     check_digits,
     dec,
     dedekind_sum,
-    gcd_ext,
     is_square_mod,
     jacobi,
     sawtooth,
@@ -32,29 +31,6 @@ def sawtooth_sum(q, p):
     return sum(
         sawtooth(Fraction(k, p)) * sawtooth(Fraction(k * q, p)) for k in range(1, p)
     )
-
-
-class TestGcdExt:
-    def test_small_cases(self):
-        assert gcd_ext(3, 1) == (1, 0, 1)
-        g, x, y = gcd_ext(39, 17)
-        assert g == 1 and 39 * x + 17 * y == 1
-        g, x, y = gcd_ext(12, 18)
-        assert g == 6 and 12 * x + 18 * y == 6
-
-    def test_zero_arguments(self):
-        assert gcd_ext(0, 5)[0] == 5
-        assert gcd_ext(-7, 0)[0] == 7
-        with pytest.raises(DomainError):
-            gcd_ext(0, 0)
-
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-    def test_bezout_identity(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g, x, y = gcd_ext(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
 
 
 class TestJacobi:

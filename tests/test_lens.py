@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cobkit.cobordism import reverse_orientation
-from cobkit.contfrac import admissible_cf, find_admissible_cf
+from cobkit.contfrac import admissible_cf, find_admissible_cf, find_positive_cf
 from cobkit.errors import DomainError
 from cobkit.lens import (
     ORDER_ANNOTATIONS,
@@ -15,7 +15,6 @@ from cobkit.lens import (
     family,
     m_bounds,
     mirror,
-    rokhlin,
     table1,
 )
 
@@ -95,29 +94,20 @@ class TestMBounds:
 
 class TestRokhlin:
     def test_values(self):
-        assert rokhlin(LensSpace(3, 1)).value == 2
-        assert rokhlin(LensSpace(3, 2)).value == 14
-        assert rokhlin(LensSpace(7, 1)).value == 6
-        assert rokhlin(LensSpace(7, 3)).value == 2
-        assert rokhlin(LensSpace(5, 2)).value == 0
+        assert m_bounds(LensSpace(3, 1)).rokhlin.value == 2
+        assert m_bounds(LensSpace(3, 2)).rokhlin.value == 14
+        assert m_bounds(LensSpace(7, 1)).rokhlin.value == 6
+        assert m_bounds(LensSpace(7, 3)).rokhlin.value == 2
+        assert m_bounds(LensSpace(5, 2)).rokhlin.value == 0
 
     def test_mirror_negates(self):
         for alpha, beta in ((5, 3), (7, 3), (11, 5), (13, 7), (39, 17)):
-            r = rokhlin(LensSpace(alpha, beta))
-            assert rokhlin(mirror(LensSpace(alpha, beta))) == -r
-
-    def test_independent_of_expansion(self):
-        # the invariant must not depend on which admissible expansion
-        # presents the cover
-        from cobkit.lens import _TABLE_CFS
-
-        for alpha, beta, a, b in _TABLE_CFS:
-            space = LensSpace(alpha, beta)
-            fixed = rokhlin(space, admissible_cf(a, b))
-            searched = rokhlin(space)
-            assert fixed == searched
+            r = m_bounds(LensSpace(alpha, beta)).rokhlin
+            assert m_bounds(mirror(LensSpace(alpha, beta))).rokhlin == -r
 
     def test_bounds_independent_rokhlin(self):
+        # the invariant must not depend on which admissible expansion
+        # presents the cover
         from cobkit.lens import _TABLE_CFS
 
         for alpha, beta, a, b in _TABLE_CFS:
@@ -135,12 +125,12 @@ class TestClassifyOrder:
     def test_infinite_by_positive_expansion(self):
         report = classify_order(LensSpace(11, 9))
         assert report.order == "inf"
-        assert report.positive_cf is not None
+        assert find_positive_cf(report.cf.alpha, report.cf.beta) is not None
 
     def test_annotated_order_two(self):
         report = classify_order(LensSpace(5, 3))
         assert report.order == "<=2"
-        assert report.positive_cf is None
+        assert find_positive_cf(report.cf.alpha, report.cf.beta) is None
         assert "orientation-reversing" in report.annotation
 
     def test_annotated_trivial(self):

@@ -15,7 +15,6 @@ from cobkit.plumbing import (
     inertia,
     montesinos_invariants,
     sigma_pqr_bounds,
-    signature_exact,
     tpqr_invariants,
 )
 
@@ -179,7 +178,6 @@ class TestTpqrInvariants:
     def test_negative_definite_part(self):
         mat = StarPlumbing(2, 3, 7).matrix()
         assert inertia(mat) == (1, 0, 9)
-        assert signature_exact(mat) == -8
 
 
 class TestSigmaPqrBounds:

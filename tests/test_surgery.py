@@ -8,10 +8,9 @@ import pytest
 from cobkit.arith import dedekind_sum
 from cobkit.cobordism import S3, bound_from_filling
 from cobkit.errors import DomainError
-from cobkit.lens import LensSpace, m_bounds, rokhlin
+from cobkit.lens import LensSpace, m_bounds
 from cobkit.surgery import (
     CharSurfaceData,
-    SurgeryCandidate,
     arf_from_surgery,
     congruence_obstruction,
     m_bounds_from_surgery,
@@ -84,19 +83,23 @@ class TestCongruence:
 
 
 class TestSurgeryCandidate:
+    """What a surgery candidate (n, R, g) forces, and the candidates
+    m_bounds_from_surgery rejects."""
+
     def test_forced_data(self):
-        c = SurgeryCandidate(n=-3, rokhlin=2, genus_upper=0)
-        assert (c.eps, c.mu, c.h) == (-1, 0, 3)
-        c = SurgeryCandidate(n=3, rokhlin=6, genus_upper=2)
-        assert (c.eps, c.mu) == (1, 1)
+        assert arf_from_surgery(-3, 2) == 0
+        assert arf_from_surgery(3, 6) == 1
+        assert "Arf=1" in m_bounds_from_surgery(3, 6, 2).provenance[0]
 
     def test_incompatible(self):
-        with pytest.raises(DomainError):
-            SurgeryCandidate(n=3, rokhlin=2, genus_upper=0)
+        with pytest.raises(DomainError, match="framing incompatible"):
+            m_bounds_from_surgery(3, 2, 0)
+        with pytest.raises(DomainError, match="odd nonzero n"):
+            m_bounds_from_surgery(4, 0, 0)
 
     def test_negative_genus(self):
-        with pytest.raises(DomainError):
-            SurgeryCandidate(n=3, rokhlin=14, genus_upper=-1)
+        with pytest.raises(DomainError, match="genus_upper >= 0"):
+            m_bounds_from_surgery(3, 14, -1)
 
 
 class TestSpinModel:
@@ -179,7 +182,7 @@ class TestSliceGenusLower:
 
     def test_unknot_consistent(self):
         # L(3,2) is +3 surgery on the unknot; the bound must allow genus 0
-        assert slice_genus_lower(3, rokhlin(LensSpace(3, 2)), -Fraction(9, 2)) == 0
+        assert slice_genus_lower(3, m_bounds(LensSpace(3, 2)).rokhlin, -Fraction(9, 2)) == 0
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -310,7 +313,7 @@ class TestDedekindLink:
             for q in range(1, p):
                 if math.gcd(p, q) != 1:
                     continue
-                r = rokhlin(LensSpace(p, q)).value
+                r = m_bounds(LensSpace(p, q)).rokhlin.value
                 scaled = 4 * p * p * dedekind_sum(q, p)
                 assert scaled.denominator == 1
                 assert (r - scaled.numerator) % 8 == 0
@@ -324,7 +327,6 @@ class TestUnknotSurgeryEqualsLens:
     def test_exact_agreement(self):
         # -n surgery on the unknot is L(n,1); the genus 0 estimate is sharp
         for n in range(3, 100, 2):
-            r = rokhlin(LensSpace(n, 1))
-            est = m_bounds_from_surgery(-n, r, 0)
             direct = m_bounds(LensSpace(n, 1))
+            est = m_bounds_from_surgery(-n, direct.rokhlin, 0)
             assert (est.m_lower, est.mbar_upper) == (direct.m_lower, direct.mbar_upper)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -17,6 +18,12 @@ from cobkit.twobridge import (
 
 def plat(text: str) -> FourPlat:
     return FourPlat(parse_cf(text))
+
+
+def murasugi_signature(p: int, q: int) -> int:
+    """sigma(S(p, q)) = sum_{i=1}^{p-1} (-1)^floor(iq/p), Murasugi's
+    lattice-point formula: a route that needs no expansion."""
+    return sum(1 - 2 * (i * q // p % 2) for i in range(1, p))
 
 
 class TestFourPlat:
@@ -59,6 +66,20 @@ class TestSignature:
                     continue
                 p = FourPlat(find_admissible_cf(alpha, beta))
                 assert signature(p) % 2 == (0 if p.is_knot else 1)
+
+    def test_matches_lattice_point_formula(self):
+        start = time.perf_counter()
+        pairs = 0
+        for alpha in range(3, 300, 2):
+            for beta in range(1, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                p = FourPlat(find_admissible_cf(alpha, beta))
+                assert signature(p) == murasugi_signature(alpha, beta), (alpha, beta)
+                pairs += 1
+        assert pairs == 9116
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
 
 
 class TestOddCounts:

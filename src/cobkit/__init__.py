@@ -27,7 +27,6 @@ from .contfrac import (
     find_positive_cf,
     format_cf,
     parse_cf,
-    validate_admissible,
 )
 from .errors import DomainError, EvaluationError, ResourceLimitError
 from .lens import LensSpace, classify_order, family, m_bounds, table1
@@ -57,10 +56,9 @@ from .surgery import (
     unknotting_one_obstruction,
 )
 from .twobridge import (
-    FourPlat,
     GenusBound,
     OddCounts,
-    determinant,
+    is_knot,
     odd_counts,
     signature,
     slice_genus_upper,

@@ -160,20 +160,20 @@ _KNOT_GENUS = (
 
 def _cmd_twobridge(args) -> Output:
     cf = contfrac.parse_cf(args.cf)
-    plat = twobridge.FourPlat(cf)
-    oc = twobridge.odd_counts(plat)
+    knot = twobridge.is_knot(cf)
+    oc = twobridge.odd_counts(cf)
     doc = {
         "alpha": cf.alpha,
         "beta": cf.beta,
         "cf": contfrac.format_cf(cf),
-        "is_knot": plat.is_knot,
-        "signature": twobridge.signature(plat),
-        "determinant": twobridge.determinant(plat),
+        "is_knot": knot,
+        "signature": twobridge.signature(cf),
+        "determinant": cf.alpha,
         "odd_positive": oc.pos,
         "odd_negative": oc.neg,
-        "slice_genus_upper": twobridge.slice_genus_upper(plat) if plat.is_knot else None,
+        "slice_genus_upper": twobridge.slice_genus_upper(cf) if knot else None,
     }
-    kind = ("knot", _KNOT_GENUS) if plat.is_knot else ("link", "n/a (links are out of scope)")
+    kind = ("knot", _KNOT_GENUS) if knot else ("link", "n/a (links are out of scope)")
     return Output(doc, _TWOBRIDGE_TEXT % kind)
 
 

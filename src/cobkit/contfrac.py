@@ -5,10 +5,12 @@ a_i * b_i > 0 for i < n.  Every coprime pair with 0 < beta < alpha and
 beta odd admits such an expansion; find_admissible_cf produces one in a
 single pass, each term forced by the value still to expand.  The
 all-positive expansion, when it exists, is that forced expansion, so
-find_positive_cf only checks the signs of its terms.
+find_positive_cf only checks the signs of its terms.  An AdmissibleCF
+checks the rules when it is built, so every record is admissible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -16,34 +18,74 @@ from .arith import check_digits
 from .errors import DomainError, EvaluationError
 
 
+def _interleave(a, b) -> tuple[int, ...]:
+    """(a1, 2b1, a2, 2b2, ..., an) from a and b with len(a) = len(b) + 1."""
+    out = [0] * (len(a) + len(b))
+    out[0::2] = a
+    out[1::2] = [2 * x for x in b]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class AdmissibleCF:
-    """A candidate expansion: a-terms, b-terms, and the target alpha/beta.
+    """An admissible expansion: a-terms, b-terms, and the target alpha/beta.
 
-    The record itself does not enforce admissibility; build through
-    admissible_cf or find_admissible_cf to get a validated instance,
-    or run validate_admissible on raw data.  target beta = alpha = 1
-    is allowed as the unknot presentation [1].  A record remembers that
-    it passed validate_admissible, so later checks do not refold it, and
-    its format_cf text, so it is built once.
+    Construction checks shape, sign pattern and target and raises
+    DomainError on the first violation, so every record is admissible.
+    target beta = alpha = 1 is allowed as the unknot presentation [1].
     """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
     alpha: int
     beta: int
-    _valid: bool = field(default=False, init=False, repr=False, compare=False)
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        why = _violation(self)
+        if why is not None:
+            raise DomainError(f"not admissible: {why}")
 
     @property
     def terms(self) -> tuple[int, ...]:
         """Interleaved form (a1, 2b1, a2, 2b2, ..., an)."""
-        out = []
-        for i, ai in enumerate(self.a):
-            out.append(ai)
-            if i < len(self.b):
-                out.append(2 * self.b[i])
-        return tuple(out)
+        return _interleave(self.a, self.b)
+
+    @cached_property
+    def _text(self) -> str:
+        return "[" + ",".join(map(str, self.terms)) + "]"
+
+
+def _violation(cf: AdmissibleCF) -> str | None:
+    """The first admissibility rule cf breaks: shape, signs, then target.
+
+    The sign rule keeps every tail of the fold nonzero, so folding an
+    expansion that passed it never meets a zero denominator.
+    """
+    a, b = cf.a, cf.b
+    if len(a) == 0:
+        return "a must be nonempty"
+    if len(a) != len(b) + 1:
+        return "len(a) must equal len(b) + 1"
+    if any(x == 0 for x in a):
+        return "all a_i must be nonzero"
+    if any(x == 0 for x in b):
+        return "all b_i must be nonzero"
+    for i in range(len(b)):
+        if a[i] * b[i] <= 0:
+            return f"a_{i + 1} * b_{i + 1} > 0 violated"
+    alpha, beta = cf.alpha, cf.beta
+    if not (0 < beta <= alpha):
+        return "target requires 0 < beta <= alpha"
+    if beta == alpha and alpha != 1:
+        return "target beta = alpha only for the unknot 1/1"
+    if gcd(alpha, beta) != 1:
+        return "target requires gcd(alpha, beta) = 1"
+    if beta % 2 == 0:
+        return "target requires odd beta"
+    value = eval_terms(cf.terms)
+    if value != Fraction(alpha, beta):
+        return f"expansion evaluates to {value}, not {alpha}/{beta}"
+    return None
 
 
 def eval_terms(terms) -> Fraction:
@@ -71,67 +113,19 @@ def eval_cf(a, b) -> Fraction:
     b = tuple(int(x) for x in b)
     if len(a) != len(b) + 1:
         raise DomainError("eval_cf requires len(a) = len(b) + 1")
-    terms = []
-    for i, ai in enumerate(a):
-        terms.append(ai)
-        if i < len(b):
-            terms.append(2 * b[i])
-    return eval_terms(terms)
-
-
-def validate_admissible(cf: AdmissibleCF) -> tuple[bool, str | None]:
-    """Check shape, sign pattern, and target; return (ok, first violation).
-
-    A pass is remembered on the record, and a remembered pass is
-    returned without checking again.
-    """
-    if cf._valid:
-        return True, None
-    a, b = cf.a, cf.b
-    if len(a) == 0:
-        return False, "a must be nonempty"
-    if len(a) != len(b) + 1:
-        return False, "len(a) must equal len(b) + 1"
-    if any(x == 0 for x in a):
-        return False, "all a_i must be nonzero"
-    if any(x == 0 for x in b):
-        return False, "all b_i must be nonzero"
-    for i in range(len(b)):
-        if a[i] * b[i] <= 0:
-            return False, f"a_{i + 1} * b_{i + 1} > 0 violated"
-    alpha, beta = cf.alpha, cf.beta
-    if not (0 < beta <= alpha):
-        return False, "target requires 0 < beta <= alpha"
-    if beta == alpha and alpha != 1:
-        return False, "target beta = alpha only for the unknot 1/1"
-    if gcd(alpha, beta) != 1:
-        return False, "target requires gcd(alpha, beta) = 1"
-    if beta % 2 == 0:
-        return False, "target requires odd beta"
-    try:
-        value = eval_cf(a, b)
-    except EvaluationError:
-        return False, "expansion hits a zero intermediate denominator"
-    if value != Fraction(alpha, beta):
-        return False, f"expansion evaluates to {value}, not {alpha}/{beta}"
-    object.__setattr__(cf, "_valid", True)
-    return True, None
+    return eval_terms(_interleave(a, b))
 
 
 def admissible_cf(a, b) -> AdmissibleCF:
-    """Build a validated AdmissibleCF, deriving the target by evaluation."""
+    """Build an AdmissibleCF, deriving the target by evaluation."""
     a = tuple(int(x) for x in a)
     b = tuple(int(x) for x in b)
     if len(a) != len(b) + 1:
         raise DomainError("admissible_cf requires len(a) = len(b) + 1")
-    value = eval_cf(a, b)
+    value = eval_terms(_interleave(a, b))
     if value <= 0:
         raise DomainError("admissible_cf requires a positive value")
-    cf = AdmissibleCF(a=a, b=b, alpha=value.numerator, beta=value.denominator)
-    ok, why = validate_admissible(cf)
-    if not ok:
-        raise DomainError(f"not admissible: {why}")
-    return cf
+    return AdmissibleCF(a=a, b=b, alpha=value.numerator, beta=value.denominator)
 
 
 def euclid_steps(a: int, b: int) -> int:
@@ -184,10 +178,10 @@ def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
     assert len(a) + len(b) <= 2 * euclid_steps(alpha, beta) + 4, (
         f"admissible expansion overran its bound for {alpha}/{beta}"
     )
-    cf = AdmissibleCF(a=tuple(a), b=tuple(b), alpha=alpha, beta=beta)
-    ok, why = validate_admissible(cf)
-    assert ok, f"expansion invalid for {alpha}/{beta}: {why}"
-    return cf
+    try:
+        return AdmissibleCF(a=tuple(a), b=tuple(b), alpha=alpha, beta=beta)
+    except DomainError as exc:
+        raise AssertionError(f"expansion invalid for {alpha}/{beta}: {exc}") from None
 
 
 def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
@@ -212,15 +206,13 @@ def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
 def format_cf(cf: AdmissibleCF) -> str:
     """Bracketed text form of the interleaved terms, e.g. [2,4,-1].
 
-    The text is remembered on the record.
+    The text is built once per record.
     """
-    if cf._text is None:
-        object.__setattr__(cf, "_text", "[" + ",".join(map(str, cf.terms)) + "]")
     return cf._text
 
 
 def parse_cf(text: str) -> AdmissibleCF:
-    """Parse the bracketed interleaved form back into a validated record.
+    """Parse the bracketed interleaved form back into a record.
 
     An expansion whose value alpha/beta has more than DIGIT_LIMIT digits
     raises ResourceLimitError: its numbers could not be printed.

@@ -28,7 +28,7 @@ from .contfrac import (
     format_cf,
 )
 from .errors import DomainError
-from .twobridge import FourPlat, signature, slice_genus_upper
+from .twobridge import signature, slice_genus_upper
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,9 @@ def _cover_bounds(
     head = (
         (f"L({space.alpha},{space.beta}) as reversed mirror",) if reversed_mirror else ()
     )
-    plat = FourPlat(cf)
     bounds = branched_cover_bounds(
-        signature(plat),
-        slice_genus_upper(plat).value,
+        signature(cf),
+        slice_genus_upper(cf).value,
         provenance=head
         + (
             f"L({odd.alpha},{odd.beta}) branched over S({odd.alpha},{odd.beta})",
@@ -170,7 +169,7 @@ def census(alpha_max: int) -> Iterator[OrderReport]:
 
 
 # Fixed presentations for every lens space with odd |H_1| <= 13 (beta
-# odd, one per mirror pair).  Each expansion is validated on import.
+# odd, one per mirror pair).  table1 checks each one when it builds it.
 _TABLE_CFS: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...] = (
     (3, 1, (3,), ()),
     (5, 3, (1, -2), (1,)),

@@ -132,19 +132,18 @@ def slice_genus_lower(h: int, rokhlin, m_lower) -> Fraction:
 
     Requires R != 4 mod 8 and h - 1 = -R mod 8, the '+' framing.  The
     '-' framing is not considered, though at R = 0 mod 8 it is allowed
-    too.  With mu = ((h - 1 + R)/8) mod 2 the bound is
+    too.  With mu = arf_from_surgery(h, R) the bound is
     (1/8)(h - 1 + 4 m_lower) - mu, clamped at 0.
     """
     if h < 1 or h % 2 == 0:
         raise DomainError("slice_genus_lower requires odd h >= 1")
-    r = _rk(rokhlin).value
-    if r % 8 == 4:
+    rokhlin = _rk(rokhlin)
+    if rokhlin.value % 8 == 4:
         raise DomainError("slice_genus_lower requires R != 4 mod 8")
-    if (h - 1 + r) % 8 != 0:
+    mu = arf_from_surgery(h, rokhlin)
+    if mu is None:
         raise DomainError("slice_genus_lower requires h - 1 = -R mod 8")
-    m_lower = Fraction(m_lower)
-    mu = ((h - 1 + r) // 8) % 2
-    bound = Fraction(h - 1 + 4 * m_lower, 8) - mu
+    bound = Fraction(h - 1 + 4 * Fraction(m_lower), 8) - mu
     return max(Fraction(0), bound)
 
 
@@ -222,8 +221,8 @@ def obstruction_report(
 
     Conclusions: 'not_integral_surgery_on_knot' when some test rules
     both framings out (the space may still be surgery on a link),
-    'framing_sign_forced:+'/' -' when only one framing sign survives the
-    congruence test, otherwise 'inconclusive'.
+    'framing_sign_forced:+' or 'framing_sign_forced:-' when only one
+    framing sign survives the congruence test, otherwise 'inconclusive'.
     """
     tests: list[ObstructionTest] = []
     forced: str | None = None

@@ -9,24 +9,13 @@ convention differ from these values by a global sign.
 
 from dataclasses import dataclass
 
-from .contfrac import AdmissibleCF, validate_admissible
+from .contfrac import AdmissibleCF
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class FourPlat:
-    """A validated 4-plat presentation of S(alpha, beta)."""
-
-    cf: AdmissibleCF
-
-    def __post_init__(self):
-        ok, why = validate_admissible(self.cf)
-        if not ok:
-            raise DomainError(f"FourPlat requires an admissible expansion: {why}")
-
-    @property
-    def is_knot(self) -> bool:
-        return sum(self.cf.a) % 2 == 1
+def is_knot(cf: AdmissibleCF) -> bool:
+    """Whether the plat of cf closes to a knot: sum(a_i) is odd."""
+    return sum(cf.a) % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -53,26 +42,21 @@ class GenusBound:
     seifert_genus: int
 
 
-def signature(plat: FourPlat) -> int:
+def signature(cf: AdmissibleCF) -> int:
     """Signature sum(a_i) - sign(a_n); even for knots in this convention."""
-    a = plat.cf.a
+    a = cf.a
     return sum(a) - (1 if a[-1] > 0 else -1)
 
 
-def odd_counts(plat: FourPlat) -> OddCounts:
-    a = plat.cf.a
+def odd_counts(cf: AdmissibleCF) -> OddCounts:
+    a = cf.a
     return OddCounts(
         pos=sum(1 for x in a if x > 0 and x % 2 != 0),
         neg=sum(1 for x in a if x < 0 and x % 2 != 0),
     )
 
 
-def determinant(plat: FourPlat) -> int:
-    """Determinant |H_1| of the branched double cover, equal to alpha."""
-    return plat.cf.alpha
-
-
-def slice_genus_upper(plat: FourPlat) -> GenusBound:
+def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
     """Smooth slice genus bound for a two-bridge knot.
 
     g <= max(S- + 2o+ - 2, S+ + 2o- - 2) / 4 where S-+ = sum(|a_i| -+ a_i)
@@ -80,10 +64,10 @@ def slice_genus_upper(plat: FourPlat) -> GenusBound:
     the reduced diagram, (o+ + o- - 1)/2, plus max(p, n) crossing changes
     with p = (S- - 2o-)/4 and n = (S+ - 2o+)/4.
     """
-    if not plat.is_knot:
+    if not is_knot(cf):
         raise DomainError("slice_genus_upper requires a knot (sum of a_i odd)")
-    a = plat.cf.a
-    oc = odd_counts(plat)
+    a = cf.a
+    oc = odd_counts(cf)
     s_minus = sum(abs(x) - x for x in a)
     s_plus = sum(abs(x) + x for x in a)
     pos_changes, rem_p = divmod(s_minus - 2 * oc.neg, 4)

@@ -22,7 +22,7 @@ from cobkit.cobordism import (
     infinite_order_certificate,
     reverse_orientation,
 )
-from cobkit.contfrac import eval_cf, find_admissible_cf, parse_cf, validate_admissible
+from cobkit.contfrac import eval_cf, find_admissible_cf, parse_cf
 from cobkit.errors import DomainError
 from cobkit.lens import LensSpace, family, m_bounds, table1
 from cobkit.plumbing import (
@@ -43,7 +43,7 @@ from cobkit.surgery import (
     spin_surgery_model,
     unknotting_one_obstruction,
 )
-from cobkit.twobridge import FourPlat, signature
+from cobkit.twobridge import signature
 
 
 @pytest.fixture
@@ -189,9 +189,8 @@ def test_criterion_7a_cf_soundness_sweep(criterion):
             for beta in range(1, alpha, 2):
                 if math.gcd(alpha, beta) != 1:
                     continue
-                cf = find_admissible_cf(alpha, beta)
-                ok, why = validate_admissible(cf)
-                assert ok, (alpha, beta, why)
+                cf = find_admissible_cf(alpha, beta)  # the record checks itself
+                assert (cf.alpha, cf.beta) == (alpha, beta)
                 assert eval_cf(cf.a, cf.b) == Fraction(alpha, beta)
                 pairs += 1
         assert pairs == 8075
@@ -310,4 +309,4 @@ def test_criterion_9_large_pair_cli(criterion, capsys):
 def test_signature_convention_anchor(criterion):
     # the whole table hangs off sigma(S(3,1)) = +2; pin it explicitly
     with criterion("convention anchor (sigma of the right-handed trefoil cover)"):
-        assert signature(FourPlat(find_admissible_cf(3, 1))) == 2
+        assert signature(find_admissible_cf(3, 1)) == 2

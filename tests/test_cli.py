@@ -610,3 +610,15 @@ class TestExitCodes:
         monkeypatch.setattr("cobkit.lens.table1", boom)
         code, _, err = run(capsys, "table1")
         assert code == 3 and "internal error" in err
+
+    def test_inadmissible_expansion_is_two(self, capsys):
+        err = "domain error: not admissible: a_1 * b_1 > 0 violated\n"
+        assert run(capsys, "twobridge", "[1,-2,3]") == (2, "", err)
+        assert run(capsys, "lens", "7", "3", "--cf", "[1,-2,3]") == (2, "", err)
+
+    def test_refused_expansion_is_three(self, capsys, monkeypatch):
+        # a record find_admissible_cf built but the check refuses is an internal failure
+        monkeypatch.setattr("cobkit.contfrac.eval_terms", lambda terms: Fraction(0))
+        code, out, err = run(capsys, "cf", "39", "17")
+        assert (code, out) == (3, "")
+        assert "expansion invalid for 39/17: not admissible: expansion evaluates to 0" in err

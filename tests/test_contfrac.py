@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -15,10 +17,10 @@ from cobkit.contfrac import (
     find_positive_cf,
     format_cf,
     parse_cf,
-    validate_admissible,
 )
 from cobkit.arith import DIGIT_LIMIT
 from cobkit.errors import DomainError, EvaluationError, ResourceLimitError
+from cobkit.lens import LensSpace, classify_order
 
 
 def fraction_fold(terms) -> Fraction:
@@ -204,58 +206,81 @@ class TestEval:
 
 
 class TestValidate:
+    """AdmissibleCF checks itself when built."""
+
     def test_accepts_search_output(self):
+        # find_admissible_cf raises AssertionError when its record is refused
         for alpha in range(3, 80, 2):
             for beta in range(1, alpha, 2):
                 if math.gcd(alpha, beta) != 1:
                     continue
-                ok, reason = validate_admissible(find_admissible_cf(alpha, beta))
-                assert ok, reason
+                cf = find_admissible_cf(alpha, beta)
+                assert AdmissibleCF(cf.a, cf.b, alpha, beta) == cf
 
     def test_accepts_unknot(self):
         cf = admissible_cf((1,), ())
         assert cf.alpha == 1 and cf.beta == 1
-        ok, _ = validate_admissible(cf)
-        assert ok
+        assert AdmissibleCF((1,), (), 1, 1) == cf
 
     def test_sign_condition(self):
         # a2 * b2 < 0 breaks the interior sign rule
-        cf = AdmissibleCF(a=(1, -1, -1), b=(1, 1), alpha=1, beta=3)
-        ok, reason = validate_admissible(cf)
-        assert not ok and "violated" in reason
+        with pytest.raises(DomainError, match="violated"):
+            AdmissibleCF(a=(1, -1, -1), b=(1, 1), alpha=1, beta=3)
 
     def test_target_mismatch(self):
-        cf = AdmissibleCF(a=(3,), b=(), alpha=5, beta=1)
-        ok, reason = validate_admissible(cf)
-        assert not ok
+        with pytest.raises(DomainError, match="not admissible"):
+            AdmissibleCF(a=(3,), b=(), alpha=5, beta=1)
 
     def test_even_beta_rejected(self):
-        cf = AdmissibleCF(a=(3,), b=(), alpha=3, beta=2)
-        ok, reason = validate_admissible(cf)
-        assert not ok and "odd" in reason
-
-    def test_pass_is_remembered(self, monkeypatch):
-        cf = find_admissible_cf(39, 17)
-
-        def refold(a, b):
-            raise AssertionError("a validated record was folded again")
-
-        monkeypatch.setattr("cobkit.contfrac.eval_cf", refold)
-        assert validate_admissible(cf) == (True, None)
-        fresh = AdmissibleCF(cf.a, cf.b, cf.alpha, cf.beta)
-        assert fresh == cf
-        with pytest.raises(AssertionError):
-            validate_admissible(fresh)
-
-    def test_failure_is_not_remembered(self):
-        bad = AdmissibleCF(a=(2, -1), b=(2,), alpha=11, beta=3)
-        assert validate_admissible(bad)[0] is False
-        assert validate_admissible(bad)[0] is False
+        with pytest.raises(DomainError, match="odd"):
+            AdmissibleCF(a=(3,), b=(), alpha=3, beta=2)
 
     def test_zero_term_rejected(self):
-        cf = AdmissibleCF(a=(2, 0), b=(1,), alpha=7, beta=3)
-        ok, reason = validate_admissible(cf)
-        assert not ok
+        with pytest.raises(DomainError, match="not admissible"):
+            AdmissibleCF(a=(2, 0), b=(1,), alpha=7, beta=3)
+
+    @pytest.mark.parametrize(
+        "a, b, alpha, beta, why",
+        [
+            ((), (), 1, 1, "a must be nonempty"),
+            ((1, 2), (), 3, 1, "len(a) must equal len(b) + 1"),
+            ((2, 0), (1,), 7, 3, "all a_i must be nonzero"),
+            ((2, 1), (0,), 3, 1, "all b_i must be nonzero"),
+            ((1, -1, -1), (1, 1), 1, 3, "a_2 * b_2 > 0 violated"),
+            ((3,), (), 3, 5, "target requires 0 < beta <= alpha"),
+            ((3,), (), 3, 3, "target beta = alpha only for the unknot 1/1"),
+            ((3,), (), 9, 3, "target requires gcd(alpha, beta) = 1"),
+            ((3,), (), 3, 2, "target requires odd beta"),
+            ((2, -1), (2,), 11, 3, "expansion evaluates to 7/3, not 11/3"),
+        ],
+    )
+    def test_violation_messages(self, a, b, alpha, beta, why):
+        with pytest.raises(DomainError, match=f"^{re.escape('not admissible: ' + why)}$"):
+            AdmissibleCF(a=a, b=b, alpha=alpha, beta=beta)
+
+    def test_sign_rule_keeps_fold_nonzero(self):
+        # why no violation names a zero denominator: past the sign rule,
+        # every tail of the fold is nonzero
+        values = [t for t in range(-3, 4) if t]
+        folded = 0
+        for n in (1, 2, 3):
+            for a in itertools.product(values, repeat=n):
+                for b in itertools.product(values, repeat=n - 1):
+                    if all(x * y > 0 for x, y in zip(a, b)):
+                        eval_cf(a, b)
+                        folded += 1
+        assert folded == 6 + 18 * 6 + 18 * 18 * 6  # a_i any, b_i of a_i's sign
+
+    def test_one_fold_per_report(self, monkeypatch):
+        folds = []
+
+        def counting(terms):
+            folds.append(tuple(terms))
+            return eval_terms(terms)
+
+        monkeypatch.setattr("cobkit.contfrac.eval_terms", counting)
+        report = classify_order(LensSpace(39, 22))
+        assert folds == [report.cf.terms]
 
 
 class TestSearch:
@@ -269,7 +294,6 @@ class TestSearch:
     def test_series_member(self):
         cf = find_admissible_cf(39, 17)
         assert eval_cf(cf.a, cf.b) == Fraction(39, 17)
-        assert validate_admissible(cf)[0]
 
     def test_search_requires_proper_fraction(self):
         with pytest.raises(DomainError):
@@ -299,7 +323,6 @@ class TestSearch:
         cf = find_admissible_cf(alpha, beta)
         assert cf.alpha == alpha and cf.beta == beta
         assert eval_cf(cf.a, cf.b) == Fraction(alpha, beta)
-        assert validate_admissible(cf)[0]
         assert len(cf.terms) <= 2 * euclid_steps(alpha, beta) + 4
 
 
@@ -360,7 +383,6 @@ class TestPositive:
                 found += 1
                 assert all(t > 0 for t in cf.terms)
                 assert eval_cf(cf.a, cf.b) == Fraction(alpha, beta)
-                assert validate_admissible(cf)[0]
         assert found > 0
 
     def test_greedy_is_forced(self):
@@ -402,11 +424,12 @@ class TestFormatting:
 
     def test_text_is_remembered(self, monkeypatch):
         cf = find_admissible_cf(39, 17)
+        fresh = AdmissibleCF(cf.a, cf.b, cf.alpha, cf.beta)
         text = format_cf(cf)
         monkeypatch.setattr(AdmissibleCF, "terms", property(lambda self: 1 / 0))
         assert format_cf(cf) is text
-        fresh = AdmissibleCF(cf.a, cf.b, cf.alpha, cf.beta)
         assert fresh == cf and hash(fresh) == hash(cf)
+        assert repr(fresh) == "AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17)"
 
     def test_parse_caps_the_value(self):
         # 3,001 terms whose value alpha/beta has more than DIGIT_LIMIT digits

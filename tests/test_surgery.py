@@ -185,12 +185,28 @@ class TestSliceGenusLower:
         assert slice_genus_lower(3, m_bounds(LensSpace(3, 2)).rokhlin, -Fraction(9, 2)) == 0
 
     def test_preconditions(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="R != 4 mod 8"):
             slice_genus_lower(5, 4, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="h - 1 = -R mod 8"):
             slice_genus_lower(9, 2, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="odd h >= 1"):
             slice_genus_lower(4, 0, 0)
+        # checked in that order: odd h, then R != 4 mod 8, then the congruence
+        with pytest.raises(DomainError, match="odd h >= 1"):
+            slice_genus_lower(4, 4, 0)
+        with pytest.raises(DomainError, match="R != 4 mod 8"):
+            slice_genus_lower(9, 4, 0)
+
+    def test_mu_is_the_forced_arf(self):
+        # the bound subtracts ((h - 1 + R)/8) mod 2, the Arf invariant of the +h framing
+        m = Fraction(-3, 2)
+        for h in range(1, 200, 2):
+            for r in range(0, 16, 2):
+                if r % 8 == 4 or (h - 1 + r) % 8:
+                    continue
+                mu = ((h - 1 + r) // 8) % 2
+                assert mu == arf_from_surgery(h, r)
+                assert slice_genus_lower(h, r, m) == max(0, Fraction(h - 1 + 4 * m, 8) - mu)
 
 
 class TestQrObstruction:

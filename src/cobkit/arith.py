@@ -131,14 +131,27 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     return Fraction(total, 4 * p * p)
 
 
+# Decimal digits of rest/4 after the point, for rest = 0, 1, 2, 3.
+_QUARTER_DIGITS = ("0", "25", "5", "75")
+
+
 def dec(x) -> str:
     """Exact decimal form of a rational with denominator 2^a 5^b, else p/q.
 
     Raises ResourceLimitError rather than print a number of more than
     DIGIT_LIMIT digits.
     """
-    x = check_digits(Fraction(x))
+    if type(x) is not Fraction:
+        x = Fraction(x)
     num, den = x.numerator, x.denominator
+    if 4 % den == 0:
+        # Quarters, the common case: den >> 1 decimal places (0, 1 or 2).
+        # The digits printed, whole and those places, bound num as well.
+        whole, rest = divmod(abs(num) * (4 // den), 4)
+        check_digits(whole * 10 ** (den >> 1))
+        sign = "-" if num < 0 else ""
+        return f"{sign}{whole}.{_QUARTER_DIGITS[rest]}"
+    check_digits(x)
     d, k2, k5 = den, 0, 0
     while d % 2 == 0:
         d //= 2

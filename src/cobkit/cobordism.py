@@ -32,18 +32,18 @@ class RokhlinClass:
         return RokhlinClass(-self.value)
 
 
-def _quarter(x, what: str) -> Fraction:
-    x = Fraction(x)
-    if 4 % x.denominator != 0:
-        raise DomainError(f"{what} must be a multiple of 1/4")
+def _on_grid(x, step: int, what: str) -> Fraction:
+    """x as a Fraction, refused unless it is a multiple of 1/step."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if step % x.denominator != 0:
+        raise DomainError(f"{what} must be a multiple of 1/{step}")
     return x
 
 
-def _half(x, what: str) -> Fraction:
-    x = Fraction(x)
-    if 2 % x.denominator != 0:
-        raise DomainError(f"{what} must be a multiple of 1/2")
-    return x
+def _quarters(x: Fraction) -> int:
+    """4x, an integer for x on the quarter grid."""
+    return x.numerator * (4 // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -65,37 +65,40 @@ class MBounds:
     provenance: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "m_lower", _quarter(self.m_lower, "m_lower"))
-        object.__setattr__(self, "mbar_upper", _quarter(self.mbar_upper, "mbar_upper"))
+        object.__setattr__(self, "m_lower", _on_grid(self.m_lower, 4, "m_lower"))
+        object.__setattr__(
+            self, "mbar_upper", _on_grid(self.mbar_upper, 4, "mbar_upper")
+        )
         if self.m_exact is not None:
-            object.__setattr__(self, "m_exact", _half(self.m_exact, "m_exact"))
+            object.__setattr__(self, "m_exact", _on_grid(self.m_exact, 2, "m_exact"))
         if self.mbar_exact is not None:
             object.__setattr__(
-                self, "mbar_exact", _half(self.mbar_exact, "mbar_exact")
+                self, "mbar_exact", _on_grid(self.mbar_exact, 2, "mbar_exact")
             )
         if isinstance(self.rokhlin, int):
             object.__setattr__(self, "rokhlin", RokhlinClass(self.rokhlin))
         object.__setattr__(self, "provenance", tuple(self.provenance))
-        if self.m_lower > self.mbar_upper:
+        # every rule below compares quarter counts: 4x is an integer
+        lower, upper = _quarters(self.m_lower), _quarters(self.mbar_upper)
+        if lower > upper:
             raise DomainError("m_lower must not exceed mbar_upper")
-        if self.m_exact is not None and self.m_exact != self.m_lower:
+        m4 = None if self.m_exact is None else _quarters(self.m_exact)
+        mbar4 = None if self.mbar_exact is None else _quarters(self.mbar_exact)
+        if m4 is not None and m4 != lower:
             raise DomainError("an exact m must coincide with m_lower")
-        if self.mbar_exact is not None and self.mbar_exact != self.mbar_upper:
+        if mbar4 is not None and mbar4 != upper:
             raise DomainError("an exact mbar must coincide with mbar_upper")
-        if self.m_exact is not None and self.mbar_exact is not None:
-            diff = self.mbar_exact - self.m_exact
-            if diff.denominator != 1 or diff.numerator % 2 != 0:
+        if m4 is not None and mbar4 is not None:
+            diff = mbar4 - m4
+            if diff % 8 != 0:
                 raise DomainError("mbar - m must be an even integer when both exact")
-            if diff == 0 and self.m_exact != 0:
+            if diff == 0 and m4 != 0:
                 raise DomainError("m = mbar forces both to vanish")
             if diff == 0 and self.rokhlin is not None and self.rokhlin.value != 0:
                 raise DomainError("m = mbar forces a vanishing Rokhlin invariant")
         if self.rokhlin is not None:
-            for exact in (self.m_exact, self.mbar_exact):
-                if exact is None:
-                    continue
-                parity = exact - Fraction(self.rokhlin.value, 4)
-                if parity.denominator != 1 or parity.numerator % 2 != 0:
+            for exact in (m4, mbar4):
+                if exact is not None and (exact - self.rokhlin.value) % 8 != 0:
                     raise DomainError(
                         "exact values must equal rokhlin/4 modulo 2"
                     )
@@ -207,9 +210,9 @@ class OrderCertificate:
 def infinite_order_certificate(x: MBounds) -> OrderCertificate:
     """Infinite order in the homology cobordism group when m > 0, or
     mbar < 0, or m = 0 with nonzero Rokhlin invariant."""
-    if x.m_lower > 0:
+    if x.m_lower.numerator > 0:
         return OrderCertificate("infinite", f"m >= {x.m_lower} > 0")
-    if x.mbar_upper < 0:
+    if x.mbar_upper.numerator < 0:
         return OrderCertificate("infinite", f"mbar <= {x.mbar_upper} < 0")
     if (
         x.m_exact == 0
@@ -235,9 +238,11 @@ def branched_cover_bounds(
         raise DomainError("branched_cover_bounds requires genus_upper >= 0")
     if sigma_knot % 2 != 0:
         raise DomainError("knot signatures are even")
+    # integer quarters until the record: 4 m_lower and 4 mbar_upper
+    lower, upper = 5 * sigma_knot - 8 * genus_upper, 5 * sigma_knot + 8 * genus_upper
     return MBounds(
-        m_lower=Fraction(5 * sigma_knot - 8 * genus_upper, 4),
-        mbar_upper=Fraction(5 * sigma_knot + 8 * genus_upper, 4),
+        m_lower=Fraction(lower, 4),
+        mbar_upper=Fraction(upper, 4),
         rokhlin=RokhlinClass(sigma_knot),
         provenance=tuple(provenance)
         + (

@@ -45,9 +45,10 @@ class AdmissibleCF:
         if why is not None:
             raise DomainError(f"not admissible: {why}")
 
-    @property
+    @cached_property
     def terms(self) -> tuple[int, ...]:
-        """Interleaved form (a1, 2b1, a2, 2b2, ..., an)."""
+        """Interleaved form (a1, 2b1, a2, 2b2, ..., an), built once: the
+        check folds it and the text prints it."""
         return _interleave(self.a, self.b)
 
     @cached_property
@@ -58,21 +59,13 @@ class AdmissibleCF:
 def _violation(cf: AdmissibleCF) -> str | None:
     """The first admissibility rule cf breaks: shape, signs, then target.
 
-    The sign rule keeps every tail of the fold nonzero, so folding an
-    expansion that passed it never meets a zero denominator.
+    The fold is in integers.  Its pair (p, q), signs moved so that q > 0,
+    is in lowest terms, and so is (alpha, beta) once the target rules
+    hold, so the pairs are equal exactly when the values are.
     """
-    a, b = cf.a, cf.b
-    if len(a) == 0:
-        return "a must be nonempty"
-    if len(a) != len(b) + 1:
-        return "len(a) must equal len(b) + 1"
-    if any(x == 0 for x in a):
-        return "all a_i must be nonzero"
-    if any(x == 0 for x in b):
-        return "all b_i must be nonzero"
-    for i in range(len(b)):
-        if a[i] * b[i] <= 0:
-            return f"a_{i + 1} * b_{i + 1} > 0 violated"
+    why = _rule_violation(cf.a, cf.b)
+    if why is not None:
+        return why
     alpha, beta = cf.alpha, cf.beta
     if not (0 < beta <= alpha):
         return "target requires 0 < beta <= alpha"
@@ -82,29 +75,56 @@ def _violation(cf: AdmissibleCF) -> str | None:
         return "target requires gcd(alpha, beta) = 1"
     if beta % 2 == 0:
         return "target requires odd beta"
-    value = eval_terms(cf.terms)
-    if value != Fraction(alpha, beta):
-        return f"expansion evaluates to {value}, not {alpha}/{beta}"
+    p, q = _fold(cf.terms)
+    if q < 0:
+        p, q = -p, -q
+    if (p, q) != (alpha, beta):
+        return f"expansion evaluates to {Fraction(p, q)}, not {alpha}/{beta}"
     return None
 
 
-def eval_terms(terms) -> Fraction:
-    """Fold a continued fraction [t1, t2, ..., tm] exactly, innermost first.
+def _rule_violation(a, b) -> str | None:
+    """The first shape or sign rule the terms a, b break.
 
-    The value p/q of the tail folds as (p, q) <- (t*p + q, p).  Each step
-    has determinant -1, so p and q stay coprime and the final Fraction
-    only fixes the sign.
+    The sign rule keeps every tail of the fold nonzero, so folding terms
+    that passed it never meets a zero denominator.
     """
-    if not terms:
-        raise DomainError("eval requires at least one term")
+    if len(a) == 0:
+        return "a must be nonempty"
+    if len(a) != len(b) + 1:
+        return "len(a) must equal len(b) + 1"
+    if 0 in a:
+        return "all a_i must be nonzero"
+    if 0 in b:
+        return "all b_i must be nonzero"
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x * y <= 0:
+            return f"a_{i + 1} * b_{i + 1} > 0 violated"
+    return None
+
+
+def _fold(terms) -> tuple[int, int]:
+    """Fold a nonempty continued fraction [t1, t2, ..., tm] in integers,
+    innermost first: the value p/q of the tail folds as
+    (p, q) <- (t*p + q, p).  Each step has determinant -1, so p and q
+    stay coprime and only the sign is left to fix.
+    """
     p, q = terms[-1], 1
-    for t in reversed(terms[:-1]):
+    for t in terms[-2::-1]:
         if p == 0:
             raise EvaluationError(
                 "zero intermediate denominator while evaluating continued fraction"
             )
         p, q = t * p + q, p
-    return Fraction(p, q)
+    return p, q
+
+
+def eval_terms(terms) -> Fraction:
+    """Exact value of a continued fraction [t1, t2, ..., tm], by the same
+    integer fold the admissibility check runs."""
+    if not terms:
+        raise DomainError("eval requires at least one term")
+    return Fraction(*_fold(terms))
 
 
 def eval_cf(a, b) -> Fraction:
@@ -122,6 +142,9 @@ def admissible_cf(a, b) -> AdmissibleCF:
     b = tuple(int(x) for x in b)
     if len(a) != len(b) + 1:
         raise DomainError("admissible_cf requires len(a) = len(b) + 1")
+    why = _rule_violation(a, b)
+    if why is not None:
+        raise DomainError(f"not admissible: {why}")
     value = eval_terms(_interleave(a, b))
     if value <= 0:
         raise DomainError("admissible_cf requires a positive value")

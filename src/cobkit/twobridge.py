@@ -48,12 +48,23 @@ def signature(cf: AdmissibleCF) -> int:
     return sum(a) - (1 if a[-1] > 0 else -1)
 
 
+def _tally(a) -> tuple[int, int, int, int]:
+    """(S-, S+, o+, o-) in one pass over nonzero a-terms: S-+ =
+    sum(|a_i| -+ a_i) and o+- the counts of odd a-terms by sign."""
+    s_minus = s_plus = o_pos = o_neg = 0
+    for x in a:
+        if x > 0:
+            s_plus += x
+            o_pos += x & 1
+        else:
+            s_minus -= x
+            o_neg += x & 1
+    return 2 * s_minus, 2 * s_plus, o_pos, o_neg
+
+
 def odd_counts(cf: AdmissibleCF) -> OddCounts:
-    a = cf.a
-    return OddCounts(
-        pos=sum(1 for x in a if x > 0 and x % 2 != 0),
-        neg=sum(1 for x in a if x < 0 and x % 2 != 0),
-    )
+    _, _, pos, neg = _tally(cf.a)
+    return OddCounts(pos=pos, neg=neg)
 
 
 def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
@@ -66,16 +77,13 @@ def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
     """
     if not is_knot(cf):
         raise DomainError("slice_genus_upper requires a knot (sum of a_i odd)")
-    a = cf.a
-    oc = odd_counts(cf)
-    s_minus = sum(abs(x) - x for x in a)
-    s_plus = sum(abs(x) + x for x in a)
-    pos_changes, rem_p = divmod(s_minus - 2 * oc.neg, 4)
-    neg_changes, rem_n = divmod(s_plus - 2 * oc.pos, 4)
+    s_minus, s_plus, o_pos, o_neg = _tally(cf.a)
+    pos_changes, rem_p = divmod(s_minus - 2 * o_neg, 4)
+    neg_changes, rem_n = divmod(s_plus - 2 * o_pos, 4)
     assert rem_p == 0 and rem_n == 0
-    seifert_genus, rem_g = divmod(oc.pos + oc.neg - 1, 2)
+    seifert_genus, rem_g = divmod(o_pos + o_neg - 1, 2)
     assert rem_g == 0
-    bound = max(s_minus + 2 * oc.pos - 2, s_plus + 2 * oc.neg - 2)
+    bound = max(s_minus + 2 * o_pos - 2, s_plus + 2 * o_neg - 2)
     value, rem = divmod(bound, 4)
     assert rem == 0 and value >= 0
     assert value == seifert_genus + max(pos_changes, neg_changes)

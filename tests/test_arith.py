@@ -27,6 +27,25 @@ def square_residues(n):
     return {k * k % n for k in range(n // 2 + 1)}
 
 
+def reference_dec(x: Fraction) -> str:
+    """Oracle: the exact decimal by the general rule, for any denominator
+    2^a 5^b, with the digit cap checked on x and on the digits printed."""
+    num, den = check_digits(x).numerator, x.denominator
+    k = 0
+    while 10**k % den:
+        k += 1
+    s = str(check_digits(abs(num) * 10**k // den)).rjust(k + 1, "0")
+    ip, fp = (s[:-k], s[-k:]) if k else (s, "0")
+    return ("-" if num < 0 else "") + f"{ip}.{fp}"
+
+
+def dec_outcome(fn, x):
+    try:
+        return fn(x)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
 def sawtooth_sum(q, p):
     return sum(
         sawtooth(Fraction(k, p)) * sawtooth(Fraction(k * q, p)) for k in range(1, p)
@@ -164,6 +183,19 @@ class TestDigitCap:
         for x in (top + 1, -top - 1, Fraction(1, top + 1)):
             with pytest.raises(ResourceLimitError, match=f"{DIGIT_LIMIT}-digit cap"):
                 check_digits(x)
+
+    def test_quarters_match_general_rule(self):
+        # dec prints quarters by divmod; the general rule is the reference,
+        # near zero and where the cap on the printed digits bites
+        top = 10**DIGIT_LIMIT
+        nums = list(range(-2000, 2001))
+        for edge in (top, top // 2, top // 5, top // 10, top // 25, top // 100):
+            nums += [sign * (edge + d) for sign in (1, -1) for d in range(-3, 4)]
+        for den in (1, 2, 4):
+            for n in nums:
+                if math.gcd(n, den) == 1:
+                    x = Fraction(n, den)
+                    assert dec_outcome(dec, x) == dec_outcome(reference_dec, x), x
 
     def test_dec_refuses_long_output(self):
         # the numerator fits, but the exact decimal of x/8 has 3 more digits

@@ -616,9 +616,15 @@ class TestExitCodes:
         assert run(capsys, "twobridge", "[1,-2,3]") == (2, "", err)
         assert run(capsys, "lens", "7", "3", "--cf", "[1,-2,3]") == (2, "", err)
 
+    def test_sign_rule_is_checked_before_the_fold(self, capsys):
+        # folding [1,2,1,-2,1] meets a zero denominator; the sign rule names the fault
+        err = "domain error: not admissible: a_2 * b_2 > 0 violated\n"
+        assert run(capsys, "twobridge", "[1,2,1,-2,1]") == (2, "", err)
+        assert run(capsys, "lens", "7", "3", "--cf", "[1,2,1,-2,1]") == (2, "", err)
+
     def test_refused_expansion_is_three(self, capsys, monkeypatch):
         # a record find_admissible_cf built but the check refuses is an internal failure
-        monkeypatch.setattr("cobkit.contfrac.eval_terms", lambda terms: Fraction(0))
+        monkeypatch.setattr("cobkit.contfrac._fold", lambda terms: (0, 1))
         code, out, err = run(capsys, "cf", "39", "17")
         assert (code, out) == (3, "")
         assert "expansion invalid for 39/17: not admissible: expansion evaluates to 0" in err

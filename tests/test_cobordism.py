@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,38 @@ def nums(x: MBounds):
         x.mbar_exact,
         None if x.rokhlin is None else x.rokhlin.value,
     )
+
+
+def fraction_rule(m_lower, mbar_upper, m_exact, mbar_exact, rokhlin) -> str | None:
+    """Oracle: the first MBounds rule broken, by Fraction arithmetic."""
+    for x, step, what in (
+        (m_lower, 4, "m_lower"),
+        (mbar_upper, 4, "mbar_upper"),
+        (m_exact, 2, "m_exact"),
+        (mbar_exact, 2, "mbar_exact"),
+    ):
+        if x is not None and step % x.denominator != 0:
+            return f"{what} must be a multiple of 1/{step}"
+    if m_lower > mbar_upper:
+        return "m_lower must not exceed mbar_upper"
+    if m_exact is not None and m_exact != m_lower:
+        return "an exact m must coincide with m_lower"
+    if mbar_exact is not None and mbar_exact != mbar_upper:
+        return "an exact mbar must coincide with mbar_upper"
+    if m_exact is not None and mbar_exact is not None:
+        diff = mbar_exact - m_exact
+        if diff.denominator != 1 or diff.numerator % 2 != 0:
+            return "mbar - m must be an even integer when both exact"
+        if diff == 0 and m_exact != 0:
+            return "m = mbar forces both to vanish"
+        if diff == 0 and rokhlin not in (None, 0):
+            return "m = mbar forces a vanishing Rokhlin invariant"
+    for exact in (m_exact, mbar_exact):
+        if rokhlin is not None and exact is not None:
+            parity = exact - Fraction(rokhlin, 4)
+            if parity.denominator != 1 or parity.numerator % 2 != 0:
+                return "exact values must equal rokhlin/4 modulo 2"
+    return None
 
 
 @st.composite
@@ -100,6 +133,23 @@ class TestMBoundsValidation:
             MBounds(Fraction(1, 2), Fraction(5, 2), m_exact=Fraction(1, 2), rokhlin=0)
         ok = MBounds(Fraction(1, 2), 4, m_exact=Fraction(1, 2), rokhlin=2)
         assert ok.m_exact == Fraction(1, 2)
+
+    def test_integer_rules_match_fraction_rules(self):
+        # the record checks quarter counts; Fraction arithmetic is the reference
+        bounds = [Fraction(n, 4) for n in range(-6, 7)] + [Fraction(1, 3)]
+        exacts = [None, Fraction(1, 4)] + [Fraction(n, 2) for n in range(-2, 5)]
+        checked = 0
+        for lo, hi, m, mbar, r in itertools.product(
+            bounds, bounds, exacts, exacts, (None, 0, 2, 4, 8)
+        ):
+            try:
+                MBounds(lo, hi, m_exact=m, mbar_exact=mbar, rokhlin=r)
+                why = None
+            except DomainError as exc:
+                why = str(exc)
+            assert why == fraction_rule(lo, hi, m, mbar, r), (lo, hi, m, mbar, r)
+            checked += why is None
+        assert checked > 0
 
     def test_json_round_trip(self):
         for x in (

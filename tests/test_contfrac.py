@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cobkit import contfrac
 from cobkit.contfrac import (
     AdmissibleCF,
     admissible_cf,
@@ -273,12 +274,13 @@ class TestValidate:
 
     def test_one_fold_per_report(self, monkeypatch):
         folds = []
+        fold = contfrac._fold
 
         def counting(terms):
             folds.append(tuple(terms))
-            return eval_terms(terms)
+            return fold(terms)
 
-        monkeypatch.setattr("cobkit.contfrac.eval_terms", counting)
+        monkeypatch.setattr("cobkit.contfrac._fold", counting)
         report = classify_order(LensSpace(39, 22))
         assert folds == [report.cf.terms]
 

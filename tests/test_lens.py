@@ -19,6 +19,44 @@ from cobkit.lens import (
 )
 
 
+def hirzebruch_jung(p: int, q: int) -> list[int]:
+    """[c_1, ..., c_n] with p/q = c_1 - 1/(c_2 - 1/(... - 1/c_n)), c_i >= 2."""
+    cs = []
+    while q:
+        c = -(-p // q)
+        cs.append(c)
+        p, q = q, c * q - p
+    return cs
+
+
+def plumbing_rokhlin(p: int, q: int) -> int:
+    """R(L(p, q)) for odd p from the linear plumbing it bounds, a route
+    that needs no two-bridge knot.
+
+    -p/q surgery on the unknot bounds the negative definite plumbing with
+    weights -c_i, p/q = [c_1, ..., c_n]^-, of signature -n.  Its form is
+    invertible mod 2 (det = +-p), so it has one 0/1 characteristic
+    vector w: c_i (1 + w_i) + w_{i-1} + w_{i+1} is even at every node.
+    Choosing w_1 fixes the rest, and the last node's equation picks
+    w_1.  No two adjacent nodes are in w, so w.w = -sum of c_i over w,
+    and R = sigma - w.w (mod 16) (Kirby, LNM 1374; Neumann, LNM 788).
+    """
+    cs = hirzebruch_jung(p, q)
+    for first in (0, 1):
+        w = [first]
+        prev = 0
+        for c in cs[:-1]:
+            w_next = (c * (1 + w[-1]) + prev) % 2
+            prev = w[-1]
+            w.append(w_next)
+        if (cs[-1] * (1 + w[-1]) + prev) % 2 == 0:
+            break
+    else:
+        raise AssertionError(f"no characteristic vector for {p}/{q}")
+    assert all(not (x and y) for x, y in zip(w, w[1:]))
+    return (-len(cs) + sum(c for c, x in zip(cs, w) if x)) % 16
+
+
 class TestLensSpace:
     def test_validation(self):
         assert LensSpace(39, 17).alpha == 39
@@ -104,6 +142,22 @@ class TestRokhlin:
         for alpha, beta in ((5, 3), (7, 3), (11, 5), (13, 7), (39, 17)):
             r = m_bounds(LensSpace(alpha, beta)).rokhlin
             assert m_bounds(mirror(LensSpace(alpha, beta))).rokhlin == -r
+
+    def test_matches_plumbing_wu_class(self):
+        # odd beta through S(alpha, beta); even beta through the mirror
+        # and the orientation reversal
+        start = time.perf_counter()
+        counts = [0, 0]
+        for alpha in range(3, 300, 2):
+            for beta in range(1, alpha):
+                if math.gcd(alpha, beta) != 1 or (beta % 2 == 0 and alpha >= 200):
+                    continue
+                r = m_bounds(LensSpace(alpha, beta)).rokhlin.value
+                assert r == plumbing_rokhlin(alpha, beta), (alpha, beta)
+                counts[beta % 2] += 1
+        assert counts == [4075, 9116]
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
 
     def test_bounds_independent_rokhlin(self):
         # the invariant must not depend on which admissible expansion

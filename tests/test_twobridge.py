@@ -2,8 +2,15 @@ import math
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cobkit.contfrac import AdmissibleCF, admissible_cf, find_admissible_cf, parse_cf
+from cobkit.contfrac import (
+    AdmissibleCF,
+    admissible_cf,
+    eval_cf,
+    find_admissible_cf,
+    parse_cf,
+)
 from cobkit.errors import DomainError
 from cobkit.twobridge import (
     GenusBound,
@@ -19,6 +26,71 @@ def murasugi_signature(p: int, q: int) -> int:
     """sigma(S(p, q)) = sum_{i=1}^{p-1} (-1)^floor(iq/p), Murasugi's
     lattice-point formula: a route that needs no expansion."""
     return sum(1 - 2 * (i * q // p % 2) for i in range(1, p))
+
+
+def five_sum_invariants(a) -> tuple[int, OddCounts, GenusBound | None]:
+    """Oracle: signature, odd counts and genus bound (None for a link)
+    by the separate sums the one-pass tally replaced."""
+    sig = sum(a) - (1 if a[-1] > 0 else -1)
+    oc = OddCounts(
+        pos=sum(1 for x in a if x > 0 and x % 2 != 0),
+        neg=sum(1 for x in a if x < 0 and x % 2 != 0),
+    )
+    if sum(a) % 2 != 1:
+        return sig, oc, None
+    s_minus = sum(abs(x) - x for x in a)
+    s_plus = sum(abs(x) + x for x in a)
+    pos_changes, rem_p = divmod(s_minus - 2 * oc.neg, 4)
+    neg_changes, rem_n = divmod(s_plus - 2 * oc.pos, 4)
+    seifert_genus, rem_g = divmod(oc.pos + oc.neg - 1, 2)
+    value, rem = divmod(max(s_minus + 2 * oc.pos - 2, s_plus + 2 * oc.neg - 2), 4)
+    assert rem_p == rem_n == rem_g == rem == 0
+    return sig, oc, GenusBound(value, pos_changes, neg_changes, seifert_genus)
+
+
+def one_pass_invariants(cf: AdmissibleCF) -> tuple[int, OddCounts, GenusBound | None]:
+    try:
+        genus = slice_genus_upper(cf)
+    except DomainError:
+        assert not is_knot(cf)
+        genus = None
+    return signature(cf), odd_counts(cf), genus
+
+
+@st.composite
+def big_term_expansions(draw):
+    """Admissible expansions of 1-8 a-terms, each term up to 100 digits."""
+    n = draw(st.integers(1, 8))
+    size = st.integers(1, 9) | st.integers(1, 10**100 - 1)
+    signs = [1] + [draw(st.sampled_from((1, -1))) for _ in range(n - 1)]
+    a = [sign * draw(size) for sign in signs]
+    b = [sign * draw(size) for sign in signs[:-1]]
+    # a_1 > 0 makes the value at least 1, so only an even beta is refused
+    assume(eval_cf(a, b).denominator % 2 == 1)
+    return admissible_cf(a, b)
+
+
+class TestOnePassOracle:
+    """The one-pass tally gives what the separate sums gave."""
+
+    def test_every_small_pair(self):
+        start = time.perf_counter()
+        pairs = 0
+        for alpha in range(3, 400):
+            for beta in range(1, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                cf = find_admissible_cf(alpha, beta)
+                assert one_pass_invariants(cf) == five_sum_invariants(cf.a), (alpha, beta)
+                pairs += 1
+        assert pairs == 32334
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
+
+    @settings(max_examples=200, deadline=None)
+    @given(big_term_expansions())
+    def test_big_terms(self, cf):
+        assert one_pass_invariants(cf) == five_sum_invariants(cf.a)
 
 
 class TestFourPlat:
@@ -108,12 +180,18 @@ class TestSliceGenus:
 
     def test_dominates_half_signature(self):
         # the slice genus bound can never undercut |signature| / 2
-        for alpha in range(3, 120, 2):
+        start = time.perf_counter()
+        pairs = 0
+        for alpha in range(3, 300, 2):
             for beta in range(1, alpha, 2):
                 if math.gcd(alpha, beta) != 1:
                     continue
                 cf = find_admissible_cf(alpha, beta)
                 assert 2 * slice_genus_upper(cf).value >= abs(signature(cf))
+                pairs += 1
+        assert pairs == 9116
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
 
     def test_crossing_change_identity(self):
         for alpha in range(3, 90, 2):

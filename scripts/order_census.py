@@ -27,10 +27,10 @@ def main(argv=None) -> int:
 
     tally = Counter()
     unknown = []
-    for report in census(args.alpha_max):
-        tally[report.order] += 1
-        if report.order == "?":
-            unknown.append(report)
+    for row in census(args.alpha_max):
+        tally[row.order] += 1
+        if row.order == "?":
+            unknown.append(row)
 
     print(f"classes scanned: {sum(tally.values())} (odd alpha <= {args.alpha_max})")
     for label in ("inf", "<=2", "0", "?"):
@@ -43,8 +43,8 @@ def main(argv=None) -> int:
         if args.show_unknown:
             for r in unknown:
                 print(
-                    f"  L({r.space.alpha},{r.space.beta})  m in [{dec(r.bounds.m_lower)}, "
-                    f"{dec(r.bounds.mbar_upper)}]  R={r.bounds.rokhlin.value}"
+                    f"  L({r.alpha},{r.beta})  m in [{dec(r.m_lower)}, "
+                    f"{dec(r.mbar_upper)}]  R={r.rokhlin}"
                 )
     return 0
 

@@ -15,6 +15,7 @@ number is a domain error; both messages name the cap.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -23,6 +24,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import contfrac, lens, plumbing, surgery, twobridge
 from .arith import DIGIT_LIMIT, check_digits, dec
@@ -47,11 +49,11 @@ class Parser(argparse.ArgumentParser):
 class Output:
     """What a verb prints: the --json document, with Fraction and record
     values left for _render; the text-mode template filled from it (None
-    aligns the CSV cells); and the lens records behind CSV rows."""
+    aligns the CSV cells); and the lens rows that CSV and the table print."""
 
     doc: dict
     text: str | None = None
-    reports: Iterable[lens.OrderReport] = ()
+    rows: Iterable[lens.CensusRow] = ()
 
 
 class _Text(string.Formatter):
@@ -75,29 +77,85 @@ def _json_value(value):
     return list(value)
 
 
-def _csv_row(report: lens.OrderReport) -> list[str]:
+# what json encodes without the hook; and the types of the values that
+# json, or _json_value, writes as one scalar
+_NATIVE = (str, int, float, list, tuple, dict, type(None))
+_SCALARS = frozenset((str, int, float, bool, type(None), Fraction))
+
+
+@functools.cache
+def _layout(depth: int) -> tuple[json.JSONEncoder, str, str]:
+    """For the items of a container at depth: the C-backed encoder of a
+    flat container, whose item separator is the newline and indent that
+    json.dumps(indent=2) puts between them; that indent; and the one
+    before the closing bracket."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    encoder = json.JSONEncoder(default=_json_value, separators=("," + inner, ": "))
+    return encoder, inner, outer
+
+
+def _dump_json(value, depth: int, out: list[str]) -> None:
+    """Append to out the text json.dumps(value, indent=2,
+    default=_json_value) writes for value at nesting depth.
+
+    Keys are strings, as in every document the verbs build.  A container
+    that holds no container is encoded by one call to a C-backed encoder
+    (CPython encodes in C only without indent); the layout around it is
+    written here.
+    """
+    while not isinstance(value, _NATIVE):
+        value = _json_value(value)
+    encoder, inner, outer = _layout(depth)
+    if isinstance(value, dict):
+        items, ends = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = value, "[]"
+    else:
+        out.append(encoder.encode(value))
+        return
+    if not items:
+        out.append(ends)
+    elif _SCALARS.issuperset(map(type, items)):
+        out.append(ends[0] + inner + encoder.encode(value)[1:-1] + outer + ends[1])
+    else:
+        if ends == "{}":
+            heads = [encode_basestring_ascii(k) + ": " for k in value]
+        else:
+            heads = [""] * len(value)
+        sep = ends[0] + inner
+        for head, x in zip(heads, items):
+            out.append(sep + head)
+            _dump_json(x, depth + 1, out)
+            sep = "," + inner
+        out.append(outer + ends[1])
+
+
+def _csv_row(row: lens.CensusRow) -> list[str]:
     return [
-        str(report.space.alpha),
-        str(report.space.beta),
-        dec(report.bounds.m_lower),
-        dec(report.bounds.mbar_upper),
-        contfrac.format_cf(report.cf),
-        report.order,
+        str(row.alpha),
+        str(row.beta),
+        dec(row.m_lower),
+        dec(row.mbar_upper),
+        contfrac.format_cf(row.cf),
+        row.order,
     ]
 
 
 def _render(args, out: Output) -> str:
     """The one output path: JSON, CSV or text, as the mode flags ask."""
     if args.json:
-        return json.dumps(out.doc, indent=2, default=_json_value) + "\n"
+        pieces = []
+        _dump_json(out.doc, 0, pieces)
+        pieces.append("\n")
+        return "".join(pieces)
     if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows(map(_csv_row, out.reports))
+        writer.writerows(map(_csv_row, out.rows))
         return buf.getvalue()
     if out.text is None:
-        rows = [CSV_HEADER, *map(_csv_row, out.reports)]
+        rows = [CSV_HEADER, *map(_csv_row, out.rows)]
         widths = [max(map(len, column)) for column in zip(*rows)]
         return "".join("  ".join(map(str.ljust, row, widths)) + "\n" for row in rows)
     return _Text().format(out.text, **out.doc)
@@ -125,7 +183,7 @@ def _cmd_lens(args) -> Output:
         "order": report.order,
         "order_reason": report.reason,
     }
-    return Output(doc, _LENS_TEXT, [report])
+    return Output(doc, _LENS_TEXT, [report.row])
 
 
 def _cmd_cf(args) -> Output:
@@ -263,7 +321,7 @@ def _cmd_table1(args) -> Output:
         }
         for r in reports
     )
-    return Output({"rows": rows}, None, reports)
+    return Output({"rows": rows}, None, [r.row for r in reports])
 
 
 def _scan_cap() -> int:
@@ -287,19 +345,19 @@ def _cmd_scan(args) -> Output:
     if args.alpha_max < 3:
         raise DomainError("scan requires alpha_max >= 3")
     # one sweep, read once: by the JSON rows or by the CSV writer
-    reports = lens.census(args.alpha_max)
-    rows = (
+    rows = lens.census(args.alpha_max)
+    docs = (
         {
-            "alpha": r.space.alpha,
-            "beta": r.space.beta,
-            "m_lower": r.bounds.m_lower,
-            "mbar_upper": r.bounds.mbar_upper,
+            "alpha": r.alpha,
+            "beta": r.beta,
+            "m_lower": r.m_lower,
+            "mbar_upper": r.mbar_upper,
             "cf": contfrac.format_cf(r.cf),
             "order": r.order,
         }
-        for r in reports
+        for r in rows
     )
-    return Output({"rows": rows}, None, reports)
+    return Output({"rows": docs}, None, rows)
 
 
 def _integer(text: str) -> int:

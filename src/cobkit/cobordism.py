@@ -207,13 +207,19 @@ class OrderCertificate:
     reason: str
 
 
+def _bounds_certify(lower: int, upper: int) -> bool:
+    """Whether the interval certifies infinite order, m > 0 or mbar < 0,
+    read on the quarter counts lower = 4 m_lower and upper = 4 mbar_upper."""
+    return lower > 0 or upper < 0
+
+
 def infinite_order_certificate(x: MBounds) -> OrderCertificate:
     """Infinite order in the homology cobordism group when m > 0, or
     mbar < 0, or m = 0 with nonzero Rokhlin invariant."""
-    if x.m_lower.numerator > 0:
-        return OrderCertificate("infinite", f"m >= {x.m_lower} > 0")
-    if x.mbar_upper.numerator < 0:
-        return OrderCertificate("infinite", f"mbar <= {x.mbar_upper} < 0")
+    lower, upper = _quarters(x.m_lower), _quarters(x.mbar_upper)
+    if _bounds_certify(lower, upper):
+        reason = f"m >= {x.m_lower} > 0" if lower > 0 else f"mbar <= {x.mbar_upper} < 0"
+        return OrderCertificate("infinite", reason)
     if (
         x.m_exact == 0
         and x.rokhlin is not None
@@ -225,6 +231,20 @@ def infinite_order_certificate(x: MBounds) -> OrderCertificate:
     return OrderCertificate("unknown", "no certificate applies")
 
 
+def _cover_quarters(sigma_knot: int, genus_upper: int) -> tuple[int, int]:
+    """(4 m_lower, 4 mbar_upper) = (5 sigma(K) - 8g, 5 sigma(K) + 8g) for
+    the branched double cover of a knot, refused unless g >= 0, sigma(K)
+    is even and the interval is not empty."""
+    if genus_upper < 0:
+        raise DomainError("branched_cover_bounds requires genus_upper >= 0")
+    if sigma_knot % 2 != 0:
+        raise DomainError("knot signatures are even")
+    lower, upper = 5 * sigma_knot - 8 * genus_upper, 5 * sigma_knot + 8 * genus_upper
+    if lower > upper:
+        raise DomainError("m_lower must not exceed mbar_upper")
+    return lower, upper
+
+
 def branched_cover_bounds(
     sigma_knot: int, genus_upper: int, provenance: tuple[str, ...] = ()
 ) -> MBounds:
@@ -234,12 +254,7 @@ def branched_cover_bounds(
     at least the smooth slice genus, and the Rokhlin invariant is
     sigma(K) mod 16.  provenance lines, if given, precede the cover's own.
     """
-    if genus_upper < 0:
-        raise DomainError("branched_cover_bounds requires genus_upper >= 0")
-    if sigma_knot % 2 != 0:
-        raise DomainError("knot signatures are even")
-    # integer quarters until the record: 4 m_lower and 4 mbar_upper
-    lower, upper = 5 * sigma_knot - 8 * genus_upper, 5 * sigma_knot + 8 * genus_upper
+    lower, upper = _cover_quarters(sigma_knot, genus_upper)
     return MBounds(
         m_lower=Fraction(lower, 4),
         mbar_upper=Fraction(upper, 4),

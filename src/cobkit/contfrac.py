@@ -10,7 +10,6 @@ checks the rules when it is built, so every record is admissible.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -33,6 +32,8 @@ class AdmissibleCF:
     Construction checks shape, sign pattern and target and raises
     DomainError on the first violation, so every record is admissible.
     target beta = alpha = 1 is allowed as the unknot presentation [1].
+    It also sets terms, the interleaved form (a1, 2b1, a2, 2b2, ..., an),
+    and its text, once: the check folds terms and format_cf prints the text.
     """
 
     a: tuple[int, ...]
@@ -41,31 +42,22 @@ class AdmissibleCF:
     beta: int
 
     def __post_init__(self):
-        why = _violation(self)
+        why = _rule_violation(self.a, self.b)
+        if why is None:
+            object.__setattr__(self, "terms", _interleave(self.a, self.b))
+            why = _target_violation(self)
         if why is not None:
             raise DomainError(f"not admissible: {why}")
-
-    @cached_property
-    def terms(self) -> tuple[int, ...]:
-        """Interleaved form (a1, 2b1, a2, 2b2, ..., an), built once: the
-        check folds it and the text prints it."""
-        return _interleave(self.a, self.b)
-
-    @cached_property
-    def _text(self) -> str:
-        return "[" + ",".join(map(str, self.terms)) + "]"
+        object.__setattr__(self, "_text", "[" + ",".join(map(str, self.terms)) + "]")
 
 
-def _violation(cf: AdmissibleCF) -> str | None:
-    """The first admissibility rule cf breaks: shape, signs, then target.
+def _target_violation(cf: AdmissibleCF) -> str | None:
+    """The first target rule cf breaks, the value last.
 
     The fold is in integers.  Its pair (p, q), signs moved so that q > 0,
     is in lowest terms, and so is (alpha, beta) once the target rules
     hold, so the pairs are equal exactly when the values are.
     """
-    why = _rule_violation(cf.a, cf.b)
-    if why is not None:
-        return why
     alpha, beta = cf.alpha, cf.beta
     if not (0 < beta <= alpha):
         return "target requires 0 < beta <= alpha"

@@ -11,11 +11,15 @@ unknot.
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .cobordism import (
     MBounds,
     OrderCertificate,
+    _bounds_certify,
+    _cover_quarters,
     branched_cover_bounds,
     infinite_order_certificate,
     reverse_orientation,
@@ -28,7 +32,7 @@ from .contfrac import (
     format_cf,
 )
 from .errors import DomainError
-from .twobridge import signature, slice_genus_upper
+from .twobridge import _genus_upper, signature, slice_genus_upper
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,20 @@ ORDER_ANNOTATIONS: dict[tuple[int, int], tuple[str, str]] = {
 }
 
 
+class CensusRow(NamedTuple):
+    """What a census or table line prints for L(alpha, beta): the
+    certified interval, the Rokhlin value, the expansion the bounds came
+    from (of the odd-beta representative) and the order label."""
+
+    alpha: int
+    beta: int
+    m_lower: Fraction
+    mbar_upper: Fraction
+    rokhlin: int
+    cf: AdmissibleCF
+    order: str
+
+
 @dataclass(frozen=True)
 class OrderReport:
     """Order classification of [L] in the homology cobordism group.
@@ -131,6 +149,20 @@ class OrderReport:
     @property
     def reason(self) -> str:
         return self.certificate.reason if self.annotation is None else self.annotation
+
+    @property
+    def row(self) -> CensusRow:
+        """This report as the census prints it."""
+        b = self.bounds
+        return CensusRow(
+            self.space.alpha,
+            self.space.beta,
+            b.m_lower,
+            b.mbar_upper,
+            b.rokhlin.value,
+            self.cf,
+            self.order,
+        )
 
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
@@ -159,13 +191,30 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
     return OrderReport(space, label, bounds, cert, note, used)
 
 
-def census(alpha_max: int) -> Iterator[OrderReport]:
-    """Order reports of every L(alpha, beta) with odd alpha <= alpha_max
-    and beta odd and coprime, in (alpha, beta) order."""
+def census(alpha_max: int) -> Iterator[CensusRow]:
+    """Rows of every L(alpha, beta) with odd alpha <= alpha_max and beta
+    odd and coprime, in (alpha, beta) order.
+
+    Each row is what classify_order(LensSpace(alpha, beta)) reports,
+    reached by the same checked expansion and the same bound and verdict
+    rules on quarter counts, without the records and provenance no row
+    prints.  With beta odd there is no mirror to take, and with no
+    supplied expansion no all-positive one to look for.
+    """
     for alpha in range(3, alpha_max + 1, 2):
         for beta in range(1, alpha, 2):
-            if gcd(alpha, beta) == 1:
-                yield classify_order(LensSpace(alpha, beta))
+            if gcd(alpha, beta) != 1:
+                continue
+            cf = find_admissible_cf(alpha, beta)
+            sigma = signature(cf)
+            lower, upper = _cover_quarters(sigma, _genus_upper(cf)[0])
+            if _bounds_certify(lower, upper):
+                order = "inf"
+            else:
+                order = ORDER_ANNOTATIONS.get((alpha, beta), ("?",))[0]
+            yield CensusRow(
+                alpha, beta, Fraction(lower, 4), Fraction(upper, 4), sigma % 16, cf, order
+            )
 
 
 # Fixed presentations for every lens space with odd |H_1| <= 13 (beta

@@ -75,6 +75,12 @@ def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
     the reduced diagram, (o+ + o- - 1)/2, plus max(p, n) crossing changes
     with p = (S- - 2o-)/4 and n = (S+ - 2o+)/4.
     """
+    return GenusBound(*_genus_upper(cf))
+
+
+def _genus_upper(cf: AdmissibleCF) -> tuple[int, int, int, int]:
+    """The fields of slice_genus_upper(cf), checked, without the record:
+    lens.census reads the value alone."""
     if not is_knot(cf):
         raise DomainError("slice_genus_upper requires a knot (sum of a_i odd)")
     s_minus, s_plus, o_pos, o_neg = _tally(cf.a)
@@ -87,9 +93,4 @@ def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
     value, rem = divmod(bound, 4)
     assert rem == 0 and value >= 0
     assert value == seifert_genus + max(pos_changes, neg_changes)
-    return GenusBound(
-        value=value,
-        pos_changes=pos_changes,
-        neg_changes=neg_changes,
-        seifert_genus=seifert_genus,
-    )
+    return value, pos_changes, neg_changes, seifert_genus

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cobkit.arith import DIGIT_LIMIT, dec
-from cobkit.cli import SCAN_CAP_ENV, main
+from cobkit.cli import SCAN_CAP_ENV, Output, _json_value, _render, main
 from cobkit.cobordism import MBounds
 from cobkit.contfrac import eval_terms
+from cobkit.twobridge import OddCounts
 
 GOLDEN_TABLE_CSV = """\
 alpha,beta,m_lower,mbar_upper,cf,order
@@ -497,6 +499,67 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--alpha-max", "99", *mode)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _Lazy:
+    """Marks rows that a document holds as a generator, built afresh for
+    each encoder that reads it."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
+def _build(spec):
+    """The document spec describes, each _Lazy a new generator of row dicts."""
+    if isinstance(spec, _Lazy):
+        return (dict(row) for row in spec.rows)
+    if isinstance(spec, dict):
+        return {k: _build(v) for k, v in spec.items()}
+    if isinstance(spec, (list, tuple)):
+        return type(spec)(map(_build, spec))
+    return spec
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=1 - 10**DIGIT_LIMIT, max_value=10**DIGIT_LIMIT - 1),
+    st.fractions(),
+    st.text(),  # non-ASCII and control characters included
+)
+_json_records = st.one_of(
+    st.tuples(st.integers(-40, 40), st.integers(0, 20), st.lists(st.text(), max_size=3)).map(
+        lambda t: MBounds(Fraction(t[0], 4), Fraction(t[0] + t[1], 4), provenance=t[2])
+    ),
+    st.builds(OddCounts, pos=st.integers(0, 9), neg=st.integers(0, 9)),
+    st.lists(st.dictionaries(st.text(), _json_scalars, max_size=4), max_size=4).map(_Lazy),
+)
+_json_docs = st.recursive(
+    _json_scalars | _json_records,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """The renderer writes json.dumps(indent=2)'s layout itself and
+    encodes flat containers in C; the text must be the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_docs)
+    @example({})
+    @example([])
+    @example({"a": {}, "b": [[], {}], "c": [{}]})
+    @example(_Lazy([]))
+    @example({"rows": _Lazy([{}, {"x": Fraction(-3, 2)}])})
+    def test_matches_json_dumps(self, spec):
+        args = argparse.Namespace(json=True, csv=False)
+        got = _render(args, Output(_build(spec)))
+        assert got == json.dumps(_build(spec), indent=2, default=_json_value) + "\n"
 
 
 class TestRenderPinned:

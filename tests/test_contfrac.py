@@ -428,7 +428,10 @@ class TestFormatting:
         cf = find_admissible_cf(39, 17)
         fresh = AdmissibleCF(cf.a, cf.b, cf.alpha, cf.beta)
         text = format_cf(cf)
-        monkeypatch.setattr(AdmissibleCF, "terms", property(lambda self: 1 / 0))
+        # terms is set on each record, so the property shadows it from the class
+        monkeypatch.setattr(
+            AdmissibleCF, "terms", property(lambda self: 1 / 0), raising=False
+        )
         assert format_cf(cf) is text
         assert fresh == cf and hash(fresh) == hash(cf)
         assert repr(fresh) == "AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17)"

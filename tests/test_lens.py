@@ -219,27 +219,44 @@ class TestClassifyOrder:
 
 class TestCensus:
     def test_each_coprime_odd_pair_once_in_order(self):
-        reports = list(census(99))
-        pairs = [(r.space.alpha, r.space.beta) for r in reports]
+        rows = list(census(99))
+        pairs = [(r.alpha, r.beta) for r in rows]
         assert len(pairs) == 1003
         assert pairs == sorted(set(pairs))
         assert all(a % 2 == b % 2 == 1 and math.gcd(a, b) == 1 for a, b in pairs)
         assert pairs[0] == (3, 1) and pairs[-1] == (99, 97)
-        assert reports[0] == classify_order(LensSpace(3, 1))
+
+    def test_rows_match_classify_order(self):
+        # the census's own route to each row against the full records
+        start = time.perf_counter()
+        n = 0
+        for row in census(399):
+            report = classify_order(LensSpace(row.alpha, row.beta))
+            assert row.m_lower == report.bounds.m_lower, row
+            assert row.mbar_upper == report.bounds.mbar_upper, row
+            assert row.rokhlin == report.bounds.rokhlin.value, row
+            assert row.cf == report.cf, row
+            assert row.order == report.order, row
+            assert row == report.row
+            n += 1
+        assert n == 16182
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
 
     def test_positive_expansion_implies_bound_certificate(self):
         # sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so m >= (sum(a) - 1)/4 > 0:
         # the certificate fires before an all-positive expansion is looked for
         start = time.perf_counter()
         positive = 0
-        for report in census(399):
-            cf = report.cf
+        for row in census(399):
+            cf = row.cf
             if any(t <= 0 for t in cf.terms):
                 continue
             positive += 1
-            assert report.order == "inf"
+            assert row.order == "inf"
+            report = classify_order(LensSpace(row.alpha, row.beta))
             assert report.reason.startswith("m >= ")
-            assert report.bounds.m_lower >= Fraction(sum(cf.a) - 1, 4) > 0
+            assert row.m_lower >= Fraction(sum(cf.a) - 1, 4) > 0
         assert positive == 3597
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"

@@ -6,14 +6,11 @@ surgeries on knots, together with two-bridge knot invariants and
 obstruction reports.  All arithmetic is exact (integers and Fractions).
 """
 
-from .arith import dedekind_sum, is_square_mod, jacobi, sawtooth
+from .arith import is_square_mod, jacobi
 from .cobordism import (
     MBounds,
     OrderCertificate,
     RokhlinClass,
-    S3,
-    SpinFillingData,
-    bound_from_filling,
     branched_cover_bounds,
     infinite_order_certificate,
     merge_bounds,
@@ -22,7 +19,6 @@ from .cobordism import (
 from .contfrac import (
     AdmissibleCF,
     admissible_cf,
-    eval_cf,
     find_admissible_cf,
     find_positive_cf,
     format_cf,
@@ -33,16 +29,12 @@ from .lens import LensSpace, classify_order, family, m_bounds, table1
 from .plumbing import (
     MontesinosInvariants,
     MpqrTriple,
-    StarPlumbing,
     TpqrInvariants,
-    det_exact,
-    inertia,
     montesinos_invariants,
     sigma_pqr_bounds,
     tpqr_invariants,
 )
 from .surgery import (
-    CharSurfaceData,
     ObstructionReport,
     ObstructionTest,
     arf_from_surgery,
@@ -51,8 +43,6 @@ from .surgery import (
     obstruction_report,
     qr_obstruction,
     slice_genus_lower,
-    slice_knot_surgery_class,
-    spin_surgery_model,
     unknotting_one_obstruction,
 )
 from .twobridge import (

@@ -1,6 +1,6 @@
 """Exact elementary number theory: Jacobi symbols, quadratic residues
-by factoring the modulus, Dedekind sums, and the exact decimal form of
-a rational under a cap on the digits printed.
+by factoring the modulus, and the exact decimal form of a rational
+under a cap on the digits printed.
 
 Everything here is integer or Fraction arithmetic, no floating point.
 """
@@ -96,39 +96,6 @@ def _is_square_mod_prime_power(a: int, p: int, k: int) -> bool:
     if p == 2:
         return a % min(8, 2 ** (k - v)) == 1
     return jacobi(a, p) == 1
-
-
-def sawtooth(x: Fraction) -> Fraction:
-    """((x)): 0 at integers, otherwise x - floor(x) - 1/2.  The
-    definition TestDedekindSum checks dedekind_sum against."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
-
-
-def dedekind_sum(q: int, p: int) -> Fraction:
-    """Dedekind sum s(q, p) = sum_{k=1}^{p-1} ((k/p)) ((kq/p)) for p >= 1.
-
-    Requires gcd(q, p) = 1.  The terms are computed in integer form,
-    ((k/p)) = (2k - p)/(2p) for 0 < k < p, so the whole sum is a single
-    exact division at the end.  TestDedekindLink checks it against the
-    pipeline's Rokhlin classes, R(L(p,q)) = 4 p^2 s(q,p) mod 8, and
-    criterion 7c against jacobi.
-    """
-    if p < 1:
-        raise DomainError("dedekind_sum requires p >= 1")
-    from math import gcd
-
-    if gcd(q, p) != 1:
-        raise DomainError("dedekind_sum requires gcd(q, p) = 1")
-    total = 0
-    for k in range(1, p):
-        r = (k * q) % p
-        if r == 0:
-            continue
-        total += (2 * k - p) * (2 * r - p)
-    return Fraction(total, 4 * p * p)
 
 
 # Decimal digits of rest/4 after the point, for rest = 0, 1, 2, 3.

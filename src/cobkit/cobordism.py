@@ -51,7 +51,7 @@ class MBounds:
     """Certified interval m >= m_lower, mbar <= mbar_upper for one class.
 
     m_exact and mbar_exact are set only for the handful of cases with a
-    proved exact value (S^3, the T(p,q,r) plumbing spheres, and their
+    proved exact value (the T(p,q,r) plumbing spheres and their
     orientation reversals); when present they coincide with the
     corresponding bound.  rokhlin carries the Rokhlin class when known.
     provenance lists, in order, the certificates the numbers came from.
@@ -112,58 +112,6 @@ class MBounds:
             "rokhlin": None if self.rokhlin is None else self.rokhlin.value,
             "provenance": list(self.provenance),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MBounds":
-        """Re-validate a to_json_dict document (TestLens::test_bounds_round_trip
-        reads the CLI's lens --json back through it)."""
-        return cls(
-            m_lower=Fraction(d["m_lower"]),
-            mbar_upper=Fraction(d["mbar_upper"]),
-            m_exact=None if d.get("m_exact") is None else Fraction(d["m_exact"]),
-            mbar_exact=None
-            if d.get("mbar_exact") is None
-            else Fraction(d["mbar_exact"]),
-            rokhlin=None if d.get("rokhlin") is None else RokhlinClass(d["rokhlin"]),
-            provenance=tuple(d.get("provenance", ())),
-        )
-
-
-@dataclass(frozen=True)
-class SpinFillingData:
-    """Signature and second Betti number of one smooth spin filling.
-    Criterion 7d checks the spin surgery model's filling, through
-    bound_from_filling, against m_bounds_from_surgery."""
-
-    sigma: int
-    b2: int
-
-    def __post_init__(self):
-        if self.b2 < 0:
-            raise DomainError("a filling needs b2 >= 0")
-
-
-# The standard 3-sphere bounds the 4-ball: everything vanishes.
-S3 = MBounds(
-    m_lower=Fraction(0),
-    mbar_upper=Fraction(0),
-    m_exact=Fraction(0),
-    mbar_exact=Fraction(0),
-    rokhlin=RokhlinClass(0),
-    provenance=("S3 bounds the 4-ball",),
-)
-
-
-def bound_from_filling(filling: SpinFillingData) -> MBounds:
-    """Both one-filling bounds: (5/4) sigma -+ b2, and sigma mod 16
-    (checked against m_bounds_from_surgery by criterion 7d)."""
-    s = Fraction(5, 4) * filling.sigma
-    return MBounds(
-        m_lower=s - filling.b2,
-        mbar_upper=s + filling.b2,
-        rokhlin=RokhlinClass(filling.sigma),
-        provenance=(f"spin filling (sigma={filling.sigma}, b2={filling.b2})",),
-    )
 
 
 def merge_bounds(x: MBounds, y: MBounds) -> MBounds:

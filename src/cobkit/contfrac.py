@@ -119,15 +119,6 @@ def eval_terms(terms) -> Fraction:
     return Fraction(*_fold(terms))
 
 
-def eval_cf(a, b) -> Fraction:
-    """Exact value of [a1, 2b1, a2, ..., an] from the a and b sequences."""
-    a = tuple(int(x) for x in a)
-    b = tuple(int(x) for x in b)
-    if len(a) != len(b) + 1:
-        raise DomainError("eval_cf requires len(a) = len(b) + 1")
-    return eval_terms(_interleave(a, b))
-
-
 def admissible_cf(a, b) -> AdmissibleCF:
     """Build an AdmissibleCF, deriving the target by evaluation."""
     a = tuple(int(x) for x in a)

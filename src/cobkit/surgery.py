@@ -10,18 +10,12 @@ the Arf invariant converts the surgery into a spin filling, which turns
 the m and mbar machinery into genus bounds.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from . import lens as lens_mod
 from .arith import is_square_mod
-from .cobordism import (
-    MBounds,
-    RokhlinClass,
-    S3,
-    SpinFillingData,
-    reverse_orientation,
-)
+from .cobordism import MBounds, RokhlinClass
 from .errors import DomainError
 
 
@@ -60,42 +54,6 @@ def congruence_obstruction(h: int, rokhlin) -> frozenset[str]:
     if (h - 1 - r) % 8 == 0:
         allowed.add("-")
     return frozenset(allowed)
-
-
-@dataclass(frozen=True)
-class CharSurfaceData:
-    """A characteristic surface F in a 4-manifold W: its self-intersection,
-    genus, the Arf invariant it carries, and sigma(W), b2(W).  Criterion
-    7d feeds it to spin_surgery_model against m_bounds_from_surgery."""
-
-    self_intersection: int
-    genus: int
-    arf: int
-    ambient_sigma: int
-    ambient_b2: int
-
-    def __post_init__(self):
-        if self.self_intersection == 0:
-            raise DomainError("CharSurfaceData requires nonzero self-intersection")
-        if self.genus < 0 or self.ambient_b2 < 0:
-            raise DomainError("CharSurfaceData requires genus >= 0 and b2 >= 0")
-        if self.arf not in (0, 1):
-            raise DomainError("CharSurfaceData requires arf in {0, 1}")
-
-
-def spin_surgery_model(c: CharSurfaceData) -> SpinFillingData:
-    """Spin filling obtained by trading the characteristic surface away.
-
-    With e = sign(F.F): sigma' = sigma(W) - (F.F + 8 e Arf) and
-    b2' = b2(W) + 2(genus - 1) + |F.F + 8 e Arf| + 4 Arf.  Criterion 7d
-    checks that its filling bounds equal m_bounds_from_surgery.
-    """
-    eps = 1 if c.self_intersection > 0 else -1
-    shifted = c.self_intersection + 8 * eps * c.arf
-    return SpinFillingData(
-        sigma=c.ambient_sigma - shifted,
-        b2=c.ambient_b2 + 2 * (c.genus - 1) + abs(shifted) + 4 * c.arf,
-    )
 
 
 def m_bounds_from_surgery(n: int, rokhlin, genus_upper: int) -> MBounds:
@@ -168,8 +126,6 @@ def qr_obstruction(p: int, q: int) -> ObstructionTest:
     """
     if p < 1 or p % 2 == 0:
         raise DomainError("qr_obstruction requires odd p >= 1")
-    from math import gcd
-
     if gcd(p, q) != 1:
         raise DomainError("qr_obstruction requires gcd(p, q) = 1")
     ok = is_square_mod(q, p) or is_square_mod(-q, p)
@@ -262,21 +218,3 @@ def obstruction_report(
         conclusion = "inconclusive"
     return ObstructionReport(tests=tuple(tests), conclusion=conclusion)
 
-
-def slice_knot_surgery_class(n: int) -> MBounds:
-    """Class of n-surgery on a slice knot, n odd positive.
-
-    Such a surgery is homology cobordant to the reversed L(n, 1); for
-    n = 1 it is cobordant to S^3.
-    """
-    if n < 1 or n % 2 == 0:
-        raise DomainError("slice_knot_surgery_class requires odd n >= 1")
-    if n == 1:
-        return S3
-    inner = lens_mod.m_bounds(lens_mod.LensSpace(n, 1))
-    out = reverse_orientation(inner)
-    return replace(
-        out,
-        provenance=(f"{n}-surgery on a slice knot, cobordant to -L({n},1)",)
-        + out.provenance,
-    )

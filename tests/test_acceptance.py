@@ -15,35 +15,36 @@ from fractions import Fraction
 
 import pytest
 
-from cobkit.arith import dedekind_sum, is_square_mod, jacobi
+from cobkit.arith import is_square_mod, jacobi
 from cobkit.cli import main
-from cobkit.cobordism import (
-    bound_from_filling,
-    infinite_order_certificate,
-    reverse_orientation,
-)
-from cobkit.contfrac import eval_cf, find_admissible_cf, parse_cf
-from cobkit.errors import DomainError
+from cobkit.cobordism import infinite_order_certificate, reverse_orientation
+from cobkit.contfrac import find_admissible_cf, parse_cf
 from cobkit.lens import LensSpace, family, m_bounds, table1
 from cobkit.plumbing import (
     MpqrTriple,
-    StarPlumbing,
-    det_exact,
     montesinos_invariants,
     sigma_pqr_bounds,
     tpqr_invariants,
 )
 from cobkit.surgery import (
-    CharSurfaceData,
     congruence_obstruction,
     m_bounds_from_surgery,
     obstruction_report,
     qr_obstruction,
     slice_genus_lower,
-    spin_surgery_model,
     unknotting_one_obstruction,
 )
 from cobkit.twobridge import signature
+from oracles import (
+    CharSurfaceData,
+    StarPlumbing,
+    all_valid_triples,
+    bound_from_filling,
+    dedekind_sum,
+    det_exact,
+    eval_cf,
+    spin_surgery_model,
+)
 
 
 @pytest.fixture
@@ -69,18 +70,6 @@ def criterion(capsys):
 
 def odd_primes_below(n):
     return [p for p in range(3, n, 2) if all(p % d for d in range(3, p, 2))]
-
-
-def all_valid_triples():
-    out = []
-    for p in range(1, 23):
-        for q in range(p, 23):
-            for r in range(q, 23 - p - q + 1):
-                try:
-                    out.append(MpqrTriple(p, q, r))
-                except DomainError:
-                    continue
-    return out
 
 
 TABLE_EXPECTED = (

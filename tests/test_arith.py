@@ -10,12 +10,11 @@ from cobkit.arith import (
     SQUARE_ENUM_LIMIT,
     check_digits,
     dec,
-    dedekind_sum,
     is_square_mod,
     jacobi,
-    sawtooth,
 )
 from cobkit.errors import DomainError, ResourceLimitError
+from oracles import dedekind_sum, sawtooth
 
 
 def brute_square_mod(a, n):

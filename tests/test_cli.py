@@ -18,6 +18,7 @@ from cobkit.cli import SCAN_CAP_ENV, Output, _json_value, _render, main
 from cobkit.cobordism import MBounds
 from cobkit.contfrac import eval_terms
 from cobkit.twobridge import OddCounts
+from oracles import all_valid_triples, bounds_from_json_dict
 
 GOLDEN_TABLE_CSV = """\
 alpha,beta,m_lower,mbar_upper,cf,order
@@ -94,7 +95,7 @@ class TestLens:
 
     def test_bounds_round_trip(self, capsys):
         payload = run_json(capsys, "lens", "13", "5", "--json")
-        bounds = MBounds.from_json_dict(payload["bounds"])
+        bounds = bounds_from_json_dict(payload["bounds"])
         assert bounds.m_lower == -2 and bounds.rokhlin.value == 0
 
     def test_text_output(self, capsys):
@@ -622,6 +623,18 @@ class TestRenderPinned:
         got, out, _ = run(capsys, *argv)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_every_admitted_triple_pinned(self, capsys):
+        # plumbing, plumbing --json and montesinos on all 68 triples,
+        # recorded while plumbing still eliminated its matrix
+        digest = hashlib.sha256()
+        for t in all_valid_triples():
+            pqr = (str(t.p), str(t.q), str(t.r))
+            for argv in (("plumbing", *pqr), ("plumbing", *pqr, "--json"), ("montesinos", *pqr)):
+                code, out, _ = run(capsys, *argv)
+                assert code == 0, argv
+                digest.update(out.encode())
+        assert digest.hexdigest() == "2dde21bbc7c7ac438beec03febf3abac59da043c38ea3f883f7ec65982c0bc51"
 
     @pytest.mark.parametrize(
         "verb, digest",

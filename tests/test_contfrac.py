@@ -12,7 +12,6 @@ from cobkit.contfrac import (
     AdmissibleCF,
     admissible_cf,
     euclid_steps,
-    eval_cf,
     eval_terms,
     find_admissible_cf,
     find_positive_cf,
@@ -22,6 +21,7 @@ from cobkit.contfrac import (
 from cobkit.arith import DIGIT_LIMIT
 from cobkit.errors import DomainError, EvaluationError, ResourceLimitError
 from cobkit.lens import LensSpace, classify_order
+from oracles import eval_cf
 
 
 def fraction_fold(terms) -> Fraction:

@@ -9,14 +9,12 @@ from cobkit.errors import DomainError
 from cobkit.plumbing import (
     MontesinosInvariants,
     MpqrTriple,
-    StarPlumbing,
     TpqrInvariants,
-    det_exact,
-    inertia,
     montesinos_invariants,
     sigma_pqr_bounds,
     tpqr_invariants,
 )
+from oracles import StarPlumbing, all_valid_triples, det_exact, inertia
 
 
 def sympy_inertia(mat):
@@ -32,18 +30,6 @@ def random_symmetric(rng, n, span=4):
         for j in range(i + 1, n):
             m[j][i] = m[i][j]
     return m
-
-
-def all_valid_triples():
-    out = []
-    for p in range(1, 23):
-        for q in range(p, 23):
-            for r in range(q, 23 - p - q + 1):
-                try:
-                    out.append(MpqrTriple(p, q, r))
-                except DomainError:
-                    continue
-    return out
 
 
 class TestStarPlumbing:
@@ -169,11 +155,26 @@ class TestTpqrInvariants:
         )
 
     def test_closed_forms_hold_everywhere(self):
-        for t in all_valid_triples():
+        # on every triple the verb accepts, the closed forms agree with
+        # exact elimination on the matrix
+        triples = all_valid_triples()
+        assert len(triples) == 68
+        for t in triples:
             inv = tpqr_invariants(t)
             assert inv.rank == t.total - 2
             assert inv.signature == 4 - t.total
             assert inv.determinant_abs % 2 == 1
+            mat = StarPlumbing(t.p, t.q, t.r).matrix()
+            pos, zero, neg = inertia(mat)
+            det = det_exact(mat)
+            closed = t.p * t.q * t.r - t.p * t.q - t.p * t.r - t.q * t.r
+            assert abs(det) == abs(closed), t
+            assert det % 2 != 0, t
+            assert zero == 0 and pos == 1, t
+            assert pos - neg == 4 - t.total, t
+            assert (len(mat), pos - neg, abs(det)) == (
+                inv.rank, inv.signature, inv.determinant_abs
+            ), t
 
     def test_negative_definite_part(self):
         mat = StarPlumbing(2, 3, 7).matrix()

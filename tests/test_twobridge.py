@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from cobkit.contfrac import (
     AdmissibleCF,
     admissible_cf,
-    eval_cf,
     find_admissible_cf,
     parse_cf,
 )
@@ -20,6 +19,7 @@ from cobkit.twobridge import (
     signature,
     slice_genus_upper,
 )
+from oracles import eval_cf
 
 
 def murasugi_signature(p: int, q: int) -> int:

@@ -14,17 +14,14 @@ number is a domain error; both messages name the cap.
 """
 
 import argparse
-import csv
 import functools
 import io
-import json
 import os
 import string
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import contfrac, lens, plumbing, surgery, twobridge
 from .arith import DIGIT_LIMIT, check_digits, dec
@@ -45,9 +42,8 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class Output:
-    """What a verb prints: the --json document, with Fraction and record
+class Output(NamedTuple):
+    """What a verb prints: the --json document, with Fraction and MBounds
     values left for _render; the text-mode template filled from it (None
     aligns the CSV cells); and the lens rows that CSV and the table print."""
 
@@ -66,31 +62,34 @@ class _Text(string.Formatter):
 
 
 def _json_value(value):
-    """JSON form of a value json cannot encode itself."""
+    """JSON form of a value json cannot encode itself: a Fraction, an
+    MBounds, or the lazily built rows, so a mode that does not print them
+    never builds them.  Other records are made dicts by the verbs."""
     if isinstance(value, Fraction):
         return str(check_digits(value))
     if isinstance(value, MBounds):
         return value.to_json_dict()
-    if is_dataclass(value):
-        return asdict(value)
-    # rows are built lazily, so a mode that does not print them never builds them
     return list(value)
 
 
-# what json encodes without the hook; and the types of the values that
-# json, or _json_value, writes as one scalar
-_NATIVE = (str, int, float, list, tuple, dict, type(None))
+# the types of the values that json, or _json_value, writes as one
+# scalar; and what json encodes without the hook.  Types are compared
+# exactly: json writes any tuple subclass, a record too, as an array
+# without calling the hook.
 _SCALARS = frozenset((str, int, float, bool, type(None), Fraction))
+_NATIVE = _SCALARS - {Fraction} | {list, tuple, dict}
 
 
 @functools.cache
-def _layout(depth: int) -> tuple[json.JSONEncoder, str, str]:
+def _layout(depth: int):
     """For the items of a container at depth: the C-backed encoder of a
     flat container, whose item separator is the newline and indent that
     json.dumps(indent=2) puts between them; that indent; and the one
     before the closing bracket."""
+    from json import JSONEncoder
+
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    encoder = json.JSONEncoder(default=_json_value, separators=("," + inner, ": "))
+    encoder = JSONEncoder(default=_json_value, separators=("," + inner, ": "))
     return encoder, inner, outer
 
 
@@ -103,7 +102,7 @@ def _dump_json(value, depth: int, out: list[str]) -> None:
     (CPython encodes in C only without indent); the layout around it is
     written here.
     """
-    while not isinstance(value, _NATIVE):
+    while type(value) not in _NATIVE:
         value = _json_value(value)
     encoder, inner, outer = _layout(depth)
     if isinstance(value, dict):
@@ -119,6 +118,8 @@ def _dump_json(value, depth: int, out: list[str]) -> None:
         out.append(ends[0] + inner + encoder.encode(value)[1:-1] + outer + ends[1])
     else:
         if ends == "{}":
+            from json.encoder import encode_basestring_ascii
+
             heads = [encode_basestring_ascii(k) + ": " for k in value]
         else:
             heads = [""] * len(value)
@@ -149,6 +150,8 @@ def _render(args, out: Output) -> str:
         pieces.append("\n")
         return "".join(pieces)
     if args.csv:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -211,8 +214,8 @@ S({alpha},{beta}) = {cf} (%s)
   slice genus: %s
 """
 _KNOT_GENUS = (
-    "<= {slice_genus_upper.value} (seifert {slice_genus_upper.seifert_genus}, "
-    "changes +{slice_genus_upper.pos_changes}/-{slice_genus_upper.neg_changes})"
+    "<= {slice_genus_upper[value]} (seifert {slice_genus_upper[seifert_genus]}, "
+    "changes +{slice_genus_upper[pos_changes]}/-{slice_genus_upper[neg_changes]})"
 )
 
 
@@ -229,7 +232,9 @@ def _cmd_twobridge(args) -> Output:
         "determinant": cf.alpha,
         "odd_positive": oc.pos,
         "odd_negative": oc.neg,
-        "slice_genus_upper": twobridge.slice_genus_upper(cf) if knot else None,
+        "slice_genus_upper": (
+            twobridge.slice_genus_upper(cf)._asdict() if knot else None
+        ),
     }
     kind = ("knot", _KNOT_GENUS) if knot else ("link", "n/a (links are out of scope)")
     return Output(doc, _TWOBRIDGE_TEXT % kind)
@@ -249,8 +254,8 @@ T({p},{q},{r})
 def _cmd_plumbing(args) -> Output:
     triple = plumbing.MpqrTriple(args.p, args.q, args.r)
     doc = {
-        **asdict(triple),
-        **asdict(plumbing.tpqr_invariants(triple)),
+        **triple._asdict(),
+        **plumbing.tpqr_invariants(triple)._asdict(),
         "bounds": plumbing.sigma_pqr_bounds(triple),
     }
     return Output(doc, _PLUMBING_TEXT)
@@ -266,7 +271,7 @@ Montesinos knot of T({p},{q},{r})
 
 def _cmd_montesinos(args) -> Output:
     triple = plumbing.MpqrTriple(args.p, args.q, args.r)
-    doc = {**asdict(triple), **asdict(plumbing.montesinos_invariants(triple))}
+    doc = {**triple._asdict(), **plumbing.montesinos_invariants(triple)._asdict()}
     return Output(doc, _MONTESINOS_TEXT)
 
 
@@ -279,7 +284,11 @@ def _cmd_surgery_check(args) -> Output:
     )
     test = "{tests[%d][name]}: {tests[%d][verdict]} ({tests[%d][detail]})\n"
     text = "".join(test % (i, i, i) for i in range(len(report.tests)))
-    return Output(asdict(report), text + "conclusion: {conclusion}\n")
+    doc = {
+        "tests": [t._asdict() for t in report.tests],
+        "conclusion": report.conclusion,
+    }
+    return Output(doc, text + "conclusion: {conclusion}\n")
 
 
 def _cmd_genus_bound(args) -> Output:

@@ -10,23 +10,30 @@ of 1/2, certified bounds multiples of 1/4, and both reduce mod 2 to a
 quarter of the Rokhlin invariant.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class RokhlinClass:
-    """Rokhlin invariant in Z/16, stored as the even representative 0..14."""
-
+class _RokhlinFields(NamedTuple):
     value: int
 
-    def __post_init__(self):
-        v = self.value % 16
+
+class RokhlinClass(_RokhlinFields):
+    """Rokhlin invariant in Z/16, stored as the even representative 0..14."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int):
+        v = value % 16
         if v % 2 != 0:
             raise DomainError("Rokhlin invariant of a Z/2-homology sphere is even")
-        object.__setattr__(self, "value", v)
+        return tuple.__new__(cls, (v,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __neg__(self) -> "RokhlinClass":
         return RokhlinClass(-self.value)
@@ -46,8 +53,16 @@ def _quarters(x: Fraction) -> int:
     return x.numerator * (4 // x.denominator)
 
 
-@dataclass(frozen=True)
-class MBounds:
+class _MBoundsFields(NamedTuple):
+    m_lower: Fraction
+    mbar_upper: Fraction
+    m_exact: Fraction | None = None
+    mbar_exact: Fraction | None = None
+    rokhlin: RokhlinClass | None = None
+    provenance: tuple[str, ...] = ()
+
+
+class MBounds(_MBoundsFields):
     """Certified interval m >= m_lower, mbar <= mbar_upper for one class.
 
     m_exact and mbar_exact are set only for the handful of cases with a
@@ -57,33 +72,32 @@ class MBounds:
     provenance lists, in order, the certificates the numbers came from.
     """
 
-    m_lower: Fraction
-    mbar_upper: Fraction
-    m_exact: Fraction | None = None
-    mbar_exact: Fraction | None = None
-    rokhlin: RokhlinClass | None = None
-    provenance: tuple[str, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "m_lower", _on_grid(self.m_lower, 4, "m_lower"))
-        object.__setattr__(
-            self, "mbar_upper", _on_grid(self.mbar_upper, 4, "mbar_upper")
-        )
-        if self.m_exact is not None:
-            object.__setattr__(self, "m_exact", _on_grid(self.m_exact, 2, "m_exact"))
-        if self.mbar_exact is not None:
-            object.__setattr__(
-                self, "mbar_exact", _on_grid(self.mbar_exact, 2, "mbar_exact")
-            )
-        if isinstance(self.rokhlin, int):
-            object.__setattr__(self, "rokhlin", RokhlinClass(self.rokhlin))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
+    def __new__(
+        cls,
+        m_lower,
+        mbar_upper,
+        m_exact=None,
+        mbar_exact=None,
+        rokhlin=None,
+        provenance=(),
+    ):
+        m_lower = _on_grid(m_lower, 4, "m_lower")
+        mbar_upper = _on_grid(mbar_upper, 4, "mbar_upper")
+        if m_exact is not None:
+            m_exact = _on_grid(m_exact, 2, "m_exact")
+        if mbar_exact is not None:
+            mbar_exact = _on_grid(mbar_exact, 2, "mbar_exact")
+        if isinstance(rokhlin, int):
+            rokhlin = RokhlinClass(rokhlin)
+        provenance = tuple(provenance)
         # every rule below compares quarter counts: 4x is an integer
-        lower, upper = _quarters(self.m_lower), _quarters(self.mbar_upper)
+        lower, upper = _quarters(m_lower), _quarters(mbar_upper)
         if lower > upper:
             raise DomainError("m_lower must not exceed mbar_upper")
-        m4 = None if self.m_exact is None else _quarters(self.m_exact)
-        mbar4 = None if self.mbar_exact is None else _quarters(self.mbar_exact)
+        m4 = None if m_exact is None else _quarters(m_exact)
+        mbar4 = None if mbar_exact is None else _quarters(mbar_exact)
         if m4 is not None and m4 != lower:
             raise DomainError("an exact m must coincide with m_lower")
         if mbar4 is not None and mbar4 != upper:
@@ -94,14 +108,21 @@ class MBounds:
                 raise DomainError("mbar - m must be an even integer when both exact")
             if diff == 0 and m4 != 0:
                 raise DomainError("m = mbar forces both to vanish")
-            if diff == 0 and self.rokhlin is not None and self.rokhlin.value != 0:
+            if diff == 0 and rokhlin is not None and rokhlin.value != 0:
                 raise DomainError("m = mbar forces a vanishing Rokhlin invariant")
-        if self.rokhlin is not None:
+        if rokhlin is not None:
             for exact in (m4, mbar4):
-                if exact is not None and (exact - self.rokhlin.value) % 8 != 0:
+                if exact is not None and (exact - rokhlin.value) % 8 != 0:
                     raise DomainError(
                         "exact values must equal rokhlin/4 modulo 2"
                     )
+        return tuple.__new__(
+            cls, (m_lower, mbar_upper, m_exact, mbar_exact, rokhlin, provenance)
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,8 +168,7 @@ def reverse_orientation(x: MBounds) -> MBounds:
     )
 
 
-@dataclass(frozen=True)
-class OrderCertificate:
+class OrderCertificate(NamedTuple):
     """Verdict 'infinite' or 'unknown' with the reason that decided it."""
 
     verdict: str

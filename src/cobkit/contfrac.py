@@ -9,9 +9,9 @@ find_positive_cf only checks the signs of its terms.  An AdmissibleCF
 checks the rules when it is built, so every record is admissible.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import check_digits
 from .errors import DomainError, EvaluationError
@@ -25,8 +25,14 @@ def _interleave(a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AdmissibleCF:
+class _AdmissibleFields(NamedTuple):
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    alpha: int
+    beta: int
+
+
+class AdmissibleCF(_AdmissibleFields):
     """An admissible expansion: a-terms, b-terms, and the target alpha/beta.
 
     Construction checks shape, sign pattern and target and raises
@@ -36,19 +42,28 @@ class AdmissibleCF:
     and its text, once: the check folds terms and format_cf prints the text.
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    alpha: int
-    beta: int
+    # no __slots__: terms and the text live in the instance dict, which
+    # __setattr__ keeps read-only like the fields
 
-    def __post_init__(self):
-        why = _rule_violation(self.a, self.b)
+    def __init__(self, a, b, alpha, beta):
+        attrs = vars(self)
+        why = _rule_violation(a, b)
         if why is None:
-            object.__setattr__(self, "terms", _interleave(self.a, self.b))
+            attrs["terms"] = _interleave(a, b)
             why = _target_violation(self)
         if why is not None:
             raise DomainError(f"not admissible: {why}")
-        object.__setattr__(self, "_text", "[" + ",".join(map(str, self.terms)) + "]")
+        attrs["_text"] = "[" + ",".join(map(str, attrs["terms"])) + "]"
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _target_violation(cf: AdmissibleCF) -> str | None:

@@ -10,7 +10,6 @@ unknot.
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -35,20 +34,27 @@ from .errors import DomainError
 from .twobridge import _genus_upper, signature, slice_genus_upper
 
 
-@dataclass(frozen=True)
-class LensSpace:
-    """L(alpha, beta), alpha odd, 0 < beta < alpha coprime."""
-
+class _LensFields(NamedTuple):
     alpha: int
     beta: int
 
-    def __post_init__(self):
-        if self.alpha < 1 or self.alpha % 2 == 0:
+
+class LensSpace(_LensFields):
+    """L(alpha, beta), alpha odd, 0 < beta < alpha coprime."""
+
+    __slots__ = ()
+
+    def __init__(self, alpha, beta):
+        if alpha < 1 or alpha % 2 == 0:
             raise DomainError("LensSpace requires odd alpha >= 1")
-        if not 0 < self.beta < self.alpha:
+        if not 0 < beta < alpha:
             raise DomainError("LensSpace requires 0 < beta < alpha")
-        if gcd(self.alpha, self.beta) != 1:
+        if gcd(alpha, beta) != 1:
             raise DomainError("LensSpace requires gcd(alpha, beta) = 1")
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def mirror(space: LensSpace) -> LensSpace:
@@ -129,8 +135,7 @@ class CensusRow(NamedTuple):
     order: str
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Order classification of [L] in the homology cobordism group.
 
     order is 'inf', an annotated label like '<=2' or '0', or '?'.  cf is

@@ -11,27 +11,29 @@ Z/2-homology sphere that embeds in the K3 surface with spin complement,
 which pins the invariants exactly: m = -(p+q+r)/4 + 1 and mbar = m + 2.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cobordism import MBounds, RokhlinClass
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class MpqrTriple:
+class _TripleFields(NamedTuple):
+    p: int
+    q: int
+    r: int
+
+
+class MpqrTriple(_TripleFields):
     """Parameters of a plumbing sphere with the K3 embedding available.
 
     Requires p <= q <= r, exactly one even, 1/p + 1/q + 1/r < 1, and
     p + q + r <= 22.
     """
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, q, r = self.p, self.q, self.r
+    def __init__(self, p, q, r):
         if not (1 <= p <= q <= r):
             raise DomainError("MpqrTriple requires 1 <= p <= q <= r")
         if sum(1 for v in (p, q, r) if v % 2 == 0) != 1:
@@ -41,13 +43,16 @@ class MpqrTriple:
         if p + q + r > 22:
             raise DomainError("MpqrTriple requires p + q + r <= 22")
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     @property
     def total(self) -> int:
         return self.p + self.q + self.r
 
 
-@dataclass(frozen=True)
-class TpqrInvariants:
+class TpqrInvariants(NamedTuple):
     rank: int
     signature: int
     determinant_abs: int
@@ -88,8 +93,7 @@ def sigma_pqr_bounds(t: MpqrTriple) -> MBounds:
     )
 
 
-@dataclass(frozen=True)
-class MontesinosInvariants:
+class MontesinosInvariants(NamedTuple):
     slice_genus: int
     unknotting_number: int
     signature: int

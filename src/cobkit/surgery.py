@@ -10,9 +10,9 @@ the Arf invariant converts the surgery into a spin filling, which turns
 the m and mbar machinery into genus bounds.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import is_square_mod
 from .cobordism import MBounds, RokhlinClass
@@ -105,15 +105,13 @@ def slice_genus_lower(h: int, rokhlin, m_lower) -> Fraction:
     return max(Fraction(0), bound)
 
 
-@dataclass(frozen=True)
-class ObstructionTest:
+class ObstructionTest(NamedTuple):
     name: str
     verdict: str  # "pass" or "obstructed"
     detail: str
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     tests: tuple[ObstructionTest, ...]
     conclusion: str
 

@@ -7,7 +7,7 @@ is the trefoil with signature +2; tables built with the opposite
 convention differ from these values by a global sign.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contfrac import AdmissibleCF
 from .errors import DomainError
@@ -18,16 +18,14 @@ def is_knot(cf: AdmissibleCF) -> bool:
     return sum(cf.a) % 2 == 1
 
 
-@dataclass(frozen=True)
-class OddCounts:
+class OddCounts(NamedTuple):
     """Counts of odd a-terms by sign: o+ positive, o- negative."""
 
     pos: int
     neg: int
 
 
-@dataclass(frozen=True)
-class GenusBound:
+class GenusBound(NamedTuple):
     """Smooth slice genus upper bound with its crossing-change data.
 
     pos_changes and neg_changes count the positive-to-negative and

@@ -43,6 +43,7 @@ from oracles import (
     dedekind_sum,
     det_exact,
     eval_cf,
+    inertia,
     spin_surgery_model,
 )
 
@@ -112,7 +113,8 @@ def test_criterion_2_plumbing_identities(criterion):
         triples = all_valid_triples()
         assert len(triples) == 68
         for t in triples:
-            assert tpqr_invariants(t).signature == 4 - t.total, t
+            pos, _, neg = inertia(StarPlumbing(t.p, t.q, t.r).matrix())
+            assert tpqr_invariants(t).signature == pos - neg, t
 
 
 def test_criterion_3_plumbing_sphere_chain(criterion):

@@ -1,11 +1,12 @@
+import json
 import math
 import random
 import time
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
+from cobkit.cli import main
 from cobkit.errors import DomainError
 from cobkit.lens import LensSpace, m_bounds
 from cobkit.surgery import (
@@ -311,8 +312,10 @@ class TestObstructionReport:
         rep = obstruction_report(lens_pair=(5, 2))
         assert rep.conclusion == "not_integral_surgery_on_knot"
 
-    def test_asdict(self):
-        d = asdict(obstruction_report(h=9, rokhlin=0))
+    def test_asdict(self, capsys):
+        # the report as surgery-check --json prints it
+        assert main(["surgery-check", "--h", "9", "--rokhlin", "0", "--json"]) == 0
+        d = json.loads(capsys.readouterr().out)
         assert list(d) == ["tests", "conclusion"]
         assert list(d["tests"][0]) == ["name", "verdict", "detail"]
 

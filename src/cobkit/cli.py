@@ -82,15 +82,32 @@ _NATIVE = _SCALARS - {Fraction} | {list, tuple, dict}
 
 @functools.cache
 def _layout(depth: int):
-    """For the items of a container at depth: the C-backed encoder of a
-    flat container, whose item separator is the newline and indent that
-    json.dumps(indent=2) puts between them; that indent; and the one
-    before the closing bracket."""
-    from json import JSONEncoder
+    """For the items of a container at depth: a function that encodes a
+    flat container, with the newline and indent that json.dumps(indent=2)
+    puts between its items as the item separator; that indent; and the
+    one before the closing bracket.
+
+    The function calls a C encoder built here once.  JSONEncoder.encode
+    builds a new one on every call, and is the fallback where CPython
+    has none.  The C encoder keeps no circular-reference markers: it
+    sees only scalars, and flat containers of them.
+    """
+    from json import JSONEncoder, encoder
 
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    encoder = JSONEncoder(default=_json_value, separators=("," + inner, ": "))
-    return encoder, inner, outer
+    item_separator = "," + inner
+    if encoder.c_make_encoder is None:
+        encode = JSONEncoder(default=_json_value, separators=(item_separator, ": ")).encode
+    else:
+        chunks = encoder.c_make_encoder(
+            None, _json_value, encoder.encode_basestring_ascii, None,
+            ": ", item_separator, False, False, True,
+        )
+
+        def encode(value):
+            return "".join(chunks(value, 0))
+
+    return encode, inner, outer
 
 
 def _dump_json(value, depth: int, out: list[str]) -> None:
@@ -104,18 +121,18 @@ def _dump_json(value, depth: int, out: list[str]) -> None:
     """
     while type(value) not in _NATIVE:
         value = _json_value(value)
-    encoder, inner, outer = _layout(depth)
+    encode, inner, outer = _layout(depth)
     if isinstance(value, dict):
         items, ends = value.values(), "{}"
     elif isinstance(value, (list, tuple)):
         items, ends = value, "[]"
     else:
-        out.append(encoder.encode(value))
+        out.append(encode(value))
         return
     if not items:
         out.append(ends)
     elif _SCALARS.issuperset(map(type, items)):
-        out.append(ends[0] + inner + encoder.encode(value)[1:-1] + outer + ends[1])
+        out.append(ends[0] + inner + encode(value)[1:-1] + outer + ends[1])
     else:
         if ends == "{}":
             from json.encoder import encode_basestring_ascii

@@ -11,6 +11,7 @@ checks the rules when it is built, so every record is admissible.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .arith import check_digits
@@ -21,7 +22,7 @@ def _interleave(a, b) -> tuple[int, ...]:
     """(a1, 2b1, a2, 2b2, ..., an) from a and b with len(a) = len(b) + 1."""
     out = [0] * (len(a) + len(b))
     out[0::2] = a
-    out[1::2] = [2 * x for x in b]
+    out[1::2] = [x + x for x in b]
     return tuple(out)
 
 
@@ -45,15 +46,18 @@ class AdmissibleCF(_AdmissibleFields):
     # no __slots__: terms and the text live in the instance dict, which
     # __setattr__ keeps read-only like the fields
 
-    def __init__(self, a, b, alpha, beta):
-        attrs = vars(self)
+    def __new__(cls, a, b, alpha, beta):
         why = _rule_violation(a, b)
         if why is None:
-            attrs["terms"] = _interleave(a, b)
-            why = _target_violation(self)
+            terms = _interleave(a, b)
+            why = _target_violation(terms, alpha, beta)
         if why is not None:
             raise DomainError(f"not admissible: {why}")
-        attrs["_text"] = "[" + ",".join(map(str, attrs["terms"])) + "]"
+        self = tuple.__new__(cls, (a, b, alpha, beta))
+        attrs = vars(self)
+        attrs["terms"] = terms
+        attrs["_text"] = "[" + ",".join(map(str, terms)) + "]"
+        return self
 
     @classmethod
     def _make(cls, iterable):
@@ -66,14 +70,14 @@ class AdmissibleCF(_AdmissibleFields):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _target_violation(cf: AdmissibleCF) -> str | None:
-    """The first target rule cf breaks, the value last.
+def _target_violation(terms, alpha, beta) -> str | None:
+    """The first target rule the expansion terms of alpha/beta break,
+    the value last.
 
     The fold is in integers.  Its pair (p, q), signs moved so that q > 0,
     is in lowest terms, and so is (alpha, beta) once the target rules
     hold, so the pairs are equal exactly when the values are.
     """
-    alpha, beta = cf.alpha, cf.beta
     if not (0 < beta <= alpha):
         return "target requires 0 < beta <= alpha"
     if beta == alpha and alpha != 1:
@@ -82,7 +86,7 @@ def _target_violation(cf: AdmissibleCF) -> str | None:
         return "target requires gcd(alpha, beta) = 1"
     if beta % 2 == 0:
         return "target requires odd beta"
-    p, q = _fold(cf.terms)
+    p, q = _fold(terms)
     if q < 0:
         p, q = -p, -q
     if (p, q) != (alpha, beta):
@@ -94,8 +98,14 @@ def _rule_violation(a, b) -> str | None:
     """The first shape or sign rule the terms a, b break.
 
     The sign rule keeps every tail of the fold nonzero, so folding terms
-    that passed it never meets a zero denominator.
+    that passed it never meets a zero denominator.  The common case, every
+    rule kept, is decided first with C builtins: the lengths match, which
+    makes a nonempty, a_n is nonzero, and every product a_i * b_i is
+    positive, which makes the other terms nonzero.  The rules are walked
+    in order only to word a failure.
     """
+    if len(a) == len(b) + 1 and a[-1] != 0 and (not b or min(map(mul, a, b)) > 0):
+        return None
     if len(a) == 0:
         return "a must be nonempty"
     if len(a) != len(b) + 1:
@@ -200,7 +210,7 @@ def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
         f"admissible expansion overran its bound for {alpha}/{beta}"
     )
     try:
-        return AdmissibleCF(a=tuple(a), b=tuple(b), alpha=alpha, beta=beta)
+        return AdmissibleCF(tuple(a), tuple(b), alpha, beta)
     except DomainError as exc:
         raise AssertionError(f"expansion invalid for {alpha}/{beta}: {exc}") from None
 

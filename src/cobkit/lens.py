@@ -31,7 +31,7 @@ from .contfrac import (
     format_cf,
 )
 from .errors import DomainError
-from .twobridge import _genus_upper, signature, slice_genus_upper
+from .twobridge import _knot_invariants
 
 
 class _LensFields(NamedTuple):
@@ -81,9 +81,10 @@ def _cover_bounds(
     head = (
         (f"L({space.alpha},{space.beta}) as reversed mirror",) if reversed_mirror else ()
     )
+    sigma, genus = _knot_invariants(cf)[:2]
     bounds = branched_cover_bounds(
-        signature(cf),
-        slice_genus_upper(cf).value,
+        sigma,
+        genus,
         provenance=head
         + (
             f"L({odd.alpha},{odd.beta}) branched over S({odd.alpha},{odd.beta})",
@@ -196,6 +197,14 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
     return OrderReport(space, label, bounds, cert, note, used)
 
 
+class _Quarters(dict):
+    """Fraction(n, 4) by n, built on the first lookup of each n."""
+
+    def __missing__(self, n: int) -> Fraction:
+        self[n] = x = Fraction(n, 4)
+        return x
+
+
 def census(alpha_max: int) -> Iterator[CensusRow]:
     """Rows of every L(alpha, beta) with odd alpha <= alpha_max and beta
     odd and coprime, in (alpha, beta) order.
@@ -206,19 +215,20 @@ def census(alpha_max: int) -> Iterator[CensusRow]:
     prints.  With beta odd there is no mirror to take, and with no
     supplied expansion no all-positive one to look for.
     """
+    quarters = _Quarters()  # one Fraction per distinct value, this sweep only
     for alpha in range(3, alpha_max + 1, 2):
         for beta in range(1, alpha, 2):
             if gcd(alpha, beta) != 1:
                 continue
             cf = find_admissible_cf(alpha, beta)
-            sigma = signature(cf)
-            lower, upper = _cover_quarters(sigma, _genus_upper(cf)[0])
+            sigma, genus = _knot_invariants(cf)[:2]
+            lower, upper = _cover_quarters(sigma, genus)
             if _bounds_certify(lower, upper):
                 order = "inf"
             else:
                 order = ORDER_ANNOTATIONS.get((alpha, beta), ("?",))[0]
             yield CensusRow(
-                alpha, beta, Fraction(lower, 4), Fraction(upper, 4), sigma % 16, cf, order
+                alpha, beta, quarters[lower], quarters[upper], sigma % 16, cf, order
             )
 
 

@@ -73,15 +73,17 @@ def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
     the reduced diagram, (o+ + o- - 1)/2, plus max(p, n) crossing changes
     with p = (S- - 2o-)/4 and n = (S+ - 2o+)/4.
     """
-    return GenusBound(*_genus_upper(cf))
+    return GenusBound(*_knot_invariants(cf)[1:])
 
 
-def _genus_upper(cf: AdmissibleCF) -> tuple[int, int, int, int]:
-    """The fields of slice_genus_upper(cf), checked, without the record:
-    lens.census reads the value alone."""
-    if not is_knot(cf):
-        raise DomainError("slice_genus_upper requires a knot (sum of a_i odd)")
+def _knot_invariants(cf: AdmissibleCF) -> tuple[int, int, int, int, int]:
+    """The signature and the fields of slice_genus_upper(cf), checked,
+    from one tally of the a-terms: sum(a) = (S+ - S-)/2 gives the knot
+    test and the signature.  lens reads the signature and the value alone."""
     s_minus, s_plus, o_pos, o_neg = _tally(cf.a)
+    total = (s_plus - s_minus) // 2
+    if total % 2 != 1:
+        raise DomainError("slice_genus_upper requires a knot (sum of a_i odd)")
     pos_changes, rem_p = divmod(s_minus - 2 * o_neg, 4)
     neg_changes, rem_n = divmod(s_plus - 2 * o_pos, 4)
     assert rem_p == 0 and rem_n == 0
@@ -91,4 +93,5 @@ def _genus_upper(cf: AdmissibleCF) -> tuple[int, int, int, int]:
     value, rem = divmod(bound, 4)
     assert rem == 0 and value >= 0
     assert value == seifert_genus + max(pos_changes, neg_changes)
-    return value, pos_changes, neg_changes, seifert_genus
+    sigma = total - (1 if cf.a[-1] > 0 else -1)
+    return sigma, value, pos_changes, neg_changes, seifert_genus

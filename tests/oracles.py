@@ -3,18 +3,19 @@
 The package answers by closed forms and one-pass integer folds; these
 are the independent routes the tests hold it to: Dedekind sums, one
 spin filling's bounds and the spin surgery model that produces it, the
-value of an expansion from its a and b sequences, the JSON reader of
-an MBounds record, and exact elimination on the T(p, q, r)
-intersection matrix.  Each refuses input outside its domain with
-DomainError.
+value of an expansion from its a and b sequences, the admissibility
+rules walked one by one, the JSON reader of an MBounds record, and
+exact elimination on the T(p, q, r) intersection matrix.  Each refuses
+input outside its domain with DomainError.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from cobkit.cobordism import MBounds, RokhlinClass
-from cobkit.contfrac import _interleave, eval_terms
+from cobkit.contfrac import _fold, eval_terms
 from cobkit.errors import DomainError
 from cobkit.plumbing import MpqrTriple
 
@@ -112,13 +113,77 @@ def spin_surgery_model(c: CharSurfaceData) -> SpinFillingData:
     )
 
 
+def interleave(a, b) -> tuple[int, ...]:
+    """(a1, 2b1, a2, 2b2, ..., an) from a and b with len(a) = len(b) + 1."""
+    out = [0] * (len(a) + len(b))
+    out[0::2] = a
+    out[1::2] = [2 * x for x in b]
+    return tuple(out)
+
+
 def eval_cf(a, b) -> Fraction:
     """Exact value of [a1, 2b1, a2, ..., an] from the a and b sequences."""
     a = tuple(int(x) for x in a)
     b = tuple(int(x) for x in b)
     if len(a) != len(b) + 1:
         raise DomainError("eval_cf requires len(a) = len(b) + 1")
-    return eval_terms(_interleave(a, b))
+    return eval_terms(interleave(a, b))
+
+
+def admissible_violation(a, b, alpha, beta) -> str | None:
+    """Why AdmissibleCF(a, b, alpha, beta) is refused, or None: the shape
+    and sign rules walked in order, then the target rules, as the record
+    checked itself before the common case was decided with C builtins.
+    TestRuleFastPath holds the record's messages to it."""
+    why = rule_violation(a, b)
+    if why is None:
+        cf = SimpleNamespace(alpha=alpha, beta=beta, terms=interleave(a, b))
+        why = target_violation(cf)
+    return why
+
+
+def target_violation(cf) -> str | None:
+    """The first target rule cf breaks, the value last.
+
+    The fold is in integers.  Its pair (p, q), signs moved so that q > 0,
+    is in lowest terms, and so is (alpha, beta) once the target rules
+    hold, so the pairs are equal exactly when the values are.
+    """
+    alpha, beta = cf.alpha, cf.beta
+    if not (0 < beta <= alpha):
+        return "target requires 0 < beta <= alpha"
+    if beta == alpha and alpha != 1:
+        return "target beta = alpha only for the unknot 1/1"
+    if gcd(alpha, beta) != 1:
+        return "target requires gcd(alpha, beta) = 1"
+    if beta % 2 == 0:
+        return "target requires odd beta"
+    p, q = _fold(cf.terms)
+    if q < 0:
+        p, q = -p, -q
+    if (p, q) != (alpha, beta):
+        return f"expansion evaluates to {Fraction(p, q)}, not {alpha}/{beta}"
+    return None
+
+
+def rule_violation(a, b) -> str | None:
+    """The first shape or sign rule the terms a, b break.
+
+    The sign rule keeps every tail of the fold nonzero, so folding terms
+    that passed it never meets a zero denominator.
+    """
+    if len(a) == 0:
+        return "a must be nonempty"
+    if len(a) != len(b) + 1:
+        return "len(a) must equal len(b) + 1"
+    if 0 in a:
+        return "all a_i must be nonzero"
+    if 0 in b:
+        return "all b_i must be nonzero"
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x * y <= 0:
+            return f"a_{i + 1} * b_{i + 1} > 0 violated"
+    return None
 
 
 def bounds_from_json_dict(d: dict) -> MBounds:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cobkit.arith import DIGIT_LIMIT, dec
-from cobkit.cli import SCAN_CAP_ENV, Output, _json_value, _render, main
+from cobkit.cli import SCAN_CAP_ENV, Output, _json_value, _layout, _render, main
 from cobkit.cobordism import MBounds
 from cobkit.contfrac import eval_terms
 from cobkit.twobridge import OddCounts
@@ -501,6 +502,22 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ((), "cb73a42d6670c56bdd3faade0bd300e167c6894626deb0106daa2b6abf54e3eb"),
+            (("--json",), "72c19f28a3e258c76065cefe7a00a145bdc69561ab70991d681e8aa2a7876159"),
+        ],
+    )
+    def test_census_399_pinned(self, capsys, mode, digest):
+        # the benchmark's sweep, 16,182 rows
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "scan", "--alpha-max", "399", *mode)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
+
 
 class _Lazy:
     """Marks rows that a document holds as a generator, built afresh for
@@ -553,22 +570,56 @@ _json_docs = st.recursive(
 )
 
 
+def _json_cases(test):
+    """Run test on drawn documents and on the corner cases."""
+    for spec in (
+        {},
+        [],
+        {"a": {}, "b": [[], {}], "c": [{}]},
+        _Lazy([]),
+        {"rows": _Lazy([{}, {"x": Fraction(-3, 2)}])},
+    ):
+        test = example(spec)(test)
+    return settings(max_examples=300, deadline=None)(given(_json_docs)(test))
+
+
+@contextlib.contextmanager
+def _c_encoder(factory):
+    """The renderer's encoders built from this C encoder factory; None
+    stands for a Python without one."""
+    _layout.cache_clear()
+    try:
+        with mock.patch.object(json.encoder, "c_make_encoder", factory):
+            yield
+    finally:
+        _layout.cache_clear()
+
+
 class TestJsonWriter:
     """The renderer writes json.dumps(indent=2)'s layout itself and
-    encodes flat containers in C; the text must be the same bytes."""
+    encodes flat containers in C, or with JSONEncoder where there is no
+    C encoder; the text must be the same bytes."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(_json_docs)
-    @example({})
-    @example([])
-    @example({"a": {}, "b": [[], {}], "c": [{}]})
-    @example(_Lazy([]))
-    @example({"rows": _Lazy([{}, {"x": Fraction(-3, 2)}])})
-    def test_matches_json_dumps(self, spec):
+    @staticmethod
+    def check(spec):
         args = argparse.Namespace(json=True, csv=False)
         got = _render(args, Output(_build(spec)))
         want = json.dumps(_build(spec, reference=True), indent=2, default=_json_value)
         assert got == want + "\n"
+
+    @_json_cases
+    def test_matches_json_dumps(self, spec):
+        factory = json.encoder.c_make_encoder
+        with _c_encoder(factory):
+            fallback = isinstance(getattr(_layout(0)[0], "__self__", None), json.JSONEncoder)
+            assert fallback == (factory is None)
+            self.check(spec)
+
+    @_json_cases
+    def test_matches_json_dumps_without_c_encoder(self, spec):
+        with _c_encoder(None):
+            assert isinstance(_layout(0)[0].__self__, json.JSONEncoder)
+            self.check(spec)
 
 
 class TestRenderPinned:

@@ -21,7 +21,7 @@ from cobkit.contfrac import (
 from cobkit.arith import DIGIT_LIMIT
 from cobkit.errors import DomainError, EvaluationError, ResourceLimitError
 from cobkit.lens import LensSpace, classify_order
-from oracles import eval_cf
+from oracles import admissible_violation, eval_cf, rule_violation
 
 
 def fraction_fold(terms) -> Fraction:
@@ -283,6 +283,79 @@ class TestValidate:
         monkeypatch.setattr("cobkit.contfrac._fold", counting)
         report = classify_order(LensSpace(39, 22))
         assert folds == [report.cf.terms]
+
+
+def _message(build, *args) -> str | None:
+    """The DomainError message of build(*args), or None when it succeeds."""
+    try:
+        build(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+_FAULTS = ("empty a", "longer b", "shorter b", "zero in a", "zero in b", "sign", "target")
+
+
+@st.composite
+def faulty_expansions(draw):
+    """(a, b, alpha, beta): an admissible expansion with its own target,
+    then none, one or several faults in the drawn order: an empty a, a
+    length mismatch, a zero in a or in b, a b-term whose sign differs
+    from its a-term's, a wrong target."""
+    n = draw(st.integers(1, 5))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    terms = st.integers(1, 9) | st.integers(1, 10**30)
+    a = [s * draw(terms) for s in signs]
+    b = [s * draw(terms) for s in signs[:-1]]
+    value = eval_cf(a, b)
+    alpha, beta = value.numerator, value.denominator
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), unique=True, max_size=3)):
+        if fault == "empty a":
+            a = []
+        elif fault == "longer b":
+            b.append(draw(st.integers(-3, 3)))
+        elif fault == "shorter b" and b:
+            b.pop()
+        elif fault == "zero in a" and a:
+            a[draw(st.integers(0, len(a) - 1))] = 0
+        elif fault == "zero in b" and b:
+            b[draw(st.integers(0, len(b) - 1))] = 0
+        elif fault == "sign" and b:
+            i = draw(st.integers(0, len(b) - 1))
+            b[i] = -b[i]
+        elif fault == "target":
+            alpha, beta = draw(st.integers(-3, 60)), draw(st.integers(-3, 60))
+    return tuple(a), tuple(b), alpha, beta
+
+
+class TestRuleFastPath:
+    """The common case of the rules is decided with C builtins; a failure
+    is still worded by walking them in order.  The record and admissible_cf give
+    the messages of the rules walked one by one (tests/oracles.py)."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(faulty_expansions())
+    def test_record_messages(self, case):
+        why = admissible_violation(*case)
+        want = None if why is None else f"not admissible: {why}"
+        assert _message(AdmissibleCF, *case) == want
+
+    @settings(max_examples=250, deadline=None)
+    @given(faulty_expansions())
+    def test_admissible_cf_messages(self, case):
+        a, b, _, _ = case
+        if len(a) != len(b) + 1:
+            want = "admissible_cf requires len(a) = len(b) + 1"
+        elif rule_violation(a, b) is not None:
+            want = f"not admissible: {rule_violation(a, b)}"
+        elif eval_cf(a, b) <= 0:
+            want = "admissible_cf requires a positive value"
+        else:
+            value = eval_cf(a, b)
+            why = admissible_violation(a, b, value.numerator, value.denominator)
+            want = None if why is None else f"not admissible: {why}"
+        assert _message(admissible_cf, a, b) == want
 
 
 class TestSearch:

@@ -14,6 +14,7 @@ from cobkit.errors import DomainError
 from cobkit.twobridge import (
     GenusBound,
     OddCounts,
+    _knot_invariants,
     is_knot,
     odd_counts,
     signature,
@@ -54,6 +55,9 @@ def one_pass_invariants(cf: AdmissibleCF) -> tuple[int, OddCounts, GenusBound | 
     except DomainError:
         assert not is_knot(cf)
         genus = None
+    else:
+        # lens reads the signature and the bound from the same tally
+        assert _knot_invariants(cf) == (signature(cf), *genus)
     return signature(cf), odd_counts(cf), genus
 
 

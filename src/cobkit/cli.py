@@ -44,8 +44,9 @@ class Parser(argparse.ArgumentParser):
 
 class Output(NamedTuple):
     """What a verb prints: the --json document, with Fraction and MBounds
-    values left for _render; the text-mode template filled from it (None
-    aligns the CSV cells); and the lens rows that CSV and the table print."""
+    values left for _render (scan's rows hold their bounds as text
+    already); the text-mode template filled from it (None aligns the CSV
+    cells); and the lens rows that CSV and the table print."""
 
     doc: dict
     text: str | None = None
@@ -72,12 +73,28 @@ def _json_value(value):
     return list(value)
 
 
+class _Quarters(dict):
+    """The printed text of Fraction(n, 4) by quarter count n: the exact
+    decimal, or the JSON 'p/q' string, made on the first lookup of each
+    n.  A miss is the only way to a text, so every distinct value printed
+    passes the digit cap.  One per render, never one per process: a
+    long-lived caller prints rows of 100-digit lens spaces through it."""
+
+    def __init__(self, as_json: bool):
+        self.text = _json_value if as_json else dec
+
+    def __missing__(self, n: int) -> str:
+        self[n] = text = self.text(Fraction(n, 4))
+        return text
+
+
 # the types of the values that json, or _json_value, writes as one
-# scalar; and what json encodes without the hook.  Types are compared
-# exactly: json writes any tuple subclass, a record too, as an array
-# without calling the hook.
+# scalar; the scalars json writes without the hook; and all it encodes
+# without the hook.  Types are compared exactly: json writes any tuple
+# subclass, a record too, as an array without calling the hook.
 _SCALARS = frozenset((str, int, float, bool, type(None), Fraction))
-_NATIVE = _SCALARS - {Fraction} | {list, tuple, dict}
+_PLAIN = _SCALARS - {Fraction}
+_NATIVE = _PLAIN | {list, tuple, dict}
 
 
 @functools.cache
@@ -117,7 +134,10 @@ def _dump_json(value, depth: int, out: list[str]) -> None:
     Keys are strings, as in every document the verbs build.  A container
     that holds no container is encoded by one call to a C-backed encoder
     (CPython encodes in C only without indent); the layout around it is
-    written here.
+    written here.  A container's items that are nonempty dicts of plain
+    scalars, such as scan's rows, are written in line with the next
+    depth's encoder; only the other items are written by a recursive
+    call.
     """
     while type(value) not in _NATIVE:
         value = _json_value(value)
@@ -140,23 +160,31 @@ def _dump_json(value, depth: int, out: list[str]) -> None:
             heads = [encode_basestring_ascii(k) + ": " for k in value]
         else:
             heads = [""] * len(value)
+        encode_item, item_inner, item_outer = _layout(depth + 1)
         sep = ends[0] + inner
         for head, x in zip(heads, items):
-            out.append(sep + head)
-            _dump_json(x, depth + 1, out)
+            if type(x) is dict and x and _PLAIN.issuperset(map(type, x.values())):
+                out.append(
+                    sep + head + "{" + item_inner + encode_item(x)[1:-1] + item_outer + "}"
+                )
+            else:
+                out.append(sep + head)
+                _dump_json(x, depth + 1, out)
             sep = "," + inner
         out.append(outer + ends[1])
 
 
-def _csv_row(row: lens.CensusRow) -> list[str]:
-    return [
-        str(row.alpha),
-        str(row.beta),
-        dec(row.m_lower),
-        dec(row.mbar_upper),
-        contfrac.format_cf(row.cf),
-        row.order,
-    ]
+def _csv_rows(rows: Iterable[lens.CensusRow]) -> Iterable[list[str]]:
+    texts = _Quarters(as_json=False)
+    for row in rows:
+        yield [
+            str(row.alpha),
+            str(row.beta),
+            texts[row.lower],
+            texts[row.upper],
+            contfrac.format_cf(row.cf),
+            row.order,
+        ]
 
 
 def _render(args, out: Output) -> str:
@@ -172,10 +200,10 @@ def _render(args, out: Output) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows(map(_csv_row, out.rows))
+        writer.writerows(_csv_rows(out.rows))
         return buf.getvalue()
     if out.text is None:
-        rows = [CSV_HEADER, *map(_csv_row, out.rows)]
+        rows = [CSV_HEADER, *_csv_rows(out.rows)]
         widths = [max(map(len, column)) for column in zip(*rows)]
         return "".join("  ".join(map(str.ljust, row, widths)) + "\n" for row in rows)
     return _Text().format(out.text, **out.doc)
@@ -372,12 +400,13 @@ def _cmd_scan(args) -> Output:
         raise DomainError("scan requires alpha_max >= 3")
     # one sweep, read once: by the JSON rows or by the CSV writer
     rows = lens.census(args.alpha_max)
+    texts = _Quarters(as_json=True)
     docs = (
         {
             "alpha": r.alpha,
             "beta": r.beta,
-            "m_lower": r.m_lower,
-            "mbar_upper": r.mbar_upper,
+            "m_lower": texts[r.lower],
+            "mbar_upper": texts[r.upper],
             "cf": contfrac.format_cf(r.cf),
             "order": r.order,
         }

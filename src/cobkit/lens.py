@@ -19,6 +19,7 @@ from .cobordism import (
     OrderCertificate,
     _bounds_certify,
     _cover_quarters,
+    _quarters,
     branched_cover_bounds,
     infinite_order_certificate,
     reverse_orientation,
@@ -124,16 +125,25 @@ ORDER_ANNOTATIONS: dict[tuple[int, int], tuple[str, str]] = {
 
 class CensusRow(NamedTuple):
     """What a census or table line prints for L(alpha, beta): the
-    certified interval, the Rokhlin value, the expansion the bounds came
-    from (of the odd-beta representative) and the order label."""
+    certified interval as quarter counts, lower = 4 m_lower and
+    upper = 4 mbar_upper, the Rokhlin value, the expansion the bounds
+    came from (of the odd-beta representative) and the order label."""
 
     alpha: int
     beta: int
-    m_lower: Fraction
-    mbar_upper: Fraction
+    lower: int
+    upper: int
     rokhlin: int
     cf: AdmissibleCF
     order: str
+
+    @property
+    def m_lower(self) -> Fraction:
+        return Fraction(self.lower, 4)
+
+    @property
+    def mbar_upper(self) -> Fraction:
+        return Fraction(self.upper, 4)
 
 
 class OrderReport(NamedTuple):
@@ -163,8 +173,8 @@ class OrderReport(NamedTuple):
         return CensusRow(
             self.space.alpha,
             self.space.beta,
-            b.m_lower,
-            b.mbar_upper,
+            _quarters(b.m_lower),
+            _quarters(b.mbar_upper),
             b.rokhlin.value,
             self.cf,
             self.order,
@@ -197,14 +207,6 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
     return OrderReport(space, label, bounds, cert, note, used)
 
 
-class _Quarters(dict):
-    """Fraction(n, 4) by n, built on the first lookup of each n."""
-
-    def __missing__(self, n: int) -> Fraction:
-        self[n] = x = Fraction(n, 4)
-        return x
-
-
 def census(alpha_max: int) -> Iterator[CensusRow]:
     """Rows of every L(alpha, beta) with odd alpha <= alpha_max and beta
     odd and coprime, in (alpha, beta) order.
@@ -212,10 +214,10 @@ def census(alpha_max: int) -> Iterator[CensusRow]:
     Each row is what classify_order(LensSpace(alpha, beta)) reports,
     reached by the same checked expansion and the same bound and verdict
     rules on quarter counts, without the records and provenance no row
-    prints.  With beta odd there is no mirror to take, and with no
-    supplied expansion no all-positive one to look for.
+    prints.  The rows keep the counts, which the printers turn into text
+    once per distinct value.  With beta odd there is no mirror to take,
+    and with no supplied expansion no all-positive one to look for.
     """
-    quarters = _Quarters()  # one Fraction per distinct value, this sweep only
     for alpha in range(3, alpha_max + 1, 2):
         for beta in range(1, alpha, 2):
             if gcd(alpha, beta) != 1:
@@ -227,9 +229,7 @@ def census(alpha_max: int) -> Iterator[CensusRow]:
                 order = "inf"
             else:
                 order = ORDER_ANNOTATIONS.get((alpha, beta), ("?",))[0]
-            yield CensusRow(
-                alpha, beta, quarters[lower], quarters[upper], sigma % 16, cf, order
-            )
+            yield CensusRow(alpha, beta, lower, upper, sigma % 16, cf, order)
 
 
 # Fixed presentations for every lens space with odd |H_1| <= 13 (beta

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,10 +16,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobkit.arith import DIGIT_LIMIT, dec
-from cobkit.cli import SCAN_CAP_ENV, Output, _json_value, _layout, _render, main
+from cobkit import cli
+from cobkit.arith import DIGIT_LIMIT, check_digits, dec
+from cobkit.cli import SCAN_CAP_ENV, Output, _json_value, _layout, _Quarters, _render, main
 from cobkit.cobordism import MBounds
 from cobkit.contfrac import eval_terms
+from cobkit.errors import ResourceLimitError
+from cobkit.lens import census, table1
 from cobkit.twobridge import OddCounts
 from oracles import all_valid_triples, bounds_from_json_dict
 
@@ -518,6 +523,109 @@ class TestScan:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
 
+    def test_json_pinned_without_c_encoder(self, capsys):
+        with _c_encoder(None):
+            code, out, _ = run(capsys, "scan", "--alpha-max", "99", "--json")
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "ac222cbc6cc0944153431907983fd032f89c916a3b4a9743ebb3f7b01a4aa7fc"
+        )
+
+    def test_printers_agree_with_the_census_399(self, capsys):
+        # every row's CSV decimals and JSON p/q strings read back as the
+        # census row's exact bounds
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "scan", "--alpha-max", "399")
+        assert code == 0
+        csv_rows = list(csv.reader(io.StringIO(out)))[1:]
+        json_rows = run_json(capsys, "scan", "--alpha-max", "399", "--json")["rows"]
+        rows = list(census(399))
+        assert len(rows) == len(csv_rows) == len(json_rows) == 16182
+        for row, line, doc in zip(rows, csv_rows, json_rows):
+            assert (int(line[0]), int(line[1])) == (row.alpha, row.beta), line
+            assert (doc["alpha"], doc["beta"]) == (row.alpha, row.beta), doc
+            for decimal, ratio, exact in (
+                (line[2], doc["m_lower"], row.m_lower),
+                (line[3], doc["mbar_upper"], row.mbar_upper),
+            ):
+                assert re.fullmatch(r"-?\d+\.\d+", decimal), line
+                assert re.fullmatch(r"-?\d+(/\d+)?", ratio), doc
+                assert Fraction(decimal) == Fraction(ratio) == exact, (line, doc)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweeps took {elapsed:.2f}s, budget 10s"
+
+
+def _count(n_digits):
+    return st.builds(
+        lambda sign, lead, zeros, tail: sign * (lead * 10**zeros + tail),
+        st.sampled_from([1, -1]),
+        st.integers(1, 99),
+        n_digits,
+        st.integers(0, 9),
+    )
+
+
+# quarter counts: small, and with digit counts on either side of the cap
+QUARTER_COUNTS = st.one_of(
+    st.integers(-1000, 1000),
+    _count(HUGE),
+    _count(st.integers(DIGIT_LIMIT - 3, DIGIT_LIMIT + 3)),
+)
+
+
+def _json_text(x):
+    return str(check_digits(x))
+
+
+class TestQuarterTexts:
+    """The memo behind the CSV, text and scan JSON bounds prints each
+    quarter count as the printers print its Fraction, cap included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(QUARTER_COUNTS)
+    @example(10**DIGIT_LIMIT - 1)  # a JSON text, past the cap as a decimal
+    @example(4 * (10**DIGIT_LIMIT - 1))  # both print
+    @example(-4 * 10**DIGIT_LIMIT)  # neither prints
+    def test_texts_match_the_printers(self, n):
+        for as_json, reference in ((False, dec), (True, _json_text)):
+            texts = _Quarters(as_json)
+            try:
+                want = reference(Fraction(n, 4))
+            except ResourceLimitError as exc:
+                for _ in range(2):  # a refused value is not kept
+                    with pytest.raises(ResourceLimitError) as info:
+                        texts[n]
+                    assert str(info.value) == str(exc)
+                assert n not in texts
+            else:
+                assert texts[n] == want
+                assert texts[n] is texts[n]
+                assert texts == {n: want}
+
+    @pytest.mark.parametrize(
+        "argv, printer, rows",
+        [
+            (["table1", "--csv"], "dec", lambda: [r.row for r in table1()]),
+            (["table1"], "dec", lambda: [r.row for r in table1()]),
+            (["scan", "--alpha-max", "99", "--json"], "check_digits", lambda: census(99)),
+        ],
+    )
+    def test_each_render_prints_each_bound_once(self, capsys, monkeypatch, argv, printer, rows):
+        printed = []
+        original = getattr(cli, printer)
+
+        def counted(x):
+            printed.append(x)
+            return original(x)
+
+        monkeypatch.setattr(cli, printer, counted)
+        outputs = [run(capsys, *argv) for _ in range(2)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        distinct = {q for row in rows() for q in (row.lower, row.upper)}
+        # two renders share no memo: each prints every distinct bound once
+        assert sorted(printed) == sorted(Fraction(q, 4) for q in distinct for _ in range(2))
+
 
 class _Lazy:
     """Marks rows that a document holds as a generator, built afresh for
@@ -578,6 +686,14 @@ def _json_cases(test):
         {"a": {}, "b": [[], {}], "c": [{}]},
         _Lazy([]),
         {"rows": _Lazy([{}, {"x": Fraction(-3, 2)}])},
+        # flat dicts written in line, and those that must recurse
+        [
+            {"m": Fraction(-3, 2), "n": 10**DIGIT_LIMIT - 1},
+            {"caf\u00e9": "\u00fc\u2192\u2028\U0001f600", "none": None, "big": 1 - 10**DIGIT_LIMIT},
+            {},
+            {"t": True, "x": 0.5},
+        ],
+        {"rows": [{"bounds": MBounds(Fraction(-1, 4), Fraction(7, 4), provenance=["\u00e9"])}]},
     ):
         test = example(spec)(test)
     return settings(max_examples=300, deadline=None)(given(_json_docs)(test))

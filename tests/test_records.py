@@ -23,9 +23,11 @@ from cobkit import (
     qr_obstruction,
     sigma_pqr_bounds,
     slice_genus_upper,
+    table1,
     tpqr_invariants,
 )
 from cobkit.cli import Output
+from cobkit.lens import CensusRow
 
 
 def _records():
@@ -46,10 +48,12 @@ def _records():
         tpqr_invariants(t),
         classify_order(LensSpace(39, 22)),
         Output({"a": 1}, "x\n"),
+        classify_order(LensSpace(39, 22)).row,
     ]
 
 
-# recorded from the frozen dataclasses these records replace
+# recorded from the frozen dataclasses these records replace; the last,
+# CensusRow, recorded once its bounds became quarter counts
 _REPRS = [
     "AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17)",
     "GenusBound(value=2, pos_changes=0, neg_changes=2, seifert_genus=0)",
@@ -78,6 +82,8 @@ _REPRS = [
     "certificate=OrderCertificate(verdict='unknown', reason='no certificate applies'), "
     "annotation=None, cf=AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17))",
     "Output(doc={'a': 1}, text='x\\n', rows=())",
+    "CensusRow(alpha=39, beta=22, lower=-26, upper=6, rokhlin=14, "
+    "cf=AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17), order='?')",
 ]
 
 
@@ -105,6 +111,32 @@ class TestRecordSemantics:
         for name in x._fields:
             with pytest.raises(AttributeError):
                 setattr(x, name, None)
+
+
+def test_census_row_bounds_are_exact_fractions():
+    row = classify_order(LensSpace(39, 22)).row
+    assert (row.lower, row.upper) == (-26, 6)
+    assert (type(row.m_lower), type(row.mbar_upper)) == (Fraction, Fraction)
+    assert (row.m_lower, row.mbar_upper) == (Fraction(-13, 2), Fraction(3, 2))
+    for name in ("m_lower", "mbar_upper"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, Fraction(0))
+    assert row.m_lower == Fraction(-13, 2)
+
+
+def test_table1_rows_are_the_reports_as_quarter_counts():
+    for report in table1():
+        b = report.bounds
+        assert report.row == CensusRow(
+            report.space.alpha,
+            report.space.beta,
+            int(4 * b.m_lower),
+            int(4 * b.mbar_upper),
+            b.rokhlin.value,
+            report.cf,
+            report.order,
+        )
+        assert (report.row.m_lower, report.row.mbar_upper) == (b.m_lower, b.mbar_upper)
 
 
 def test_admissible_cf_terms_are_read_only():

@@ -98,10 +98,6 @@ def _is_square_mod_prime_power(a: int, p: int, k: int) -> bool:
     return jacobi(a, p) == 1
 
 
-# Decimal digits of rest/4 after the point, for rest = 0, 1, 2, 3.
-_QUARTER_DIGITS = ("0", "25", "5", "75")
-
-
 def dec(x) -> str:
     """Exact decimal form of a rational with denominator 2^a 5^b, else p/q.
 
@@ -111,13 +107,6 @@ def dec(x) -> str:
     if type(x) is not Fraction:
         x = Fraction(x)
     num, den = x.numerator, x.denominator
-    if 4 % den == 0:
-        # Quarters, the common case: den >> 1 decimal places (0, 1 or 2).
-        # The digits printed, whole and those places, bound num as well.
-        whole, rest = divmod(abs(num) * (4 // den), 4)
-        check_digits(whole * 10 ** (den >> 1))
-        sign = "-" if num < 0 else ""
-        return f"{sign}{whole}.{_QUARTER_DIGITS[rest]}"
     check_digits(x)
     d, k2, k5 = den, 0, 0
     while d % 2 == 0:

@@ -14,7 +14,6 @@ number is a domain error; both messages name the cap.
 """
 
 import argparse
-import functools
 import io
 import os
 import string
@@ -43,12 +42,12 @@ class Parser(argparse.ArgumentParser):
 
 
 class Output(NamedTuple):
-    """What a verb prints: the --json document, with Fraction and MBounds
-    values left for _render (scan's rows hold their bounds as text
-    already); the text-mode template filled from it (None aligns the CSV
-    cells); and the lens rows that CSV and the table print."""
+    """What a verb prints: the --json document, with Fraction values left
+    for _render, or None when the rows are the document, as in scan; the
+    text-mode template filled from it (None aligns the CSV cells); and
+    the lens rows that CSV and the table print."""
 
-    doc: dict
+    doc: dict | None
     text: str | None = None
     rows: Iterable[lens.CensusRow] = ()
 
@@ -63,14 +62,21 @@ class _Text(string.Formatter):
 
 
 def _json_value(value):
-    """JSON form of a value json cannot encode itself: a Fraction, an
-    MBounds, or the lazily built rows, so a mode that does not print them
-    never builds them.  Other records are made dicts by the verbs."""
+    """JSON form of a value json cannot encode itself: a Fraction, as its
+    'p/q' string under the digit cap, or the lazily built rows, so a mode
+    that does not print them never builds them.  json writes any tuple
+    subclass, a record too, as an array without calling this hook, so
+    the verbs put records into their documents as dicts."""
     if isinstance(value, Fraction):
         return str(check_digits(value))
-    if isinstance(value, MBounds):
-        return value.to_json_dict()
     return list(value)
+
+
+def _bounds(bounds: MBounds) -> dict:
+    """An MBounds as a document dict: its fields, the Rokhlin class as
+    its int value."""
+    rokhlin = bounds.rokhlin
+    return {**bounds._asdict(), "rokhlin": None if rokhlin is None else rokhlin.value}
 
 
 class _Quarters(dict):
@@ -88,92 +94,6 @@ class _Quarters(dict):
         return text
 
 
-# the types of the values that json, or _json_value, writes as one
-# scalar; the scalars json writes without the hook; and all it encodes
-# without the hook.  Types are compared exactly: json writes any tuple
-# subclass, a record too, as an array without calling the hook.
-_SCALARS = frozenset((str, int, float, bool, type(None), Fraction))
-_PLAIN = _SCALARS - {Fraction}
-_NATIVE = _PLAIN | {list, tuple, dict}
-
-
-@functools.cache
-def _layout(depth: int):
-    """For the items of a container at depth: a function that encodes a
-    flat container, with the newline and indent that json.dumps(indent=2)
-    puts between its items as the item separator; that indent; and the
-    one before the closing bracket.
-
-    The function calls a C encoder built here once.  JSONEncoder.encode
-    builds a new one on every call, and is the fallback where CPython
-    has none.  The C encoder keeps no circular-reference markers: it
-    sees only scalars, and flat containers of them.
-    """
-    from json import JSONEncoder, encoder
-
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    item_separator = "," + inner
-    if encoder.c_make_encoder is None:
-        encode = JSONEncoder(default=_json_value, separators=(item_separator, ": ")).encode
-    else:
-        chunks = encoder.c_make_encoder(
-            None, _json_value, encoder.encode_basestring_ascii, None,
-            ": ", item_separator, False, False, True,
-        )
-
-        def encode(value):
-            return "".join(chunks(value, 0))
-
-    return encode, inner, outer
-
-
-def _dump_json(value, depth: int, out: list[str]) -> None:
-    """Append to out the text json.dumps(value, indent=2,
-    default=_json_value) writes for value at nesting depth.
-
-    Keys are strings, as in every document the verbs build.  A container
-    that holds no container is encoded by one call to a C-backed encoder
-    (CPython encodes in C only without indent); the layout around it is
-    written here.  A container's items that are nonempty dicts of plain
-    scalars, such as scan's rows, are written in line with the next
-    depth's encoder; only the other items are written by a recursive
-    call.
-    """
-    while type(value) not in _NATIVE:
-        value = _json_value(value)
-    encode, inner, outer = _layout(depth)
-    if isinstance(value, dict):
-        items, ends = value.values(), "{}"
-    elif isinstance(value, (list, tuple)):
-        items, ends = value, "[]"
-    else:
-        out.append(encode(value))
-        return
-    if not items:
-        out.append(ends)
-    elif _SCALARS.issuperset(map(type, items)):
-        out.append(ends[0] + inner + encode(value)[1:-1] + outer + ends[1])
-    else:
-        if ends == "{}":
-            from json.encoder import encode_basestring_ascii
-
-            heads = [encode_basestring_ascii(k) + ": " for k in value]
-        else:
-            heads = [""] * len(value)
-        encode_item, item_inner, item_outer = _layout(depth + 1)
-        sep = ends[0] + inner
-        for head, x in zip(heads, items):
-            if type(x) is dict and x and _PLAIN.issuperset(map(type, x.values())):
-                out.append(
-                    sep + head + "{" + item_inner + encode_item(x)[1:-1] + item_outer + "}"
-                )
-            else:
-                out.append(sep + head)
-                _dump_json(x, depth + 1, out)
-            sep = "," + inner
-        out.append(outer + ends[1])
-
-
 def _csv_rows(rows: Iterable[lens.CensusRow]) -> Iterable[list[str]]:
     texts = _Quarters(as_json=False)
     for row in rows:
@@ -187,13 +107,55 @@ def _csv_rows(rows: Iterable[lens.CensusRow]) -> Iterable[list[str]]:
         ]
 
 
+def _json_rows(rows: Iterable[lens.CensusRow]) -> str:
+    """The text json.dumps({"rows": [...]}, indent=2) writes for the rows'
+    dicts, as scan prints them.
+
+    CPython encodes in C only without indent, so each row, a flat dict,
+    is encoded by one call to a C encoder whose item separator carries
+    the row's indent; the frame around the rows is written here.
+    JSONEncoder is the fallback where CPython has no C encoder.
+    """
+    from json import JSONEncoder, encoder
+
+    texts = _Quarters(as_json=True)
+    item_separator = ",\n      "
+    if encoder.c_make_encoder is None:
+        encode = JSONEncoder(default=_json_value, separators=(item_separator, ": ")).encode
+    else:
+        chunks = encoder.c_make_encoder(
+            None, _json_value, encoder.encode_basestring_ascii, None,
+            ": ", item_separator, False, False, True,
+        )
+
+        def encode(row):
+            return "".join(chunks(row, 0))
+
+    items = [
+        encode({
+            "alpha": r.alpha,
+            "beta": r.beta,
+            "m_lower": texts[r.lower],
+            "mbar_upper": texts[r.upper],
+            "cf": contfrac.format_cf(r.cf),
+            "order": r.order,
+        })[1:-1]
+        for r in rows
+    ]
+    if not items:
+        return '{\n  "rows": []\n}\n'
+    body = "\n    },\n    {\n      ".join(items)
+    return '{\n  "rows": [\n    {\n      ' + body + "\n    }\n  ]\n}\n"
+
+
 def _render(args, out: Output) -> str:
     """The one output path: JSON, CSV or text, as the mode flags ask."""
     if args.json:
-        pieces = []
-        _dump_json(out.doc, 0, pieces)
-        pieces.append("\n")
-        return "".join(pieces)
+        if out.doc is None:
+            return _json_rows(out.rows)
+        import json
+
+        return json.dumps(out.doc, indent=2, default=_json_value) + "\n"
     if args.csv:
         import csv
 
@@ -212,9 +174,9 @@ def _render(args, out: Output) -> str:
 _LENS_TEXT = """\
 L({alpha},{beta})
   expansion: {cf}
-  m_lower:    {bounds.m_lower}
-  mbar_upper: {bounds.mbar_upper}
-  rokhlin:    {bounds.rokhlin.value}
+  m_lower:    {bounds[m_lower]}
+  mbar_upper: {bounds[mbar_upper]}
+  rokhlin:    {bounds[rokhlin]}
   order:      {order}
   reason:     {order_reason}
 """
@@ -227,7 +189,7 @@ def _cmd_lens(args) -> Output:
         "alpha": report.space.alpha,
         "beta": report.space.beta,
         "cf": contfrac.format_cf(report.cf),
-        "bounds": report.bounds,
+        "bounds": _bounds(report.bounds),
         "order": report.order,
         "order_reason": report.reason,
     }
@@ -290,9 +252,9 @@ T({p},{q},{r})
   rank:        {rank}
   signature:   {signature}
   |det|:       {determinant_abs}
-  m:           {bounds.m_exact} (exact)
-  mbar:        {bounds.mbar_exact} (exact)
-  rokhlin:     {bounds.rokhlin.value}
+  m:           {bounds[m_exact]} (exact)
+  mbar:        {bounds[mbar_exact]} (exact)
+  rokhlin:     {bounds[rokhlin]}
 """
 
 
@@ -301,7 +263,7 @@ def _cmd_plumbing(args) -> Output:
     doc = {
         **triple._asdict(),
         **plumbing.tpqr_invariants(triple)._asdict(),
-        "bounds": plumbing.sigma_pqr_bounds(triple),
+        "bounds": _bounds(plumbing.sigma_pqr_bounds(triple)),
     }
     return Output(doc, _PLUMBING_TEXT)
 
@@ -369,7 +331,7 @@ def _cmd_table1(args) -> Output:
         {
             "alpha": r.space.alpha,
             "beta": r.space.beta,
-            "bounds": r.bounds,
+            "bounds": _bounds(r.bounds),
             "cf": contfrac.format_cf(r.cf),
             "order": r.order,
         }
@@ -399,20 +361,7 @@ def _cmd_scan(args) -> Output:
     if args.alpha_max < 3:
         raise DomainError("scan requires alpha_max >= 3")
     # one sweep, read once: by the JSON rows or by the CSV writer
-    rows = lens.census(args.alpha_max)
-    texts = _Quarters(as_json=True)
-    docs = (
-        {
-            "alpha": r.alpha,
-            "beta": r.beta,
-            "m_lower": texts[r.lower],
-            "mbar_upper": texts[r.upper],
-            "cf": contfrac.format_cf(r.cf),
-            "order": r.order,
-        }
-        for r in rows
-    )
-    return Output({"rows": docs}, None, rows)
+    return Output(None, None, lens.census(args.alpha_max))
 
 
 def _integer(text: str) -> int:

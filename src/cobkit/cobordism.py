@@ -124,16 +124,6 @@ class MBounds(_MBoundsFields):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m_lower": str(self.m_lower),
-            "mbar_upper": str(self.mbar_upper),
-            "m_exact": None if self.m_exact is None else str(self.m_exact),
-            "mbar_exact": None if self.mbar_exact is None else str(self.mbar_exact),
-            "rokhlin": None if self.rokhlin is None else self.rokhlin.value,
-            "provenance": list(self.provenance),
-        }
-
 
 def merge_bounds(x: MBounds, y: MBounds) -> MBounds:
     """Intersect two certified intervals for the same class.

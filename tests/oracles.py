@@ -187,8 +187,8 @@ def rule_violation(a, b) -> str | None:
 
 
 def bounds_from_json_dict(d: dict) -> MBounds:
-    """Re-validate an MBounds.to_json_dict document (TestLens::test_bounds_round_trip
-    reads the CLI's lens --json back through it)."""
+    """Re-validate the bounds dict of a CLI JSON document
+    (TestLens::test_bounds_round_trip reads lens --json back through it)."""
     return MBounds(
         m_lower=Fraction(d["m_lower"]),
         mbar_upper=Fraction(d["mbar_upper"]),

@@ -184,7 +184,7 @@ class TestDigitCap:
                 check_digits(x)
 
     def test_quarters_match_general_rule(self):
-        # dec prints quarters by divmod; the general rule is the reference,
+        # quarters, what the CLI prints most, against the reference rule,
         # near zero and where the cap on the printed digits bites
         top = 10**DIGIT_LIMIT
         nums = list(range(-2000, 2001))

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import hashlib
@@ -18,12 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from cobkit import cli
 from cobkit.arith import DIGIT_LIMIT, check_digits, dec
-from cobkit.cli import SCAN_CAP_ENV, Output, _json_value, _layout, _Quarters, _render, main
-from cobkit.cobordism import MBounds
-from cobkit.contfrac import eval_terms
+from cobkit.cli import SCAN_CAP_ENV, _json_rows, _Quarters, main
+from cobkit.contfrac import eval_terms, format_cf, parse_cf
 from cobkit.errors import ResourceLimitError
-from cobkit.lens import census, table1
-from cobkit.twobridge import OddCounts
+from cobkit.lens import CensusRow, census, table1
 from oracles import all_valid_triples, bounds_from_json_dict
 
 GOLDEN_TABLE_CSV = """\
@@ -277,6 +274,16 @@ H_4000 = "1" * 4000
 CAP = f"exceeds the {DIGIT_LIMIT}-digit cap"
 
 
+def _run_at_the_minimum_limit(argv):
+    """python -m cobkit argv with Python's minimum int-to-str limit, 640."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "cobkit", *argv], env=env, capture_output=True, text=True
+    )
+
+
 class TestDigitCap:
     @pytest.mark.parametrize("mode", [(), ("--json",)])
     @pytest.mark.parametrize("value", ["1e5000", "1e-5000", "0e4001", "1" * 4001])
@@ -316,6 +323,27 @@ class TestDigitCap:
         )
         assert Fraction(payload["genus_lower"]) == Fraction(int(H_4000), 8) - 1
 
+    @pytest.mark.parametrize("mode", [(), ("--json",), ("--csv",)])
+    def test_long_lens_bound(self, capsys, mode):
+        # mbar_upper of L(a, 1) is 9(a - 1)/4: 4,001 digits for this
+        # 4,000-digit a, and 4,000 for the one below it
+        code, out, err = run(capsys, "lens", str(9 * 10 ** (DIGIT_LIMIT - 1) + 1), "1", *mode)
+        assert (code, out, err) == (2, "", f"domain error: a number {CAP}\n")
+        code, out, err = run(capsys, "lens", str(10 ** (DIGIT_LIMIT - 1) + 1), "1", *mode)
+        assert (code, err) == (0, "")
+        assert str(9 * 10 ** (DIGIT_LIMIT - 1) // 4) in out
+
+    @pytest.mark.parametrize("mode", [(), ("--json",), ("--csv",)])
+    def test_long_lens_bound_below_the_interpreter_limit(self, mode):
+        # the same pair of cases at a 340-digit cap
+        for alpha, code, err in (
+            (9 * 10**339 + 1, 2, "domain error: a number exceeds the 340-digit cap\n"),
+            (10**339 + 1, 0, ""),
+        ):
+            proc = _run_at_the_minimum_limit(["lens", str(alpha), "1", *mode])
+            assert (proc.returncode, proc.stderr) == (code, err)
+            assert (str(9 * 10**339 // 4) in proc.stdout) == (code == 0)
+
     @pytest.mark.parametrize(
         "argv, code, err",
         [
@@ -326,12 +354,7 @@ class TestDigitCap:
     )
     def test_interpreter_limit_below_the_cap(self, argv, code, err):
         # Python's minimum int-to-str limit leaves a 340-digit cap
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "cobkit", *argv], env=env, capture_output=True, text=True
-        )
+        proc = _run_at_the_minimum_limit(argv)
         assert (proc.returncode, proc.stderr) == (code, err)
         if code == 0:
             assert proc.stdout == f"{argv[1]}/1 = [{argv[1]}]\n"
@@ -572,6 +595,11 @@ QUARTER_COUNTS = st.one_of(
     _count(HUGE),
     _count(st.integers(DIGIT_LIMIT - 3, DIGIT_LIMIT + 3)),
 )
+# a row's two counts: small, and with DIGIT_LIMIT +- 3 digits
+ROW_COUNTS = st.one_of(
+    st.integers(-1000, 1000),
+    _count(st.integers(DIGIT_LIMIT - 3, DIGIT_LIMIT + 3)),
+)
 
 
 def _json_text(x):
@@ -627,115 +655,79 @@ class TestQuarterTexts:
         assert sorted(printed) == sorted(Fraction(q, 4) for q in distinct for _ in range(2))
 
 
-class _Lazy:
-    """Marks rows that a document holds as a generator, built afresh for
-    each encoder that reads it."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-
-def _build(spec, reference=False):
-    """The document spec describes, each _Lazy a new generator of row dicts.
-
-    In the reference document each MBounds is already its JSON dict:
-    json writes a record, a tuple subclass, as an array without calling
-    the hook, so json.dumps alone never sees it as a record.
-    """
-    if isinstance(spec, _Lazy):
-        return (dict(row) for row in spec.rows)
-    if reference and isinstance(spec, MBounds):
-        return spec.to_json_dict()
-    if type(spec) is dict:
-        return {k: _build(v, reference) for k, v in spec.items()}
-    if type(spec) in (list, tuple):
-        return type(spec)(_build(v, reference) for v in spec)
-    return spec
-
-
-_json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=1 - 10**DIGIT_LIMIT, max_value=10**DIGIT_LIMIT - 1),
-    st.fractions(),
-    st.text(),  # non-ASCII and control characters included
-)
-_json_records = st.one_of(
-    st.tuples(st.integers(-40, 40), st.integers(0, 20), st.lists(st.text(), max_size=3)).map(
-        lambda t: MBounds(Fraction(t[0], 4), Fraction(t[0] + t[1], 4), provenance=t[2])
-    ),
-    st.builds(OddCounts, pos=st.integers(0, 9), neg=st.integers(0, 9)),
-    st.lists(st.dictionaries(st.text(), _json_scalars, max_size=4), max_size=4).map(_Lazy),
-)
-_json_docs = st.recursive(
-    _json_scalars | _json_records,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(st.text(), inner, max_size=4),
-    ),
-    max_leaves=20,
-)
-
-
-def _json_cases(test):
-    """Run test on drawn documents and on the corner cases."""
-    for spec in (
-        {},
-        [],
-        {"a": {}, "b": [[], {}], "c": [{}]},
-        _Lazy([]),
-        {"rows": _Lazy([{}, {"x": Fraction(-3, 2)}])},
-        # flat dicts written in line, and those that must recurse
-        [
-            {"m": Fraction(-3, 2), "n": 10**DIGIT_LIMIT - 1},
-            {"caf\u00e9": "\u00fc\u2192\u2028\U0001f600", "none": None, "big": 1 - 10**DIGIT_LIMIT},
-            {},
-            {"t": True, "x": 0.5},
-        ],
-        {"rows": [{"bounds": MBounds(Fraction(-1, 4), Fraction(7, 4), provenance=["\u00e9"])}]},
-    ):
-        test = example(spec)(test)
-    return settings(max_examples=300, deadline=None)(given(_json_docs)(test))
-
-
-@contextlib.contextmanager
 def _c_encoder(factory):
-    """The renderer's encoders built from this C encoder factory; None
+    """The renderer's row encoder built from this C encoder factory; None
     stands for a Python without one."""
-    _layout.cache_clear()
-    try:
-        with mock.patch.object(json.encoder, "c_make_encoder", factory):
-            yield
-    finally:
-        _layout.cache_clear()
+    return mock.patch.object(json.encoder, "c_make_encoder", factory)
 
 
-class TestJsonWriter:
-    """The renderer writes json.dumps(indent=2)'s layout itself and
-    encodes flat containers in C, or with JSONEncoder where there is no
-    C encoder; the text must be the same bytes."""
+# the expansions of census(49), and one of 401 terms
+_CFS = [row.cf for row in census(49)] + [parse_cf(LONG_CF_401)]
+_ROWS = st.lists(
+    st.builds(
+        CensusRow,
+        alpha=st.integers(3, 10**6),
+        beta=st.integers(1, 10**6),
+        lower=ROW_COUNTS,
+        upper=ROW_COUNTS,
+        rokhlin=st.sampled_from(range(0, 16, 2)),
+        cf=st.sampled_from(_CFS),
+        order=st.sampled_from(["inf", "<=2", "0", "?"]),
+    ),
+    max_size=5,
+)
+
+
+class TestJsonRows:
+    """scan's row writer encodes each row in C, or with JSONEncoder where
+    there is no C encoder, and writes the frame around the rows itself;
+    the text must be json.dumps(indent=2)'s, byte for byte, and a bound
+    past the digit cap must be refused as _Quarters refuses it."""
 
     @staticmethod
-    def check(spec):
-        args = argparse.Namespace(json=True, csv=False)
-        got = _render(args, Output(_build(spec)))
-        want = json.dumps(_build(spec, reference=True), indent=2, default=_json_value)
-        assert got == want + "\n"
+    def check(rows):
+        try:
+            want = json.dumps(
+                {
+                    "rows": [
+                        {
+                            "alpha": r.alpha,
+                            "beta": r.beta,
+                            "m_lower": _json_text(r.m_lower),
+                            "mbar_upper": _json_text(r.mbar_upper),
+                            "cf": format_cf(r.cf),
+                            "order": r.order,
+                        }
+                        for r in rows
+                    ]
+                },
+                indent=2,
+            )
+        except ResourceLimitError as exc:
+            with pytest.raises(ResourceLimitError) as info:
+                _json_rows(rows)
+            assert str(info.value) == str(exc)
+        else:
+            assert _json_rows(rows) == want + "\n"
 
-    @_json_cases
-    def test_matches_json_dumps(self, spec):
+    @settings(max_examples=300, deadline=None)
+    @given(_ROWS)
+    @example([])
+    @example([CensusRow(3, 1, 2, 18, 2, _CFS[0], "inf")])
+    def test_matches_json_dumps(self, rows):
         factory = json.encoder.c_make_encoder
-        with _c_encoder(factory):
-            fallback = isinstance(getattr(_layout(0)[0], "__self__", None), json.JSONEncoder)
-            assert fallback == (factory is None)
-            self.check(spec)
+        built = mock.Mock(wraps=factory)
+        with _c_encoder(built if factory else None):
+            self.check(rows)
+        if factory:
+            assert built.call_count == 1  # one C encoder per render
 
-    @_json_cases
-    def test_matches_json_dumps_without_c_encoder(self, spec):
+    @settings(max_examples=300, deadline=None)
+    @given(_ROWS)
+    @example([])
+    def test_matches_json_dumps_without_c_encoder(self, rows):
         with _c_encoder(None):
-            assert isinstance(_layout(0)[0].__self__, json.JSONEncoder)
-            self.check(spec)
+            self.check(rows)
 
 
 class TestRenderPinned:

@@ -1,9 +1,12 @@
+import argparse
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cobkit.cli import Output, _bounds, _render
 from cobkit.cobordism import (
     MBounds,
     OrderCertificate,
@@ -153,12 +156,16 @@ class TestMBoundsValidation:
         assert checked > 0
 
     def test_json_round_trip(self):
+        # the CLI's JSON for a record reads back as the same record
+        args = argparse.Namespace(json=True, csv=False)
         for x in (
             S3,
             MBounds(Fraction(-3, 2), Fraction(17, 4), rokhlin=2, provenance=("a", "b")),
             MBounds(-2, 0, m_exact=-2, mbar_exact=0, rokhlin=8),
+            MBounds(Fraction(1, 4), Fraction(3, 4)),
         ):
-            assert bounds_from_json_dict(x.to_json_dict()) == x
+            text = _render(args, Output({"bounds": _bounds(x)}))
+            assert bounds_from_json_dict(json.loads(text)["bounds"]) == x
 
 
 class TestFilling:

@@ -341,3 +341,25 @@ class TestMirrorConsistency:
             via = reverse_orientation(m_bounds(mirror(space)))
             assert (direct.m_lower, direct.mbar_upper) == (via.m_lower, via.mbar_upper)
             assert direct.rokhlin == via.rokhlin
+
+
+class TestHomeomorphicPresentations:
+    def test_inverse_presentation_agrees(self):
+        # L(alpha, beta) and L(alpha, beta^-1 mod alpha) are homeomorphic:
+        # the two routes must give one Rokhlin class and intervals that meet
+        start = time.perf_counter()
+        checked = 0
+        for alpha in range(3, 300, 2):
+            bounds = {
+                beta: m_bounds(LensSpace(alpha, beta))
+                for beta in range(1, alpha)
+                if math.gcd(alpha, beta) == 1
+            }
+            for beta, x in bounds.items():
+                y = bounds[pow(beta, -1, alpha)]
+                assert x.rokhlin == y.rokhlin, (alpha, beta)
+                assert max(x.m_lower, y.m_lower) <= min(x.mbar_upper, y.mbar_upper), (alpha, beta)
+                checked += 1
+        assert checked == 18232
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"

@@ -13,7 +13,7 @@ import csv
 import sys
 
 from cobkit.arith import dec
-from cobkit.lens import family, m_bounds
+from cobkit.lens import _lens_row, family
 from cobkit.surgery import slice_genus_lower
 
 
@@ -28,17 +28,10 @@ def main(argv=None) -> int:
     rows = []
     for k in range(2, args.k_max + 1, 2):
         space, cf = family("16k+7", k)
-        bounds = m_bounds(space, cf)
-        need = slice_genus_lower(space.alpha, bounds.rokhlin, bounds.m_lower)
+        row = _lens_row(space.alpha, space.beta, cf)
+        need = slice_genus_lower(row.alpha, row.rokhlin, row.m_lower)
         rows.append(
-            [
-                str(k),
-                str(space.alpha),
-                str(space.beta),
-                str(bounds.rokhlin.value),
-                dec(bounds.m_lower),
-                dec(need),
-            ]
+            [str(k), str(row.alpha), str(row.beta), str(row.rokhlin), dec(row.m_lower), dec(need)]
         )
 
     header = ["k", "alpha", "beta", "rokhlin", "m_lower", "genus_needed"]

@@ -304,8 +304,8 @@ def _cmd_genus_bound(args) -> Output:
             raise UsageError("--lens replaces --h/--rokhlin/--m-lower")
         space = lens.LensSpace(*args.lens)
         cf = contfrac.parse_cf(args.cf) if args.cf else None
-        bounds = lens.m_bounds(space, cf)
-        h, rk, m_lower = space.alpha, bounds.rokhlin, bounds.m_lower
+        row = lens._lens_row(space.alpha, space.beta, cf)
+        h, rk, m_lower = row.alpha, RokhlinClass(row.rokhlin), row.m_lower
     else:
         if args.cf is not None:
             raise UsageError("--cf needs --lens")

@@ -191,16 +191,18 @@ def infinite_order_certificate(x: MBounds) -> OrderCertificate:
 
 def _cover_quarters(sigma_knot: int, genus_upper: int) -> tuple[int, int]:
     """(4 m_lower, 4 mbar_upper) = (5 sigma(K) - 8g, 5 sigma(K) + 8g) for
-    the branched double cover of a knot, refused unless g >= 0, sigma(K)
-    is even and the interval is not empty."""
+    the branched double cover of a knot, refused unless g >= 0 and
+    sigma(K) is even; with g >= 0 the interval is not empty."""
     if genus_upper < 0:
         raise DomainError("branched_cover_bounds requires genus_upper >= 0")
     if sigma_knot % 2 != 0:
         raise DomainError("knot signatures are even")
-    lower, upper = 5 * sigma_knot - 8 * genus_upper, 5 * sigma_knot + 8 * genus_upper
-    if lower > upper:
-        raise DomainError("m_lower must not exceed mbar_upper")
-    return lower, upper
+    return 5 * sigma_knot - 8 * genus_upper, 5 * sigma_knot + 8 * genus_upper
+
+
+def _cover_line(sigma_knot: int, genus_upper: int) -> str:
+    """The provenance line of the bounds of a branched double cover."""
+    return f"branched double cover (sigma(K)={sigma_knot}, slice genus <= {genus_upper})"
 
 
 def branched_cover_bounds(
@@ -217,8 +219,5 @@ def branched_cover_bounds(
         m_lower=Fraction(lower, 4),
         mbar_upper=Fraction(upper, 4),
         rokhlin=RokhlinClass(sigma_knot),
-        provenance=tuple(provenance)
-        + (
-            f"branched double cover (sigma(K)={sigma_knot}, slice genus <= {genus_upper})",
-        ),
+        provenance=tuple(provenance) + (_cover_line(sigma_knot, genus_upper),),
     )

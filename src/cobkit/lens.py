@@ -5,6 +5,9 @@ two-bridge knot S(alpha, beta), so any admissible expansion of
 alpha/beta yields certified bounds on m and mbar and the exact Rokhlin
 invariant sigma(S(alpha, beta)) mod 16.  For even beta the mirror
 L(alpha, alpha - beta) is computed and the orientation reversed.
+One kernel, _lens_row, goes from a pair to its row in integers: census
+yields its rows, and m_bounds and classify_order wrap a row in the
+records and the provenance.
 Orientation convention: L(alpha, beta) is -alpha/beta surgery on the
 unknot.
 """
@@ -18,11 +21,10 @@ from .cobordism import (
     MBounds,
     OrderCertificate,
     _bounds_certify,
+    _cover_line,
     _cover_quarters,
     _quarters,
-    branched_cover_bounds,
     infinite_order_certificate,
-    reverse_orientation,
 )
 from .contfrac import (
     AdmissibleCF,
@@ -56,71 +58,6 @@ class LensSpace(_LensFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-
-def mirror(space: LensSpace) -> LensSpace:
-    """L(alpha, alpha - beta), the orientation reversal of L(alpha, beta)."""
-    return LensSpace(space.alpha, space.alpha - space.beta)
-
-
-def _cover_bounds(
-    space: LensSpace, cf: AdmissibleCF | None
-) -> tuple[MBounds, AdmissibleCF]:
-    """m_bounds together with the odd-beta expansion it was computed from."""
-    reversed_mirror = space.beta % 2 == 0
-    odd = mirror(space) if reversed_mirror else space
-    if cf is None:
-        cf = find_admissible_cf(odd.alpha, odd.beta)
-    elif reversed_mirror:
-        raise DomainError(
-            "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
-        )
-    elif (cf.alpha, cf.beta) != (space.alpha, space.beta):
-        raise DomainError(
-            f"expansion targets {cf.alpha}/{cf.beta}, not {space.alpha}/{space.beta}"
-        )
-    head = (
-        (f"L({space.alpha},{space.beta}) as reversed mirror",) if reversed_mirror else ()
-    )
-    sigma, genus = _knot_invariants(cf)[:2]
-    bounds = branched_cover_bounds(
-        sigma,
-        genus,
-        provenance=head
-        + (
-            f"L({odd.alpha},{odd.beta}) branched over S({odd.alpha},{odd.beta})",
-            f"expansion {format_cf(cf)}",
-        ),
-    )
-    return (reverse_orientation(bounds) if reversed_mirror else bounds), cf
-
-
-def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
-    """Certified m and mbar bounds and the Rokhlin class of L(alpha, beta).
-
-    An admissible expansion of alpha/beta (found automatically when not
-    supplied) presents the two-bridge cover; the branched double cover
-    bounds with its signature and slice genus bound give the interval.
-    """
-    return _cover_bounds(space, cf)[0]
-
-
-# Known order facts that the certificates here cannot derive.  Values
-# are (order label, reason); they are reported verbatim, never computed.
-ORDER_ANNOTATIONS: dict[tuple[int, int], tuple[str, str]] = {
-    (5, 3): (
-        "<=2",
-        "admits an orientation-reversing self-diffeomorphism, so the class has order at most 2",
-    ),
-    (13, 5): (
-        "<=2",
-        "admits an orientation-reversing self-diffeomorphism, so the class has order at most 2",
-    ),
-    (9, 5): (
-        "0",
-        "bounds a Z/2-acyclic 4-manifold, so the class is 0",
-    ),
-}
 
 
 class CensusRow(NamedTuple):
@@ -170,15 +107,66 @@ class OrderReport(NamedTuple):
     def row(self) -> CensusRow:
         """This report as the census prints it."""
         b = self.bounds
-        return CensusRow(
-            self.space.alpha,
-            self.space.beta,
-            _quarters(b.m_lower),
-            _quarters(b.mbar_upper),
-            b.rokhlin.value,
-            self.cf,
-            self.order,
+        lower, upper = _quarters(b.m_lower), _quarters(b.mbar_upper)
+        return CensusRow(*self.space, lower, upper, b.rokhlin.value, self.cf, self.order)
+
+
+# Known order facts that the certificates here cannot derive: the label
+# of each annotated pair, and the reason each label is reported with.
+# They are reported verbatim, never computed.
+ORDER_ANNOTATIONS: dict[tuple[int, int], str] = {(5, 3): "<=2", (13, 5): "<=2", (9, 5): "0"}
+_ORDER_REASONS = {
+    "<=2": "admits an orientation-reversing self-diffeomorphism, so the class has order at most 2",
+    "0": "bounds a Z/2-acyclic 4-manifold, so the class is 0",
+}
+
+
+def _lens_row(alpha: int, beta: int, cf: AdmissibleCF | None = None) -> CensusRow:
+    """The row of L(alpha, beta), alpha odd and beta coprime to it: the
+    branched double cover bounds of the odd-beta representative, reversed
+    for even beta, and the order label from the bound certificate or
+    ORDER_ANNOTATIONS.  A supplied cf must expand alpha/beta, beta odd."""
+    odd = alpha - beta if beta % 2 == 0 else beta
+    if cf is None:
+        cf = find_admissible_cf(alpha, odd)
+    elif odd != beta:
+        raise DomainError(
+            "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
         )
+    elif (cf.alpha, cf.beta) != (alpha, beta):
+        raise DomainError(f"expansion targets {cf.alpha}/{cf.beta}, not {alpha}/{beta}")
+    sigma, genus = _knot_invariants(cf)[:2]
+    lower, upper = _cover_quarters(sigma, genus)
+    if odd != beta:  # m(-Y) = -mbar(Y), mbar(-Y) = -m(Y), R(-Y) = -R(Y)
+        lower, upper, sigma = -upper, -lower, -sigma
+    order = "inf" if _bounds_certify(lower, upper) else ORDER_ANNOTATIONS.get((alpha, beta), "?")
+    return CensusRow(alpha, beta, lower, upper, sigma % 16, cf, order)
+
+
+def _row_bounds(row: CensusRow) -> MBounds:
+    """The row's interval as an MBounds with the provenance of its cover.
+    sigma(K) and g are read back from the quarter counts 5 sigma(K) -+ 8g,
+    which _lens_row negated for even beta."""
+    alpha, beta, lower, upper, rokhlin, cf = row[:6]
+    reversed_mirror = cf.beta != beta
+    trail = (
+        f"L({alpha},{cf.beta}) branched over S({alpha},{cf.beta})",
+        f"expansion {format_cf(cf)}",
+        _cover_line((lower + upper) // (-10 if reversed_mirror else 10), (upper - lower) // 16),
+    )
+    if reversed_mirror:
+        trail = (f"L({alpha},{beta}) as reversed mirror", *trail, "orientation reversed")
+    return MBounds(Fraction(lower, 4), Fraction(upper, 4), rokhlin=rokhlin, provenance=trail)
+
+
+def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
+    """Certified m and mbar bounds and the Rokhlin class of L(alpha, beta).
+
+    An admissible expansion of alpha/beta (found automatically when not
+    supplied) presents the two-bridge cover; the branched double cover
+    bounds with its signature and slice genus bound give the interval.
+    """
+    return _row_bounds(_lens_row(space.alpha, space.beta, cf))
 
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
@@ -186,54 +174,44 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
     certificate fires or an all-positive expansion exists, otherwise an
     annotated known order, otherwise unknown.
 
+    The bounds and the label come from the row that m_bounds and census
+    read; this adds the certificate's reason and the all-positive check.
     An all-positive expansion is the forced one, and for it
     sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so m >= (sum(a) - 1)/4 > 0
     (mbar < 0 after reversal for even beta): the certificate has fired.
     So find_positive_cf runs only on a supplied cf, which is of
     alpha/beta itself, whose certificate did not fire.
     """
-    bounds, used = _cover_bounds(space, cf)
+    row = _lens_row(space.alpha, space.beta, cf)
+    bounds = _row_bounds(row)
     cert = infinite_order_certificate(bounds)
-    if cert.verdict == "unknown" and cf is not None:
+    order = row.order
+    if order != "inf" and cf is not None:
         positive = find_positive_cf(cf.alpha, cf.beta)
         if positive is not None:
+            order = "inf"
             cert = OrderCertificate(
                 "infinite",
                 f"all-positive expansion {format_cf(positive)} certifies infinite order",
             )
-    if cert.verdict == "infinite":
-        return OrderReport(space, "inf", bounds, cert, None, used)
-    label, note = ORDER_ANNOTATIONS.get((space.alpha, space.beta), ("?", None))
-    return OrderReport(space, label, bounds, cert, note, used)
+    return OrderReport(space, order, bounds, cert, _ORDER_REASONS.get(order), row.cf)
 
 
 def census(alpha_max: int) -> Iterator[CensusRow]:
-    """Rows of every L(alpha, beta) with odd alpha <= alpha_max and beta
-    odd and coprime, in (alpha, beta) order.
-
-    Each row is what classify_order(LensSpace(alpha, beta)) reports,
-    reached by the same checked expansion and the same bound and verdict
-    rules on quarter counts, without the records and provenance no row
-    prints.  The rows keep the counts, which the printers turn into text
-    once per distinct value.  With beta odd there is no mirror to take,
-    and with no supplied expansion no all-positive one to look for.
+    """The _lens_row of every L(alpha, beta) with odd alpha <= alpha_max
+    and beta odd and coprime, in (alpha, beta) order: what
+    classify_order(LensSpace(alpha, beta)).row reports, without the
+    records and provenance no row prints.  The rows keep the quarter
+    counts, which the printers turn into text once per distinct value.
     """
     for alpha in range(3, alpha_max + 1, 2):
         for beta in range(1, alpha, 2):
-            if gcd(alpha, beta) != 1:
-                continue
-            cf = find_admissible_cf(alpha, beta)
-            sigma, genus = _knot_invariants(cf)[:2]
-            lower, upper = _cover_quarters(sigma, genus)
-            if _bounds_certify(lower, upper):
-                order = "inf"
-            else:
-                order = ORDER_ANNOTATIONS.get((alpha, beta), ("?",))[0]
-            yield CensusRow(alpha, beta, lower, upper, sigma % 16, cf, order)
+            if gcd(alpha, beta) == 1:
+                yield _lens_row(alpha, beta)
 
 
 # Fixed presentations for every lens space with odd |H_1| <= 13 (beta
-# odd, one per mirror pair).  table1 checks each one when it builds it.
+# odd, one per mirror pair).  classify_order checks each against its pair.
 _TABLE_CFS: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...] = (
     (3, 1, (3,), ()),
     (5, 3, (1, -2), (1,)),
@@ -257,12 +235,10 @@ def table1() -> tuple[OrderReport, ...]:
     Uses the fixed expansions above so the emitted intervals are stable;
     the order comes from classify_order (certificates plus the
     annotation table)."""
-    rows = []
-    for alpha, beta, a, b in _TABLE_CFS:
-        cf = admissible_cf(a, b)
-        assert (cf.alpha, cf.beta) == (alpha, beta)
-        rows.append(classify_order(LensSpace(alpha, beta), cf))
-    return tuple(rows)
+    return tuple(
+        classify_order(LensSpace(alpha, beta), admissible_cf(a, b))
+        for alpha, beta, a, b in _TABLE_CFS
+    )
 
 
 def family(name: str, parameter: int) -> tuple[LensSpace, AdmissibleCF]:

@@ -4,8 +4,9 @@ The package answers by closed forms and one-pass integer folds; these
 are the independent routes the tests hold it to: Dedekind sums, one
 spin filling's bounds and the spin surgery model that produces it, the
 value of an expansion from its a and b sequences, the admissibility
-rules walked one by one, the JSON reader of an MBounds record, and
-exact elimination on the T(p, q, r) intersection matrix.  Each refuses
+rules walked one by one, the JSON reader of an MBounds record, the
+orientation reversal of a lens space as a pair, and exact elimination
+on the T(p, q, r) intersection matrix.  Each refuses
 input outside its domain with DomainError.
 """
 
@@ -17,6 +18,7 @@ from types import SimpleNamespace
 from cobkit.cobordism import MBounds, RokhlinClass
 from cobkit.contfrac import _fold, eval_terms
 from cobkit.errors import DomainError
+from cobkit.lens import LensSpace
 from cobkit.plumbing import MpqrTriple
 
 
@@ -184,6 +186,11 @@ def rule_violation(a, b) -> str | None:
         if x * y <= 0:
             return f"a_{i + 1} * b_{i + 1} > 0 violated"
     return None
+
+
+def mirror(space: LensSpace) -> LensSpace:
+    """L(alpha, alpha - beta), the orientation reversal of L(alpha, beta)."""
+    return LensSpace(space.alpha, space.alpha - space.beta)
 
 
 def bounds_from_json_dict(d: dict) -> MBounds:

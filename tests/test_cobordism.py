@@ -259,6 +259,16 @@ class TestOrderCertificate:
         cert = infinite_order_certificate(MBounds(-2, 2, rokhlin=0))
         assert cert == OrderCertificate("unknown", "no certificate applies")
 
+    def test_fires_from_the_first_quarter_past_zero(self):
+        for lower, upper, verdict in (
+            (1, 4, "infinite"),
+            (0, 4, "unknown"),
+            (-4, -1, "infinite"),
+            (-4, 0, "unknown"),
+        ):
+            x = MBounds(Fraction(lower, 4), Fraction(upper, 4))
+            assert infinite_order_certificate(x).verdict == verdict, (lower, upper)
+
 
 class TestBranchedCover:
     def test_trefoil_cover(self):
@@ -282,7 +292,7 @@ class TestBranchedCover:
         assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (-9, -1, 12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="knot signatures are even"):
             branched_cover_bounds(3, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="requires genus_upper >= 0"):
             branched_cover_bounds(2, -1)

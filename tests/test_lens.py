@@ -1,11 +1,18 @@
+import itertools
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
-from cobkit.cobordism import reverse_orientation
-from cobkit.contfrac import admissible_cf, find_admissible_cf, find_positive_cf
+from cobkit.cobordism import branched_cover_bounds, reverse_orientation
+from cobkit.contfrac import (
+    AdmissibleCF,
+    admissible_cf,
+    find_admissible_cf,
+    find_positive_cf,
+    format_cf,
+)
 from cobkit.errors import DomainError
 from cobkit.lens import (
     ORDER_ANNOTATIONS,
@@ -14,9 +21,10 @@ from cobkit.lens import (
     classify_order,
     family,
     m_bounds,
-    mirror,
     table1,
 )
+from cobkit.twobridge import _knot_invariants
+from oracles import mirror
 
 
 def hirzebruch_jung(p: int, q: int) -> list[int]:
@@ -105,6 +113,18 @@ class TestMBounds:
             "branched double cover (sigma(K)=0, slice genus <= 1)",
             "orientation reversed",
         )
+
+    def test_odd_beta_is_the_cover_record(self):
+        # the provenance reads sigma(K) and g back from the quarter counts;
+        # the public cover record takes them from the knot
+        for alpha in range(3, 100, 2):
+            for beta in range(1, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                cf = find_admissible_cf(alpha, beta)
+                head = (f"L({alpha},{beta}) branched over S({alpha},{beta})", f"expansion {format_cf(cf)}")
+                cover = branched_cover_bounds(*_knot_invariants(cf)[:2], provenance=head)
+                assert m_bounds(LensSpace(alpha, beta)) == cover
 
     def test_supplied_expansion(self):
         cf = admissible_cf((2, -3), (1,))
@@ -225,6 +245,7 @@ class TestCensus:
         assert pairs == sorted(set(pairs))
         assert all(a % 2 == b % 2 == 1 and math.gcd(a, b) == 1 for a, b in pairs)
         assert pairs[0] == (3, 1) and pairs[-1] == (99, 97)
+        assert list(census(100)) == rows
 
     def test_rows_match_classify_order(self):
         # the census's own route to each row against the full records
@@ -325,22 +346,89 @@ class TestFamily:
         )
 
     def test_family_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="requires even k"):
             family("16k+7", 3)
-        with pytest.raises(DomainError):
-            family("10n+1", 0)
-        with pytest.raises(DomainError):
+        for name in ("10n+1", "16k+7"):
+            with pytest.raises(DomainError, match="requires a positive parameter"):
+                family(name, 0)
+        with pytest.raises(DomainError, match="must be '10n\\+1' or '16k\\+7'"):
             family("unknown", 2)
 
 
 class TestMirrorConsistency:
     def test_even_beta_equals_reversed_odd(self):
-        for alpha, beta in ((5, 2), (7, 4), (9, 2), (13, 8), (39, 22)):
+        # the kernel reverses the odd mirror's row in integers; the record
+        # route reverses its MBounds: the two must agree to the provenance
+        start = time.perf_counter()
+        checked = 0
+        for alpha in range(3, 200, 2):
+            for beta in range(2, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                direct = m_bounds(LensSpace(alpha, beta))
+                via = reverse_orientation(m_bounds(LensSpace(alpha, alpha - beta)))
+                assert (direct.m_lower, direct.mbar_upper) == (via.m_lower, via.mbar_upper)
+                assert direct.rokhlin == via.rokhlin, (alpha, beta)
+                head = f"L({alpha},{beta}) as reversed mirror"
+                assert direct.provenance == (head, *via.provenance), (alpha, beta)
+                checked += 1
+        assert checked == 4075
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
+
+
+def admissible_expansions(max_terms: int, max_term: int):
+    """(a, b, p, q) for every a, b whose terms (a1, 2b1, ..., an) number
+    at most max_terms, each of size at most max_term, and keep the sign
+    rule a_i b_i > 0; p/q is the value, built from the innermost term
+    out by (p, q) <- (t p + q, p)."""
+    a_range = [t for t in range(-max_term, max_term + 1) if t]
+    b_sizes = range(1, max_term // 2 + 1)
+    level = [((x,), (), x, 1) for x in a_range]
+    yield from level
+    for _ in range((max_terms - 1) // 2):
+        longer = []
+        for a, b, p, q in level:
+            assert p != 0  # the sign rule keeps every tail nonzero
+            for x in a_range:
+                for size in b_sizes:
+                    y = size if x > 0 else -size
+                    p1, q1 = 2 * y * p + q, p
+                    assert p1 != 0
+                    longer.append(((x, *a), (y, *b), x * p1 + q1, p1))
+        level = longer
+        yield from level
+
+
+class TestExpansionIndependence:
+    def test_every_small_expansion_agrees_with_the_forced_one(self):
+        # sigma is a knot invariant; no expansion bounds the slice genus
+        # below the forced one, so a supplied cf never tightens an interval
+        start = time.perf_counter()
+        forced = {}
+        seen = 0
+        enumerated = 0
+        for a, b, p, q in admissible_expansions(max_terms=7, max_term=4):
+            enumerated += 1
+            alpha, beta = (p, q) if q > 0 else (-p, -q)
+            if not (alpha % 2 == beta % 2 == 1 and beta < alpha <= 31):
+                continue
+            cf = AdmissibleCF(a, b, alpha, beta)
             space = LensSpace(alpha, beta)
-            direct = m_bounds(space)
-            via = reverse_orientation(m_bounds(mirror(space)))
-            assert (direct.m_lower, direct.mbar_upper) == (via.m_lower, via.mbar_upper)
-            assert direct.rokhlin == via.rokhlin
+            if (alpha, beta) not in forced:
+                found = find_admissible_cf(alpha, beta)
+                forced[alpha, beta] = (_knot_invariants(found)[:2], m_bounds(space))
+            (sigma, genus), bounds = forced[alpha, beta]
+            cf_sigma, cf_genus = _knot_invariants(cf)[:2]
+            assert cf_sigma == sigma and cf_genus >= genus, cf
+            x = m_bounds(space, cf)
+            assert x.m_lower <= bounds.m_lower and bounds.mbar_upper <= x.mbar_upper, cf
+            assert x.rokhlin == bounds.rokhlin, cf
+            seen += 1
+        # 8 + 8^2 2 + 8^3 2^2 + 8^4 2^3 sequences; 51 of the 106 pairs have one
+        assert (enumerated, len(forced), seen) == (34952, 51, 92)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"enumeration took {elapsed:.2f}s, budget 10s"
 
 
 class TestHomeomorphicPresentations:

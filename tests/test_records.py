@@ -221,6 +221,8 @@ _CHECKS = [
     (AdmissibleCF, ((3,), (), 3, 2), {}, "target requires odd beta"),
     (AdmissibleCF, ((3,), (), 5, 1), {}, "expansion evaluates to 3, not 5/1"),
     (AdmissibleCF, ((2, -1, 2), (2, -1), 39, 22), {}, "target requires odd beta"),
+    (LensSpace, (5, 0), {}, "LensSpace requires 0 < beta < alpha"),
+    (LensSpace, (1, 1), {}, "LensSpace requires 0 < beta < alpha"),
 ]
 
 

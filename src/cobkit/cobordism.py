@@ -11,6 +11,7 @@ quarter of the Rokhlin invariant.
 """
 
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -21,12 +22,16 @@ class _RokhlinFields(NamedTuple):
 
 
 class RokhlinClass(_RokhlinFields):
-    """Rokhlin invariant in Z/16, stored as the even representative 0..14."""
+    """Rokhlin invariant in Z/16, stored as the even representative 0..14.
+    Takes an integer, or a RokhlinClass (returned unchanged); anything
+    else, a float, a Fraction or a str, is a TypeError."""
 
     __slots__ = ()
 
-    def __new__(cls, value: int):
-        v = value % 16
+    def __new__(cls, value):
+        if isinstance(value, RokhlinClass):
+            return value
+        v = index(value) % 16
         if v % 2 != 0:
             raise DomainError("Rokhlin invariant of a Z/2-homology sphere is even")
         return tuple.__new__(cls, (v,))
@@ -68,7 +73,8 @@ class MBounds(_MBoundsFields):
     m_exact and mbar_exact are set only for the handful of cases with a
     proved exact value (the T(p,q,r) plumbing spheres and their
     orientation reversals); when present they coincide with the
-    corresponding bound.  rokhlin carries the Rokhlin class when known.
+    corresponding bound.  rokhlin carries the Rokhlin class when known,
+    read through RokhlinClass.
     provenance lists, in order, the certificates the numbers came from.
     """
 
@@ -89,7 +95,7 @@ class MBounds(_MBoundsFields):
             m_exact = _on_grid(m_exact, 2, "m_exact")
         if mbar_exact is not None:
             mbar_exact = _on_grid(mbar_exact, 2, "mbar_exact")
-        if isinstance(rokhlin, int):
+        if rokhlin is not None:
             rokhlin = RokhlinClass(rokhlin)
         provenance = tuple(provenance)
         # every rule below compares quarter counts: 4x is an integer

@@ -11,7 +11,7 @@ checks the rules when it is built, so every record is admissible.
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .arith import check_digits
@@ -145,9 +145,10 @@ def eval_terms(terms) -> Fraction:
 
 
 def admissible_cf(a, b) -> AdmissibleCF:
-    """Build an AdmissibleCF, deriving the target by evaluation."""
-    a = tuple(int(x) for x in a)
-    b = tuple(int(x) for x in b)
+    """Build an AdmissibleCF, deriving the target by evaluation.  Terms
+    must be integers: a float, a Fraction or a str is a TypeError."""
+    a = tuple(map(index, a))
+    b = tuple(map(index, b))
     if len(a) != len(b) + 1:
         raise DomainError("admissible_cf requires len(a) = len(b) + 1")
     why = _rule_violation(a, b)

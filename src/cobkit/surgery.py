@@ -7,7 +7,9 @@ n - sign(n) = -R mod 8.  Framing sign conventions: '+' framing needs
 h - 1 = -R mod 8 and '-' framing needs h - 1 = +R mod 8, with R the
 representative in 0..14.  A characteristic surface of genus g carrying
 the Arf invariant converts the surgery into a spin filling, which turns
-the m and mbar machinery into genus bounds.
+the m and mbar machinery into the interval _surgery_quarters counts.
+The slice-genus bound reads the +h framing's upper count; the -h
+framing, allowed too when R = 0 mod 8, is ROADMAP item 1.
 """
 
 from fractions import Fraction
@@ -19,10 +21,6 @@ from .cobordism import MBounds, RokhlinClass
 from .errors import DomainError
 
 
-def _rk(rokhlin) -> RokhlinClass:
-    return rokhlin if isinstance(rokhlin, RokhlinClass) else RokhlinClass(rokhlin)
-
-
 def arf_from_surgery(n: int, rokhlin) -> int | None:
     """Arf invariant of a knot with odd framing n yielding Rokhlin class R.
 
@@ -32,53 +30,54 @@ def arf_from_surgery(n: int, rokhlin) -> int | None:
     """
     if n == 0 or n % 2 == 0:
         raise DomainError("arf_from_surgery requires odd nonzero n")
-    r = _rk(rokhlin).value
     eps = 1 if n > 0 else -1
-    if (n - eps + r) % 8 != 0:
-        return None
-    return ((n - eps + r) // 8) % 2
+    eighths, rest = divmod(n - eps + RokhlinClass(rokhlin).value, 8)
+    return None if rest else eighths % 2
 
 
 def congruence_obstruction(h: int, rokhlin) -> frozenset[str]:
     """Set of framing signs compatible with h = |H_1| and the Rokhlin class.
 
-    '+' is allowed when h - 1 = -R mod 8 and '-' when h - 1 = +R mod 8;
-    an empty set means the space is not integral surgery on a knot.
+    '+' is allowed when arf_from_surgery(h, R) exists and '-' when
+    arf_from_surgery(-h, R) does; an empty set means the space is not
+    integral surgery on a knot.
     """
     if h < 1 or h % 2 == 0:
         raise DomainError("congruence_obstruction requires odd h >= 1")
-    r = _rk(rokhlin).value
-    allowed = set()
-    if (h - 1 + r) % 8 == 0:
-        allowed.add("+")
-    if (h - 1 - r) % 8 == 0:
-        allowed.add("-")
-    return frozenset(allowed)
+    rokhlin = RokhlinClass(rokhlin)
+    return frozenset(
+        sign for sign, n in (("+", h), ("-", -h)) if arf_from_surgery(n, rokhlin) is not None
+    )
+
+
+def _surgery_quarters(n: int, mu: int, genus_upper: int) -> tuple[int, int]:
+    """(4 m_lower, 4 mbar_upper) for n-surgery on a knot with Arf
+    invariant mu and slice genus <= g.  With eps = sign(n), h = |n|:
+    mu = 0:  (-4-5 eps)(h-1) - 8g <= 4m <= 4mbar <= (4-5 eps)(h-1) + 8g
+    mu = 1:  the same with h-1 replaced by h+7, widened by 16 at each end."""
+    eps = 1 if n > 0 else -1
+    base = abs(n) - 1 + 8 * mu
+    extra = 8 * genus_upper + 16 * mu
+    return (-4 - 5 * eps) * base - extra, (4 - 5 * eps) * base + extra
 
 
 def m_bounds_from_surgery(n: int, rokhlin, genus_upper: int) -> MBounds:
-    """m and mbar bounds for n-surgery on a knot of slice genus <= g.
+    """m and mbar bounds for n-surgery on a knot of slice genus <= g,
+    the interval _surgery_quarters counts for the forced Arf invariant.
 
-    With eps = sign(n), h = |n|, and mu the forced Arf invariant:
-    mu = 0:  ((-4-5 eps)/4)(h-1) - 2g <= m <= mbar <= ((4-5 eps)/4)(h-1) + 2g
-    mu = 1:  the same with h-1 replaced by h+7 and the constants -4, +4.
     A negative g, an even or zero n, and a framing whose n - sign(n) is
     not -R mod 8 are domain errors.
     """
     if genus_upper < 0:
         raise DomainError("m_bounds_from_surgery requires genus_upper >= 0")
-    rokhlin = _rk(rokhlin)
+    rokhlin = RokhlinClass(rokhlin)
     mu = arf_from_surgery(n, rokhlin)
     if mu is None:
         raise DomainError("framing incompatible: n - sign(n) != -R mod 8, no such knot")
-    eps = 1 if n > 0 else -1
-    base = abs(n) - 1 if mu == 0 else abs(n) + 7
-    extra = 0 if mu == 0 else 4
-    lower = Fraction(-4 - 5 * eps, 4) * base - 2 * genus_upper - extra
-    upper = Fraction(4 - 5 * eps, 4) * base + 2 * genus_upper + extra
+    lower, upper = _surgery_quarters(n, mu, genus_upper)
     return MBounds(
-        m_lower=lower,
-        mbar_upper=upper,
+        m_lower=Fraction(lower, 4),
+        mbar_upper=Fraction(upper, 4),
         rokhlin=rokhlin,
         provenance=(f"surgery model (n={n}, Arf={mu}, slice genus <= {genus_upper})",),
     )
@@ -88,21 +87,22 @@ def slice_genus_lower(h: int, rokhlin, m_lower) -> Fraction:
     """Slice genus any knot needs for its +h surgery to yield a space
     with the given Rokhlin class and m >= m_lower.
 
-    Requires R != 4 mod 8 and h - 1 = -R mod 8, the '+' framing.  The
-    '-' framing is not considered, though at R = 0 mod 8 it is allowed
-    too.  With mu = arf_from_surgery(h, R) the bound is
-    (1/8)(h - 1 + 4 m_lower) - mu, clamped at 0.
+    Requires R != 4 mod 8 and h - 1 = -R mod 8, the '+' framing.  A knot
+    of slice genus g gives 4 mbar <= U + 8g, with U the +h model's upper
+    count at g = 0 (_surgery_quarters), and m <= mbar; so the bound is
+    (4 m_lower - U)/8, clamped at 0.  The '-' framing, allowed too at
+    R = 0 mod 8, is not considered: that is ROADMAP item 1.
     """
     if h < 1 or h % 2 == 0:
         raise DomainError("slice_genus_lower requires odd h >= 1")
-    rokhlin = _rk(rokhlin)
+    rokhlin = RokhlinClass(rokhlin)
     if rokhlin.value % 8 == 4:
         raise DomainError("slice_genus_lower requires R != 4 mod 8")
     mu = arf_from_surgery(h, rokhlin)
     if mu is None:
         raise DomainError("slice_genus_lower requires h - 1 = -R mod 8")
-    bound = Fraction(h - 1 + 4 * Fraction(m_lower), 8) - mu
-    return max(Fraction(0), bound)
+    upper = _surgery_quarters(h, mu, 0)[1]
+    return max(Fraction(0), Fraction(4 * Fraction(m_lower) - upper, 8))
 
 
 class ObstructionTest(NamedTuple):
@@ -116,6 +116,17 @@ class ObstructionReport(NamedTuple):
     conclusion: str
 
 
+def _square_class(
+    name: str, x: int, d: int, either: str, neither: tuple[int, int]
+) -> ObstructionTest:
+    """The test that x or -x is a square mod d: 'pass' names the pair
+    as either, 'obstructed' names the two residues in neither."""
+    if is_square_mod(x, d) or is_square_mod(-x, d):
+        return ObstructionTest(name, "pass", f"{either} is a square mod {d}; no obstruction")
+    a, b = neither
+    return ObstructionTest(name, "obstructed", f"neither {a} nor {b} is a square mod {d}")
+
+
 def qr_obstruction(p: int, q: int) -> ObstructionTest:
     """Quadratic residue test for L(p, q) as surgery on a knot.
 
@@ -126,18 +137,7 @@ def qr_obstruction(p: int, q: int) -> ObstructionTest:
         raise DomainError("qr_obstruction requires odd p >= 1")
     if gcd(p, q) != 1:
         raise DomainError("qr_obstruction requires gcd(p, q) = 1")
-    ok = is_square_mod(q, p) or is_square_mod(-q, p)
-    if ok:
-        return ObstructionTest(
-            "square_class",
-            "pass",
-            f"q or -q is a square mod {p}; no obstruction",
-        )
-    return ObstructionTest(
-        "square_class",
-        "obstructed",
-        f"neither {q % p} nor {-q % p} is a square mod {p}",
-    )
+    return _square_class("square_class", q, p, "q or -q", (q % p, -q % p))
 
 
 def unknotting_one_obstruction(det: int) -> ObstructionTest:
@@ -150,19 +150,7 @@ def unknotting_one_obstruction(det: int) -> ObstructionTest:
     """
     if det % 2 == 0 or abs(det) <= 1:
         raise DomainError("unknotting_one_obstruction requires odd |det| > 1")
-    d = abs(det)
-    ok = is_square_mod(2, d) or is_square_mod(-2, d)
-    if ok:
-        return ObstructionTest(
-            "unknotting_determinant",
-            "pass",
-            f"2 or -2 is a square mod {d}; no obstruction",
-        )
-    return ObstructionTest(
-        "unknotting_determinant",
-        "obstructed",
-        f"neither 2 nor -2 is a square mod {d}",
-    )
+    return _square_class("unknotting_determinant", 2, abs(det), "2 or -2", (2, -2))
 
 
 def obstruction_report(
@@ -184,7 +172,6 @@ def obstruction_report(
         if h is None or rokhlin is None:
             raise DomainError("the congruence test needs both h and the Rokhlin class")
         allowed = congruence_obstruction(h, rokhlin)
-        signs = ",".join(sorted(allowed)) if allowed else "none"
         if not allowed:
             tests.append(
                 ObstructionTest(
@@ -195,11 +182,8 @@ def obstruction_report(
                 )
             )
         else:
-            tests.append(
-                ObstructionTest(
-                    "congruence", "pass", f"allowed framing signs: {signs}"
-                )
-            )
+            signs = ",".join(sorted(allowed))
+            tests.append(ObstructionTest("congruence", "pass", f"allowed framing signs: {signs}"))
             if len(allowed) == 1:
                 forced = next(iter(allowed))
     if lens_pair is not None:

@@ -90,6 +90,19 @@ class TestRokhlinClass:
     def test_group_operations(self):
         assert (-RokhlinClass(2)).value == 14
 
+    def test_refuses_non_integers(self):
+        for value in (2.0, Fraction(2), "2", "x"):
+            with pytest.raises(TypeError):
+                RokhlinClass(value)
+            with pytest.raises(TypeError):
+                MBounds(-1, 1, rokhlin=value)
+
+    def test_takes_a_class_unchanged(self):
+        r = RokhlinClass(2)
+        assert RokhlinClass(r) is r and RokhlinClass(RokhlinClass(2)) == RokhlinClass(2)
+        assert MBounds(-1, 1, rokhlin=r).rokhlin is r
+        assert MBounds(-1, 1, rokhlin=18).rokhlin == r
+
     @given(st.integers(-100, 100).map(lambda k: 2 * k))
     def test_involution(self, v):
         r = RokhlinClass(v)

@@ -223,6 +223,17 @@ class TestValidate:
         assert cf.alpha == 1 and cf.beta == 1
         assert AdmissibleCF((1,), (), 1, 1) == cf
 
+    def test_admissible_cf_takes_only_integer_terms(self):
+        # terms are read with operator.index, never truncated
+        for term in (2.5, 2.0, Fraction(5, 2), Fraction(2), "2"):
+            with pytest.raises(TypeError):
+                admissible_cf((term,), ())
+            with pytest.raises(TypeError):
+                admissible_cf((3, 1), (term,))
+        assert admissible_cf((2,), ()) == AdmissibleCF((2,), (), 2, 1)
+        cf = find_admissible_cf(39, 17)
+        assert admissible_cf(list(cf.a), iter(cf.b)) == cf
+
     def test_sign_condition(self):
         # a2 * b2 < 0 breaks the interior sign rule
         with pytest.raises(DomainError, match="violated"):

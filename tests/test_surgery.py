@@ -96,12 +96,17 @@ class TestArf:
                 assert (-(n - eps) + 8 * a) % 16 == r
 
     def test_matches_congruence_signs(self):
-        for h in range(1, 30, 2):
-            for r in range(0, 16, 2):
-                allowed = congruence_obstruction(h, r)
-                assert (arf_from_surgery(h, r) is not None) == ("+" in allowed)
-                if h > 1:
-                    assert (arf_from_surgery(-h, r) is not None) == ("-" in allowed)
+        # the literal rules: '+' needs h - 1 = -R and '-' needs h - 1 = +R mod 8
+        for h in range(1, 400, 2):
+            for r in range(-2, 18):
+                if r % 2:
+                    with pytest.raises(DomainError, match="is even"):
+                        congruence_obstruction(h, r)
+                    continue
+                want = {"+"} if (h - 1 + r) % 8 == 0 else set()
+                if (h - 1 - r) % 8 == 0:
+                    want.add("-")
+                assert congruence_obstruction(h, r) == want, (h, r)
 
 
 class TestCongruence:
@@ -122,6 +127,12 @@ class TestCongruence:
         with pytest.raises(DomainError):
             congruence_obstruction(4, 0)
 
+    def test_rejects_h_below_one(self):
+        # its own message, not the one -h would reach in arf_from_surgery
+        for h in (4, 0, -1, -3):
+            with pytest.raises(DomainError, match="requires odd h >= 1"):
+                congruence_obstruction(h, 0)
+
 
 class TestSurgeryCandidate:
     """What a surgery candidate (n, R, g) forces, and the candidates
@@ -141,6 +152,14 @@ class TestSurgeryCandidate:
     def test_negative_genus(self):
         with pytest.raises(DomainError, match="genus_upper >= 0"):
             m_bounds_from_surgery(3, 14, -1)
+
+    def test_refuses_non_integer_rokhlin(self):
+        with pytest.raises(TypeError):
+            m_bounds_from_surgery(3, 14.0, 0)
+        with pytest.raises(TypeError):
+            arf_from_surgery(3, Fraction(14))
+        with pytest.raises(TypeError):
+            congruence_obstruction(3, "14")
 
 
 class TestSpinModel:
@@ -240,26 +259,49 @@ class TestSliceGenusLower:
 
     def test_mu_is_the_forced_arf(self):
         # the bound subtracts ((h - 1 + R)/8) mod 2, the Arf invariant of the +h framing
-        m = Fraction(-3, 2)
-        for h in range(1, 200, 2):
+        big = 10**299 + 7  # 300 digits
+        for h in [*range(1, 200, 2), big, big + 2, big + 4, big + 6]:
             for r in range(0, 16, 2):
                 if r % 8 == 4 or (h - 1 + r) % 8:
                     continue
                 mu = ((h - 1 + r) // 8) % 2
                 assert mu == arf_from_surgery(h, r)
-                assert slice_genus_lower(h, r, m) == max(0, Fraction(h - 1 + 4 * m, 8) - mu)
+                for m in (Fraction(-3, 2), Fraction(1, 3), Fraction(-7, 5), 0, 7):
+                    want = max(0, Fraction(h - 1 + 4 * m, 8) - mu)
+                    got = slice_genus_lower(h, r, m)
+                    assert type(got) is Fraction and got == want, (h, r, m)
+
+    def test_any_size_of_h(self):
+        # past the interpreter's int-to-str limit: nothing is printed
+        h = 8 * 10**5000 + 1
+        got = slice_genus_lower(h, 0, 0)
+        assert type(got) is Fraction and got == 10**5000
+        assert slice_genus_lower(h, 0, Fraction(h)) == Fraction(5 * h - 1, 8)
+
+    def test_refuses_non_integer_rokhlin(self):
+        with pytest.raises(TypeError):
+            slice_genus_lower(39, 2.0, Fraction(-3, 2))
+        with pytest.raises(TypeError):
+            slice_genus_lower(39, Fraction(2), Fraction(-3, 2))
+        # h is checked before the class is read
+        with pytest.raises(DomainError, match="odd h >= 1"):
+            slice_genus_lower(4, 2.0, 0)
 
 
 class TestQrObstruction:
     def test_obstructed(self):
         t = qr_obstruction(5, 2)
         assert t.verdict == "obstructed" and t.name == "square_class"
+        assert t.detail == "neither 2 nor 3 is a square mod 5"
+        assert qr_obstruction(5, -8).detail == "neither 2 nor 3 is a square mod 5"
         assert qr_obstruction(15, 2).verdict == "obstructed"
 
     def test_passes(self):
         assert qr_obstruction(5, 1).verdict == "pass"
         assert qr_obstruction(7, 3).verdict == "pass"
         assert qr_obstruction(9, 2).verdict == "pass"
+        # p = 1 is S^3 itself: every residue is a square mod 1
+        assert qr_obstruction(1, 0) == ("square_class", "pass", "q or -q is a square mod 1; no obstruction")
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
@@ -275,7 +317,9 @@ class TestUnknottingObstruction:
         assert unknotting_one_obstruction(-15).verdict == "obstructed"
 
     def test_passes(self):
-        assert unknotting_one_obstruction(7).verdict == "pass"
+        t = unknotting_one_obstruction(7)
+        assert t == ("unknotting_determinant", "pass", "2 or -2 is a square mod 7; no obstruction")
+        assert unknotting_one_obstruction(-7) == t
         assert unknotting_one_obstruction(9).verdict == "pass"
 
     def test_rejects_bad_input(self):
@@ -320,10 +364,11 @@ class TestObstructionReport:
         assert list(d["tests"][0]) == ["name", "verdict", "detail"]
 
     def test_input_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one input group"):
             obstruction_report()
-        with pytest.raises(DomainError):
-            obstruction_report(h=9)
+        for half in ({"h": 9}, {"rokhlin": 0}, {"h": 9, "det": 15}, {"rokhlin": 0, "det": 15}):
+            with pytest.raises(DomainError, match="needs both h and the Rokhlin class"):
+                obstruction_report(**half)
 
 
 class TestSliceKnotSurgery:

@@ -20,33 +20,7 @@ from cobkit.twobridge import (
     signature,
     slice_genus_upper,
 )
-from oracles import eval_cf
-
-
-def murasugi_signature(p: int, q: int) -> int:
-    """sigma(S(p, q)) = sum_{i=1}^{p-1} (-1)^floor(iq/p), Murasugi's
-    lattice-point formula: a route that needs no expansion."""
-    return sum(1 - 2 * (i * q // p % 2) for i in range(1, p))
-
-
-def five_sum_invariants(a) -> tuple[int, OddCounts, GenusBound | None]:
-    """Oracle: signature, odd counts and genus bound (None for a link)
-    by the separate sums the one-pass tally replaced."""
-    sig = sum(a) - (1 if a[-1] > 0 else -1)
-    oc = OddCounts(
-        pos=sum(1 for x in a if x > 0 and x % 2 != 0),
-        neg=sum(1 for x in a if x < 0 and x % 2 != 0),
-    )
-    if sum(a) % 2 != 1:
-        return sig, oc, None
-    s_minus = sum(abs(x) - x for x in a)
-    s_plus = sum(abs(x) + x for x in a)
-    pos_changes, rem_p = divmod(s_minus - 2 * oc.neg, 4)
-    neg_changes, rem_n = divmod(s_plus - 2 * oc.pos, 4)
-    seifert_genus, rem_g = divmod(oc.pos + oc.neg - 1, 2)
-    value, rem = divmod(max(s_minus + 2 * oc.pos - 2, s_plus + 2 * oc.neg - 2), 4)
-    assert rem_p == rem_n == rem_g == rem == 0
-    return sig, oc, GenusBound(value, pos_changes, neg_changes, seifert_genus)
+from oracles import eval_cf, five_sum_invariants, murasugi_signature
 
 
 def one_pass_invariants(cf: AdmissibleCF) -> tuple[int, OddCounts, GenusBound | None]:

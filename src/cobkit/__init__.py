@@ -11,7 +11,6 @@ from .cobordism import (
     MBounds,
     OrderCertificate,
     RokhlinClass,
-    branched_cover_bounds,
     infinite_order_certificate,
     merge_bounds,
     reverse_orientation,

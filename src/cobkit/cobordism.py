@@ -200,7 +200,7 @@ def _cover_quarters(sigma_knot: int, genus_upper: int) -> tuple[int, int]:
     the branched double cover of a knot, refused unless g >= 0 and
     sigma(K) is even; with g >= 0 the interval is not empty."""
     if genus_upper < 0:
-        raise DomainError("branched_cover_bounds requires genus_upper >= 0")
+        raise DomainError("_cover_quarters requires genus_upper >= 0")
     if sigma_knot % 2 != 0:
         raise DomainError("knot signatures are even")
     return 5 * sigma_knot - 8 * genus_upper, 5 * sigma_knot + 8 * genus_upper
@@ -210,20 +210,3 @@ def _cover_line(sigma_knot: int, genus_upper: int) -> str:
     """The provenance line of the bounds of a branched double cover."""
     return f"branched double cover (sigma(K)={sigma_knot}, slice genus <= {genus_upper})"
 
-
-def branched_cover_bounds(
-    sigma_knot: int, genus_upper: int, provenance: tuple[str, ...] = ()
-) -> MBounds:
-    """Bounds for the branched double cover of a knot.
-
-    (5/4) sigma(K) - 2g <= m <= mbar <= (5/4) sigma(K) + 2g for any g
-    at least the smooth slice genus, and the Rokhlin invariant is
-    sigma(K) mod 16.  provenance lines, if given, precede the cover's own.
-    """
-    lower, upper = _cover_quarters(sigma_knot, genus_upper)
-    return MBounds(
-        m_lower=Fraction(lower, 4),
-        mbar_upper=Fraction(upper, 4),
-        rokhlin=RokhlinClass(sigma_knot),
-        provenance=tuple(provenance) + (_cover_line(sigma_knot, genus_upper),),
-    )

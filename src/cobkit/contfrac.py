@@ -39,44 +39,51 @@ class AdmissibleCF(_AdmissibleFields):
     Construction checks shape, sign pattern and target and raises
     DomainError on the first violation, so every record is admissible.
     target beta = alpha = 1 is allowed as the unknot presentation [1].
-    It also sets terms, the interleaved form (a1, 2b1, a2, 2b2, ..., an),
-    and its text, once: the check folds terms and format_cf prints the text.
+    terms, the interleaved form (a1, 2b1, a2, 2b2, ..., an), is computed
+    from a and b when it is read.
     """
 
-    # no __slots__: terms and the text live in the instance dict, which
-    # __setattr__ keeps read-only like the fields
+    __slots__ = ()
 
     def __new__(cls, a, b, alpha, beta):
-        why = _rule_violation(a, b)
-        if why is None:
-            terms = _interleave(a, b)
-            why = _target_violation(terms, alpha, beta)
-        if why is not None:
-            raise DomainError(f"not admissible: {why}")
-        self = tuple.__new__(cls, (a, b, alpha, beta))
-        attrs = vars(self)
-        attrs["terms"] = terms
-        attrs["_text"] = "[" + ",".join(map(str, terms)) + "]"
-        return self
+        return _build(cls, a, b, (alpha, beta))
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    @property
+    def terms(self) -> tuple[int, ...]:
+        return _interleave(self.a, self.b)
 
 
-def _target_violation(terms, alpha, beta) -> str | None:
-    """The first target rule the expansion terms of alpha/beta break,
-    the value last.
+def _build(cls, a, b, target=None):
+    """The one builder of an AdmissibleCF: the shape and sign rules, one
+    fold of the terms, then the target rules and the value.  Past the
+    sign rules the fold cannot fail, so the first rule broken is still
+    the one reported.  With no target the fold's value, which must be
+    positive, is the target."""
+    why = _rule_violation(a, b)
+    if why is None:
+        p, q = _fold(_interleave(a, b))
+        if q < 0:
+            p, q = -p, -q
+        if target is None:
+            if p <= 0:
+                raise DomainError("admissible_cf requires a positive value")
+            target = p, q
+        why = _target_violation(p, q, *target)
+    if why is not None:
+        raise DomainError(f"not admissible: {why}")
+    return tuple.__new__(cls, (a, b, *target))
 
-    The fold is in integers.  Its pair (p, q), signs moved so that q > 0,
-    is in lowest terms, and so is (alpha, beta) once the target rules
-    hold, so the pairs are equal exactly when the values are.
+
+def _target_violation(p, q, alpha, beta) -> str | None:
+    """The first target rule alpha/beta breaks, the value last: the
+    expansion folds to p/q, signs moved so that q > 0.
+
+    The fold's pair is in lowest terms, and so is (alpha, beta) once the
+    target rules hold, so the pairs are equal exactly when the values are.
     """
     if not (0 < beta <= alpha):
         return "target requires 0 < beta <= alpha"
@@ -86,9 +93,6 @@ def _target_violation(terms, alpha, beta) -> str | None:
         return "target requires gcd(alpha, beta) = 1"
     if beta % 2 == 0:
         return "target requires odd beta"
-    p, q = _fold(terms)
-    if q < 0:
-        p, q = -p, -q
     if (p, q) != (alpha, beta):
         return f"expansion evaluates to {Fraction(p, q)}, not {alpha}/{beta}"
     return None
@@ -151,13 +155,7 @@ def admissible_cf(a, b) -> AdmissibleCF:
     b = tuple(map(index, b))
     if len(a) != len(b) + 1:
         raise DomainError("admissible_cf requires len(a) = len(b) + 1")
-    why = _rule_violation(a, b)
-    if why is not None:
-        raise DomainError(f"not admissible: {why}")
-    value = eval_terms(_interleave(a, b))
-    if value <= 0:
-        raise DomainError("admissible_cf requires a positive value")
-    return AdmissibleCF(a=a, b=b, alpha=value.numerator, beta=value.denominator)
+    return _build(AdmissibleCF, a, b)
 
 
 def euclid_steps(a: int, b: int) -> int:
@@ -236,11 +234,8 @@ def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
 
 
 def format_cf(cf: AdmissibleCF) -> str:
-    """Bracketed text form of the interleaved terms, e.g. [2,4,-1].
-
-    The text is built once per record.
-    """
-    return cf._text
+    """Bracketed text form of the interleaved terms, e.g. [2,4,-1]."""
+    return "[" + ",".join(map(str, cf.terms)) + "]"
 
 
 def parse_cf(text: str) -> AdmissibleCF:

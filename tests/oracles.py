@@ -2,7 +2,8 @@
 
 The package answers by closed forms and one-pass integer folds; these
 are the independent routes the tests hold it to: Dedekind sums, one
-spin filling's bounds and the spin surgery model that produces it,
+spin filling's bounds and the spin surgery model that produces it, the
+branched double cover's bounds by their closed form,
 Murasugi's lattice-point signature of S(p, q) and the separate sums
 behind a knot's signature, odd counts and genus bound, the
 value of an expansion from its a and b sequences, the admissibility
@@ -115,6 +116,26 @@ def spin_surgery_model(c: CharSurfaceData) -> SpinFillingData:
     return SpinFillingData(
         sigma=c.ambient_sigma - shifted,
         b2=c.ambient_b2 + 2 * (c.genus - 1) + abs(shifted) + 4 * c.arf,
+    )
+
+
+def branched_cover_bounds(
+    sigma_knot: int, genus_upper: int, provenance: tuple[str, ...] = ()
+) -> MBounds:
+    """Bounds for the branched double cover of a knot from the closed
+    form: (5/4) sigma(K) - 2g <= m <= mbar <= (5/4) sigma(K) + 2g for
+    any g at least the smooth slice genus, and R = sigma(K) mod 16.
+    provenance lines, if given, precede the cover's own.  The lens
+    kernel reaches the same record through integer quarter counts."""
+    s = Fraction(5, 4) * sigma_knot
+    return MBounds(
+        m_lower=s - 2 * genus_upper,
+        mbar_upper=s + 2 * genus_upper,
+        rokhlin=RokhlinClass(sigma_knot),
+        provenance=(
+            *provenance,
+            f"branched double cover (sigma(K)={sigma_knot}, slice genus <= {genus_upper})",
+        ),
     )
 
 

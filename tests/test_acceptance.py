@@ -40,6 +40,7 @@ from oracles import (
     StarPlumbing,
     all_valid_triples,
     bound_from_filling,
+    branched_cover_bounds,
     dedekind_sum,
     det_exact,
     eval_cf,
@@ -132,7 +133,6 @@ def test_criterion_4_montesinos_cross_module(criterion):
     with criterion("criterion 4 (Montesinos knot and branched cover identity)"):
         inv = montesinos_invariants(MpqrTriple(2, 3, 7))
         assert (inv.slice_genus, inv.unknotting_number, inv.signature) == (5, 5, 8)
-        from cobkit.cobordism import branched_cover_bounds
 
         for t in all_valid_triples():
             knot = montesinos_invariants(t)

@@ -11,13 +11,13 @@ from cobkit.cobordism import (
     MBounds,
     OrderCertificate,
     RokhlinClass,
-    branched_cover_bounds,
+    _cover_quarters,
     infinite_order_certificate,
     merge_bounds,
     reverse_orientation,
 )
 from cobkit.errors import DomainError
-from oracles import SpinFillingData, bound_from_filling, bounds_from_json_dict
+from oracles import SpinFillingData, bound_from_filling, bounds_from_json_dict, branched_cover_bounds
 
 # The 3-sphere bounds the 4-ball: everything vanishes.
 S3 = MBounds(0, 0, m_exact=0, mbar_exact=0, rokhlin=0, provenance=("S3 bounds the 4-ball",))
@@ -305,7 +305,16 @@ class TestBranchedCover:
         assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (-9, -1, 12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(DomainError, match="knot signatures are even"):
-            branched_cover_bounds(3, 1)
-        with pytest.raises(DomainError, match="requires genus_upper >= 0"):
-            branched_cover_bounds(2, -1)
+        # the kernel's quarter counts refuse what the closed form cannot hold
+        for sigma in (3, -3, 1, -1):
+            with pytest.raises(DomainError, match="^knot signatures are even$"):
+                _cover_quarters(sigma, 1)
+        for genus in (-1, -2):
+            with pytest.raises(DomainError, match="^_cover_quarters requires genus_upper >= 0$"):
+                _cover_quarters(2, genus)
+        assert _cover_quarters(2, 0) == (10, 10)
+        assert _cover_quarters(-4, 2) == (-36, -4)
+        for sigma in range(-6, 7, 2):
+            for genus in range(3):
+                x = branched_cover_bounds(sigma, genus)
+                assert _cover_quarters(sigma, genus) == (4 * x.m_lower, 4 * x.mbar_upper)

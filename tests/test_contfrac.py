@@ -295,6 +295,35 @@ class TestValidate:
         report = classify_order(LensSpace(39, 22))
         assert folds == [report.cf.terms]
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_cf("[2,4,-1,-2,2]"),
+            lambda: admissible_cf((2, -1, 2), (2, -1)),
+            lambda: AdmissibleCF((2, -1, 2), (2, -1), 39, 17),
+            lambda cf=find_admissible_cf(39, 17): cf._replace(beta=17),
+        ],
+        ids=["parse_cf", "admissible_cf", "AdmissibleCF", "_replace"],
+    )
+    def test_one_fold_per_record(self, monkeypatch, build):
+        # the rules and the fold run once, in the one builder every path shares
+        folds = []
+        fold = contfrac._fold
+
+        def counting(terms):
+            folds.append(tuple(terms))
+            return fold(terms)
+
+        monkeypatch.setattr("cobkit.contfrac._fold", counting)
+        cf = build()
+        assert folds == [(2, 4, -1, -2, 2)] and (cf.alpha, cf.beta) == (39, 17)
+
+    def test_record_holds_only_its_fields(self):
+        cf = find_admissible_cf(39, 17)
+        assert not hasattr(cf, "__dict__")
+        with pytest.raises(AttributeError):
+            cf.text = "[2,4,-1,-2,2]"
+
 
 def _message(build, *args) -> str | None:
     """The DomainError message of build(*args), or None when it succeeds."""
@@ -386,14 +415,23 @@ class TestSearch:
             find_admissible_cf(1, 1)
 
     def test_rejects_bad_pairs(self):
-        with pytest.raises(DomainError):
-            find_admissible_cf(4, 2)
-        with pytest.raises(DomainError):
-            find_admissible_cf(5, 2)
-        with pytest.raises(DomainError):
-            find_admissible_cf(3, 5)
-        with pytest.raises(DomainError):
-            find_admissible_cf(3, 0)
+        for pair, message in (
+            ((4, 2), "requires gcd(alpha, beta) = 1"),
+            ((9, 3), "requires gcd(alpha, beta) = 1"),
+            ((5, 2), "requires odd beta"),
+            ((3, 5), "requires 0 < beta < alpha"),
+            ((3, 0), "requires 0 < beta < alpha"),
+            ((7, 7), "requires 0 < beta < alpha"),
+            ((1, 1), "requires 0 < beta < alpha"),
+        ):
+            for find in (find_admissible_cf, find_positive_cf):
+                assert _message(find, *pair) == message, (find, pair)
+        assert _message(find_positive_cf, 8, 3) == "requires odd alpha"
+
+    def test_euclid_steps(self):
+        # the overrun bound counts the division steps exactly
+        assert [euclid_steps(*pair) for pair in ((7, 0), (3, 1), (5, 3), (39, 17))] == [0, 1, 3, 4]
+        assert euclid_steps(fibonacci(2002), fibonacci(2001)) == 2000
 
     def test_long_euclid_chain(self):
         # about 2,000 Euclid steps: deeper than the interpreter's recursion limit
@@ -504,19 +542,25 @@ class TestFormatting:
             assert format_cf(parse_cf(text)) == text
 
     def test_parse_rejects_garbage(self):
-        for text in ("1,2,3", "[]", "[2,2]", "[1,3,2]", "[1,x,2]", "[1 2 3]"):
-            with pytest.raises(DomainError):
-                parse_cf(text)
+        shape = "continued fraction text must look like [a1,2b1,...,an]"
+        bad_term = "bad continued fraction term: invalid literal for int() with base 10: "
+        for text, message in (
+            ("1,2,3", shape),
+            ("[1,2,3", shape),
+            ("[]", "continued fraction text must contain terms"),
+            (" [ ] ", "continued fraction text must contain terms"),
+            ("[2,2]", "continued fraction must have an odd number of terms"),
+            ("[1,3,2]", "terms at even positions must be even integers"),
+            ("[1,x,2]", bad_term + "'x'"),
+            ("[1 2 3]", bad_term + "'1 2 3'"),
+            ("[1,-2,3]", "not admissible: a_1 * b_1 > 0 violated"),
+        ):
+            assert _message(parse_cf, text) == message, text
 
-    def test_text_is_remembered(self, monkeypatch):
+    def test_rebuilt_record_is_the_same(self):
         cf = find_admissible_cf(39, 17)
         fresh = AdmissibleCF(cf.a, cf.b, cf.alpha, cf.beta)
-        text = format_cf(cf)
-        # terms is set on each record, so the property shadows it from the class
-        monkeypatch.setattr(
-            AdmissibleCF, "terms", property(lambda self: 1 / 0), raising=False
-        )
-        assert format_cf(cf) is text
+        assert format_cf(fresh) == format_cf(cf) == "[2,4,-1,-2,2]"
         assert fresh == cf and hash(fresh) == hash(cf)
         assert repr(fresh) == "AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17)"
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cobkit.cobordism import branched_cover_bounds, reverse_orientation
+from cobkit.cobordism import reverse_orientation
 from cobkit.contfrac import (
     AdmissibleCF,
     admissible_cf,
@@ -24,7 +24,7 @@ from cobkit.lens import (
     table1,
 )
 from cobkit.twobridge import _knot_invariants
-from oracles import five_sum_invariants, mirror, murasugi_signature
+from oracles import branched_cover_bounds, five_sum_invariants, mirror, murasugi_signature
 
 
 def hirzebruch_jung(p: int, q: int) -> list[int]:

@@ -86,7 +86,6 @@ def test_public_names():
         "admissible_cf",
         "arf_from_surgery",
         "arith",
-        "branched_cover_bounds",
         "classify_order",
         "cobordism",
         "congruence_obstruction",

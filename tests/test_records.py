@@ -15,6 +15,7 @@ from cobkit import (
     RokhlinClass,
     classify_order,
     find_admissible_cf,
+    format_cf,
     infinite_order_certificate,
     m_bounds,
     montesinos_invariants,
@@ -265,5 +266,5 @@ def test_replace_checks_too(record, fields, message):
 
 def test_replace_builds_a_whole_record():
     cf = find_admissible_cf(39, 17)._replace(a=(2, 1, 2), b=(2, 1), alpha=73, beta=33)
-    assert cf.terms == (2, 4, 1, 2, 2) and cf._text == "[2,4,1,2,2]"
+    assert cf.terms == (2, 4, 1, 2, 2) and format_cf(cf) == "[2,4,1,2,2]"
     assert RokhlinClass(2)._replace(value=-4).value == 12

@@ -161,6 +161,22 @@ class TestSurgeryCandidate:
         with pytest.raises(TypeError):
             congruence_obstruction(3, "14")
 
+    def test_refuses_non_integer_n_h_and_genus(self):
+        # n, h and g are read with operator.index, as RokhlinClass reads R
+        for bad in (3.0, Fraction(3), "3"):
+            with pytest.raises(TypeError):
+                arf_from_surgery(bad, 14)
+            with pytest.raises(TypeError):
+                congruence_obstruction(bad, 14)
+            with pytest.raises(TypeError):
+                m_bounds_from_surgery(bad, 14, 0)
+            with pytest.raises(TypeError):
+                m_bounds_from_surgery(3, 14, bad)
+            with pytest.raises(TypeError):
+                slice_genus_lower(bad, 14, 0)
+        assert arf_from_surgery(3, 14) == 0
+        assert congruence_obstruction(3, 14) == frozenset({"+"})
+
 
 class TestSpinModel:
     def test_arf_zero(self):
@@ -286,6 +302,13 @@ class TestSliceGenusLower:
         # h is checked before the class is read
         with pytest.raises(DomainError, match="odd h >= 1"):
             slice_genus_lower(4, 2.0, 0)
+
+    def test_refuses_inexact_m_lower(self):
+        # a float would be read as its binary value: 0.1 is not 1/10
+        for bad in (0.1, -1.5, "1/10", None):
+            with pytest.raises(TypeError, match="m_lower must be an int or a Fraction"):
+                slice_genus_lower(39, 2, bad)
+        assert slice_genus_lower(39, 2, Fraction(1, 10)) == Fraction(19, 5)
 
 
 class TestQrObstruction:

@@ -108,44 +108,21 @@ def _csv_rows(rows: Iterable[lens.CensusRow]) -> Iterable[list[str]]:
 
 
 def _json_rows(rows: Iterable[lens.CensusRow]) -> str:
-    """The text json.dumps({"rows": [...]}, indent=2) writes for the rows'
-    dicts, as scan prints them.
-
-    CPython encodes in C only without indent, so each row, a flat dict,
-    is encoded by one call to a C encoder whose item separator carries
-    the row's indent; the frame around the rows is written here.
-    JSONEncoder is the fallback where CPython has no C encoder.
-    """
-    from json import JSONEncoder, encoder
-
+    """The text json.dumps({"rows": [...]}, indent=2) writes for the rows
+    as scan prints them.  Each row is written as text: no value needs
+    escaping, since alpha and beta are ints, the bounds 'p/q' strings,
+    the expansion digits, '-', ',' and brackets, and the order one of
+    the kernel's ASCII labels."""
     texts = _Quarters(as_json=True)
-    item_separator = ",\n      "
-    if encoder.c_make_encoder is None:
-        encode = JSONEncoder(default=_json_value, separators=(item_separator, ": ")).encode
-    else:
-        chunks = encoder.c_make_encoder(
-            None, _json_value, encoder.encode_basestring_ascii, None,
-            ": ", item_separator, False, False, True,
-        )
-
-        def encode(row):
-            return "".join(chunks(row, 0))
-
     items = [
-        encode({
-            "alpha": r.alpha,
-            "beta": r.beta,
-            "m_lower": texts[r.lower],
-            "mbar_upper": texts[r.upper],
-            "cf": contfrac.format_cf(r.cf),
-            "order": r.order,
-        })[1:-1]
+        f'    {{\n      "alpha": {r.alpha},\n      "beta": {r.beta},\n'
+        f'      "m_lower": "{texts[r.lower]}",\n      "mbar_upper": "{texts[r.upper]}",\n'
+        f'      "cf": "{contfrac.format_cf(r.cf)}",\n      "order": "{r.order}"\n    }}'
         for r in rows
     ]
     if not items:
         return '{\n  "rows": []\n}\n'
-    body = "\n    },\n    {\n      ".join(items)
-    return '{\n  "rows": [\n    {\n      ' + body + "\n    }\n  ]\n}\n"
+    return '{\n  "rows": [\n' + ",\n".join(items) + "\n  ]\n}\n"
 
 
 def _render(args, out: Output) -> str:

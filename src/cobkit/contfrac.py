@@ -167,38 +167,34 @@ def euclid_steps(a: int, b: int) -> int:
     return n
 
 
-def _check_pair(alpha: int, beta: int) -> None:
+def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
+    """Deterministic admissible expansion of alpha/beta (beta odd).
+
+    One pass with no choices.  The value still to expand is p/q in
+    lowest terms, with q > 0 and q odd at every a-position.  There a
+    value with q = 1 is the last term; any other is truncated toward
+    zero.  At a b-position the term is the even integer nearest p/q, the
+    lower one when p/q is an odd integer.  Then (p, q) <- (q, p - t*q),
+    signs moved after the b-step so that q > 0; the b-term and the pair
+    after it do not change when p and q both change sign.  Each
+    remainder has |p - t*q| <= |q|, so every a-position value after the
+    first is an integer or has |x| > 1: its term is nonzero and has the
+    sign the next b-term takes.
+    The term count is bounded by 2 * euclid_steps(alpha, beta) + 4; a
+    longer or invalid expansion is an internal failure.
+    """
     if not 0 < beta < alpha:
         raise DomainError("requires 0 < beta < alpha")
     if gcd(alpha, beta) != 1:
         raise DomainError("requires gcd(alpha, beta) = 1")
     if beta % 2 == 0:
         raise DomainError("requires odd beta")
-
-
-def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
-    """Deterministic admissible expansion of alpha/beta (beta odd).
-
-    One pass with no choices.  The value still to expand is p/q in
-    lowest terms with q > 0, and q is odd at every a-position.  There a
-    value with q = 1 is the last term; any other is truncated toward
-    zero.  At a b-position the term is the even integer nearest p/q, the
-    lower one when p/q is an odd integer.  Then (p, q) <- (q, p - t*q),
-    signs moved so that q > 0.  Each remainder has |p - t*q| <= q, so
-    every a-position value after the first is an integer or has
-    |x| > 1: its term is nonzero and has the sign the next b-term takes.
-    The term count is bounded by 2 * euclid_steps(alpha, beta) + 4; a
-    longer or invalid expansion is an internal failure.
-    """
-    _check_pair(alpha, beta)
     a, b = [], []
     p, q = alpha, beta
     while q != 1:
         t = p // q if p > 0 else -(-p // q)
         a.append(t)
         p, q = q, p - t * q
-        if q < 0:
-            p, q = -p, -q
         t = -((q - p) // (2 * q))  # half the b-term
         b.append(t)
         p, q = q, p - 2 * t * q
@@ -226,10 +222,9 @@ def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
     lower one on a tie.  So the expansion is unique when it exists, and
     None means that none exists.
     """
-    _check_pair(alpha, beta)
+    cf = find_admissible_cf(alpha, beta)
     if alpha % 2 == 0:
         raise DomainError("requires odd alpha")
-    cf = find_admissible_cf(alpha, beta)
     return cf if all(t > 0 for t in cf.a + cf.b) else None
 
 

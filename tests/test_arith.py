@@ -196,6 +196,18 @@ class TestDigitCap:
                     x = Fraction(n, den)
                     assert dec_outcome(dec, x) == dec_outcome(reference_dec, x), x
 
+    def test_every_denominator(self):
+        # denominators 2^a 5^b print as exact decimals, any other as p/q
+        for den in range(1, 1001):
+            for n in range(-30, 31):
+                x = Fraction(n, den)
+                if x.denominator != den:
+                    continue
+                if 10**12 % den == 0:
+                    assert dec(x) == reference_dec(x), x
+                else:
+                    assert dec(x) == f"{n}/{den}", x
+
     def test_dec_refuses_long_output(self):
         # the numerator fits, but the exact decimal of x/8 has 3 more digits
         x = Fraction(10**DIGIT_LIMIT - 1, 8)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -433,6 +434,20 @@ class TestSearch:
         assert [euclid_steps(*pair) for pair in ((7, 0), (3, 1), (5, 3), (39, 17))] == [0, 1, 3, 4]
         assert euclid_steps(fibonacci(2002), fibonacci(2001)) == 2000
 
+    def test_term_count_on_large_pairs(self):
+        # the forced expansion takes at most 2 * euclid_steps - 1 terms, five
+        # fewer than its overrun assert allows, on a seeded sample of 1-100
+        # digit pairs, the range the queries bench draws; the small-pair
+        # sweep of TestDirectRule checks every pair with alpha < 400
+        rng = random.Random(0)
+        for digits in range(1, 101):
+            for _ in range(20):
+                alpha = max(rng.randrange(10 ** (digits - 1), 10**digits), 3)
+                beta = rng.randrange(1, alpha) | 1
+                if beta < alpha and math.gcd(alpha, beta) == 1:
+                    terms = find_admissible_cf(alpha, beta).terms
+                    assert len(terms) <= 2 * euclid_steps(alpha, beta) - 1, (alpha, beta)
+
     def test_long_euclid_chain(self):
         # about 2,000 Euclid steps: deeper than the interpreter's recursion limit
         alpha, beta = fibonacci(2002), fibonacci(2000)
@@ -464,6 +479,7 @@ class TestDirectRule:
                 terms = list(find_admissible_cf(alpha, beta).terms)
                 assert terms == search_terms(alpha, beta), (alpha, beta)
                 assert_forced_steps(alpha, beta, terms)
+                assert len(terms) <= 2 * euclid_steps(alpha, beta) - 1, (alpha, beta)
                 pairs += 1
         assert pairs == 32334
         elapsed = time.perf_counter() - start

@@ -57,6 +57,15 @@ def test_cli_imports(argv):
     assert ("csv" in loaded) == ("--csv" in argv)
 
 
+def test_scan_json_loads_no_encoder():
+    # scan prints its JSON rows as text
+    proc = fresh("-S", "-c", _PROBE, "scan", "--alpha-max", "9", "--json")
+    assert proc.stdout.startswith('{\n  "rows": [\n')
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "cobkit.lens" in loaded
+    assert not loaded & {"json", "csv"}
+
+
 def test_package_imports():
     loaded = set(fresh("-S", "-c", "import sys, cobkit; print(*sys.modules)").stdout.split())
     assert "cobkit.lens" in loaded

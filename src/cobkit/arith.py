@@ -7,6 +7,7 @@ Everything here is integer or Fraction arithmetic, no floating point.
 
 import sys
 from fractions import Fraction
+from operator import index
 
 from .errors import DomainError, ResourceLimitError
 
@@ -101,11 +102,15 @@ def _is_square_mod_prime_power(a: int, p: int, k: int) -> bool:
 def dec(x) -> str:
     """Exact decimal form of a rational with denominator 2^a 5^b, else p/q.
 
+    Takes an int or a Fraction.  A float, whose binary value is not the
+    number it was written as, a bool or anything else is a TypeError.
     Raises ResourceLimitError rather than print a number of more than
     DIGIT_LIMIT digits.
     """
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    if not isinstance(x, Fraction):
+        if isinstance(x, bool):
+            raise TypeError("dec takes an int or a Fraction, not a bool")
+        x = Fraction(index(x))
     num, den = x.numerator, x.denominator
     check_digits(x)
     d, k2, k5 = den, 0, 0

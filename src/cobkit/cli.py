@@ -102,7 +102,7 @@ def _csv_rows(rows: Iterable[lens.CensusRow]) -> Iterable[list[str]]:
             str(row.beta),
             texts[row.lower],
             texts[row.upper],
-            contfrac.format_cf(row.cf),
+            row.cf,
             row.order,
         ]
 
@@ -117,7 +117,7 @@ def _json_rows(rows: Iterable[lens.CensusRow]) -> str:
     items = [
         f'    {{\n      "alpha": {r.alpha},\n      "beta": {r.beta},\n'
         f'      "m_lower": "{texts[r.lower]}",\n      "mbar_upper": "{texts[r.upper]}",\n'
-        f'      "cf": "{contfrac.format_cf(r.cf)}",\n      "order": "{r.order}"\n    }}'
+        f'      "cf": "{r.cf}",\n      "order": "{r.order}"\n    }}'
         for r in rows
     ]
     if not items:
@@ -162,15 +162,16 @@ L({alpha},{beta})
 def _cmd_lens(args) -> Output:
     cf = contfrac.parse_cf(args.cf) if args.cf else None
     report = lens.classify_order(lens.LensSpace(args.alpha, args.beta), cf)
+    row = report.row
     doc = {
         "alpha": report.space.alpha,
         "beta": report.space.beta,
-        "cf": contfrac.format_cf(report.cf),
+        "cf": row.cf,
         "bounds": _bounds(report.bounds),
         "order": report.order,
         "order_reason": report.reason,
     }
-    return Output(doc, _LENS_TEXT, [report.row])
+    return Output(doc, _LENS_TEXT, [row])
 
 
 def _cmd_cf(args) -> Output:
@@ -281,8 +282,8 @@ def _cmd_genus_bound(args) -> Output:
             raise UsageError("--lens replaces --h/--rokhlin/--m-lower")
         space = lens.LensSpace(*args.lens)
         cf = contfrac.parse_cf(args.cf) if args.cf else None
-        row = lens._lens_row(space.alpha, space.beta, cf)
-        h, rk, m_lower = row.alpha, RokhlinClass(row.rokhlin), row.m_lower
+        bounds = lens.m_bounds(space, cf)
+        h, rk, m_lower = space.alpha, bounds.rokhlin, bounds.m_lower
     else:
         if args.cf is not None:
             raise UsageError("--cf needs --lens")
@@ -304,17 +305,18 @@ def _cmd_genus_bound(args) -> Output:
 
 def _cmd_table1(args) -> Output:
     reports = lens.table1()
-    rows = (
+    rows = [r.row for r in reports]
+    doc = (
         {
             "alpha": r.space.alpha,
             "beta": r.space.beta,
             "bounds": _bounds(r.bounds),
-            "cf": contfrac.format_cf(r.cf),
+            "cf": row.cf,
             "order": r.order,
         }
-        for r in reports
+        for r, row in zip(reports, rows)
     )
-    return Output({"rows": rows}, None, [r.row for r in reports])
+    return Output({"rows": doc}, None, rows)
 
 
 def _scan_cap() -> int:

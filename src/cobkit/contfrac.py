@@ -2,11 +2,13 @@
 
 alpha/beta = [a1, 2b1, a2, 2b2, ..., an] with all entries nonzero and
 a_i * b_i > 0 for i < n.  Every coprime pair with 0 < beta < alpha and
-beta odd admits such an expansion; find_admissible_cf produces one in a
-single pass, each term forced by the value still to expand.  The
-all-positive expansion, when it exists, is that forced expansion, so
-find_positive_cf only checks the signs of its terms.  An AdmissibleCF
-checks the rules when it is built, so every record is admissible.
+beta odd admits such an expansion; _walk produces one in a single
+pass, each term forced by the value still to expand and checked as it
+is made.  find_admissible_cf and the lens kernel both read that walk.
+The all-positive expansion, when it exists, is the forced expansion, so
+find_positive_cf only checks the signs of its terms.  A supplied
+AdmissibleCF checks the rules when it is built, so every record is
+admissible.
 """
 
 from fractions import Fraction
@@ -37,7 +39,9 @@ class AdmissibleCF(_AdmissibleFields):
     """An admissible expansion: a-terms, b-terms, and the target alpha/beta.
 
     Construction checks shape, sign pattern and target and raises
-    DomainError on the first violation, so every record is admissible.
+    DomainError on the first violation, so every record is admissible;
+    find_admissible_cf makes its records from a walk that checked each
+    term as it made it.
     target beta = alpha = 1 is allowed as the unknot presentation [1].
     terms, the interleaved form (a1, 2b1, a2, 2b2, ..., an), is computed
     from a and b when it is read.
@@ -158,56 +162,97 @@ def admissible_cf(a, b) -> AdmissibleCF:
     return _build(AdmissibleCF, a, b)
 
 
-def euclid_steps(a: int, b: int) -> int:
-    """Number of division steps in the ordinary Euclid gcd of (a, b)."""
-    n = 0
-    while b:
-        a, b = b, a % b
-        n += 1
-    return n
+def _walk(alpha: int, beta: int) -> tuple[list[int], tuple[int, int, int, int]]:
+    """The forced expansion of alpha/beta, 0 < beta < alpha coprime and
+    beta odd, in one pass: its terms in printed order [a1, 2b1, ..., an]
+    and the tally (S-, S+, o+, o-) of its a-terms that
+    twobridge._tally_invariants reads.
+
+    No choices.  The value still to expand is p/q in lowest terms, with
+    q > 0 and q odd at every a-position.  There the term is p/q truncated
+    toward zero; with q = 1 that is p, the last term.  At a b-position
+    the term is the even integer nearest p/q, the lower one when p/q is
+    an odd integer.  Then (p, q) <- (q, p - t*q), signs moved after the
+    b-step so that q > 0; the b-term and the pair after it do not change
+    when p and q both change sign.  Each remainder has |p - t*q| <= |q|,
+    so every a-position value after the first is an integer or has
+    |x| > 1: its term is nonzero and has the sign the next b-term takes.
+
+    Every check is made as the terms are.  Each b-term must share its
+    a-term's sign, and a_n must be nonzero.  A Euclid division of
+    (alpha + beta, alpha), one step ahead of (alpha, beta), runs beside
+    each b-step, so a walk of more than 2 * euclid_steps(alpha, beta) + 4
+    terms stops as an overrun.  The forward convergents h/k of the terms
+    are carried along and must equal alpha/beta at the end.  A failed
+    check is an internal failure, worded by the record builder.
+    """
+    terms = []
+    s_minus = s_plus = o_pos = o_neg = 0
+    h0, h, k0, k = 0, 1, 1, 0  # the convergents before the first term
+    x, y = alpha + beta, alpha
+    signs_kept = True
+    p, q = alpha, beta
+    while True:
+        t = p // q if p > 0 else -(-p // q)
+        if t > 0:
+            s_plus += t
+            o_pos += t & 1
+        else:
+            s_minus -= t
+            o_neg += t & 1
+        h0, h = h, t * h + h0
+        k0, k = k, t * k + k0
+        if q == 1:
+            terms.append(t)
+            break
+        if not y:
+            raise AssertionError(f"admissible expansion overran its bound for {alpha}/{beta}")
+        x, y = y, x % y
+        p, q = q, p - t * q
+        half = -((q - p) // (2 * q))
+        if t * half <= 0:
+            signs_kept = False
+        p, q = q, p - 2 * half * q
+        if q < 0:
+            p, q = -p, -q
+        u = half + half
+        h0, h = h, u * h + h0
+        k0, k = k, u * k + k0
+        terms += t, u
+    if not (signs_kept and t and h * beta == k * alpha):
+        _refuse(alpha, beta, terms)
+    return terms, (2 * s_minus, 2 * s_plus, o_pos, o_neg)
+
+
+def _refuse(alpha: int, beta: int, terms: list[int]):
+    """Raise the internal failure of a walk that failed a check, in the
+    words of the record builder: the first rule or target rule broken."""
+    try:
+        _build(AdmissibleCF, *_split(terms), (alpha, beta))
+    except DomainError as exc:
+        raise AssertionError(f"expansion invalid for {alpha}/{beta}: {exc}") from None
+    raise AssertionError(
+        f"expansion invalid for {alpha}/{beta}: the walk refused {_format_terms(terms)}"
+    )
+
+
+def _split(terms) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(a, b) from the interleaved terms [a1, 2b1, ..., an]."""
+    return tuple(terms[0::2]), tuple(u // 2 for u in terms[1::2])
 
 
 def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
-    """Deterministic admissible expansion of alpha/beta (beta odd).
-
-    One pass with no choices.  The value still to expand is p/q in
-    lowest terms, with q > 0 and q odd at every a-position.  There a
-    value with q = 1 is the last term; any other is truncated toward
-    zero.  At a b-position the term is the even integer nearest p/q, the
-    lower one when p/q is an odd integer.  Then (p, q) <- (q, p - t*q),
-    signs moved after the b-step so that q > 0; the b-term and the pair
-    after it do not change when p and q both change sign.  Each
-    remainder has |p - t*q| <= |q|, so every a-position value after the
-    first is an integer or has |x| > 1: its term is nonzero and has the
-    sign the next b-term takes.
-    The term count is bounded by 2 * euclid_steps(alpha, beta) + 4; a
-    longer or invalid expansion is an internal failure.
-    """
+    """Deterministic admissible expansion of alpha/beta (beta odd): the
+    forced expansion of _walk, as a record.  A walk that fails its checks
+    is an internal failure."""
     if not 0 < beta < alpha:
         raise DomainError("requires 0 < beta < alpha")
     if gcd(alpha, beta) != 1:
         raise DomainError("requires gcd(alpha, beta) = 1")
     if beta % 2 == 0:
         raise DomainError("requires odd beta")
-    a, b = [], []
-    p, q = alpha, beta
-    while q != 1:
-        t = p // q if p > 0 else -(-p // q)
-        a.append(t)
-        p, q = q, p - t * q
-        t = -((q - p) // (2 * q))  # half the b-term
-        b.append(t)
-        p, q = q, p - 2 * t * q
-        if q < 0:
-            p, q = -p, -q
-    a.append(p)
-    assert len(a) + len(b) <= 2 * euclid_steps(alpha, beta) + 4, (
-        f"admissible expansion overran its bound for {alpha}/{beta}"
-    )
-    try:
-        return AdmissibleCF(tuple(a), tuple(b), alpha, beta)
-    except DomainError as exc:
-        raise AssertionError(f"expansion invalid for {alpha}/{beta}: {exc}") from None
+    a, b = _split(_walk(alpha, beta)[0])
+    return tuple.__new__(AdmissibleCF, (a, b, alpha, beta))
 
 
 def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
@@ -230,7 +275,12 @@ def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
 
 def format_cf(cf: AdmissibleCF) -> str:
     """Bracketed text form of the interleaved terms, e.g. [2,4,-1]."""
-    return "[" + ",".join(map(str, cf.terms)) + "]"
+    return _format_terms(cf.terms)
+
+
+def _format_terms(terms) -> str:
+    """Bracketed text form of interleaved terms [a1, 2b1, ..., an]."""
+    return "[" + ",".join(map(str, terms)) + "]"
 
 
 def parse_cf(text: str) -> AdmissibleCF:

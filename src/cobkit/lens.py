@@ -5,9 +5,11 @@ two-bridge knot S(alpha, beta), so any admissible expansion of
 alpha/beta yields certified bounds on m and mbar and the exact Rokhlin
 invariant sigma(S(alpha, beta)) mod 16.  For even beta the mirror
 L(alpha, alpha - beta) is computed and the orientation reversed.
-One kernel, _lens_row, goes from a pair to its row in integers: census
-yields its rows, and m_bounds and classify_order wrap a row in the
-records and the provenance.
+One kernel, _lens_row, goes from a pair to its row in integers, with
+the expansion's printed text: census yields its rows, and m_bounds and
+classify_order wrap a row in the records and the provenance.  With no
+expansion supplied, the row reads one forced walk of the pair, which
+makes the terms, their tally and every check in a single pass.
 Orientation convention: L(alpha, beta) is -alpha/beta surgery on the
 unknot.
 """
@@ -28,13 +30,15 @@ from .cobordism import (
 )
 from .contfrac import (
     AdmissibleCF,
+    _format_terms,
+    _walk,
     admissible_cf,
     find_admissible_cf,
     find_positive_cf,
     format_cf,
 )
 from .errors import DomainError
-from .twobridge import _knot_invariants
+from .twobridge import _knot_invariants, _tally_invariants
 
 
 class _LensFields(NamedTuple):
@@ -63,15 +67,16 @@ class LensSpace(_LensFields):
 class CensusRow(NamedTuple):
     """What a census or table line prints for L(alpha, beta): the
     certified interval as quarter counts, lower = 4 m_lower and
-    upper = 4 mbar_upper, the Rokhlin value, the expansion the bounds
-    came from (of the odd-beta representative) and the order label."""
+    upper = 4 mbar_upper, the Rokhlin value, the printed text of the
+    expansion the bounds came from (of the odd-beta representative, as
+    format_cf writes it) and the order label."""
 
     alpha: int
     beta: int
     lower: int
     upper: int
     rokhlin: int
-    cf: AdmissibleCF
+    cf: str
     order: str
 
     @property
@@ -105,10 +110,11 @@ class OrderReport(NamedTuple):
 
     @property
     def row(self) -> CensusRow:
-        """This report as the census prints it."""
+        """This report as the census prints it, its expansion formatted once."""
         b = self.bounds
         lower, upper = _quarters(b.m_lower), _quarters(b.mbar_upper)
-        return CensusRow(*self.space, lower, upper, b.rokhlin.value, self.cf, self.order)
+        text = format_cf(self.cf)
+        return CensusRow(*self.space, lower, upper, b.rokhlin.value, text, self.order)
 
 
 # Known order facts that the certificates here cannot derive: the label
@@ -121,26 +127,47 @@ _ORDER_REASONS = {
 }
 
 
+def _odd_beta(alpha: int, beta: int) -> int:
+    """beta of the odd-beta representative: beta, or alpha - beta for
+    even beta, whose space is the reversed mirror."""
+    return alpha - beta if beta % 2 == 0 else beta
+
+
 def _lens_row(alpha: int, beta: int, cf: AdmissibleCF | None = None) -> CensusRow:
     """The row of L(alpha, beta), alpha odd and beta coprime to it: the
     branched double cover bounds of the odd-beta representative, reversed
     for even beta, and the order label from the bound certificate or
-    ORDER_ANNOTATIONS.  A supplied cf must expand alpha/beta, beta odd."""
-    odd = alpha - beta if beta % 2 == 0 else beta
+    ORDER_ANNOTATIONS.  With no cf, one forced walk of the representative
+    gives the tally, the last a-term and the text; a supplied cf, which
+    must expand the representative (_supplied checks a user's), gives
+    them from its record."""
+    odd = _odd_beta(alpha, beta)
     if cf is None:
-        cf = find_admissible_cf(alpha, odd)
-    elif odd != beta:
-        raise DomainError(
-            "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
-        )
-    elif (cf.alpha, cf.beta) != (alpha, beta):
-        raise DomainError(f"expansion targets {cf.alpha}/{cf.beta}, not {alpha}/{beta}")
-    sigma, genus = _knot_invariants(cf)[:2]
+        terms, tally = _walk(alpha, odd)
+        sigma, genus = _tally_invariants(tally, terms[-1])[:2]
+    else:
+        terms = cf.terms
+        sigma, genus = _knot_invariants(cf)[:2]
     lower, upper = _cover_quarters(sigma, genus)
     if odd != beta:  # m(-Y) = -mbar(Y), mbar(-Y) = -m(Y), R(-Y) = -R(Y)
         lower, upper, sigma = -upper, -lower, -sigma
     order = "inf" if _bounds_certify(lower, upper) else ORDER_ANNOTATIONS.get((alpha, beta), "?")
-    return CensusRow(alpha, beta, lower, upper, sigma % 16, cf, order)
+    return CensusRow(alpha, beta, lower, upper, sigma % 16, _format_terms(terms), order)
+
+
+def _supplied(space: LensSpace, cf: AdmissibleCF | None) -> AdmissibleCF | None:
+    """A caller's expansion for L(alpha, beta), refused unless it expands
+    alpha/beta itself with beta odd; None passes."""
+    if cf is not None:
+        if space.beta % 2 == 0:
+            raise DomainError(
+                "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
+            )
+        if (cf.alpha, cf.beta) != space:
+            raise DomainError(
+                f"expansion targets {cf.alpha}/{cf.beta}, not {space.alpha}/{space.beta}"
+            )
+    return cf
 
 
 def _row_bounds(row: CensusRow) -> MBounds:
@@ -148,10 +175,11 @@ def _row_bounds(row: CensusRow) -> MBounds:
     sigma(K) and g are read back from the quarter counts 5 sigma(K) -+ 8g,
     which _lens_row negated for even beta."""
     alpha, beta, lower, upper, rokhlin, cf = row[:6]
-    reversed_mirror = cf.beta != beta
+    odd = _odd_beta(alpha, beta)
+    reversed_mirror = odd != beta
     trail = (
-        f"L({alpha},{cf.beta}) branched over S({alpha},{cf.beta})",
-        f"expansion {format_cf(cf)}",
+        f"L({alpha},{odd}) branched over S({alpha},{odd})",
+        f"expansion {cf}",
         _cover_line((lower + upper) // (-10 if reversed_mirror else 10), (upper - lower) // 16),
     )
     if reversed_mirror:
@@ -166,7 +194,7 @@ def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
     supplied) presents the two-bridge cover; the branched double cover
     bounds with its signature and slice genus bound give the interval.
     """
-    return _row_bounds(_lens_row(space.alpha, space.beta, cf))
+    return _row_bounds(_lens_row(space.alpha, space.beta, _supplied(space, cf)))
 
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
@@ -175,14 +203,20 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
     annotated known order, otherwise unknown.
 
     The bounds and the label come from the row that m_bounds and census
-    read; this adds the certificate's reason and the all-positive check.
+    read, here from the record of the expansion (find_admissible_cf's
+    walk of the odd-beta representative when none is supplied); this
+    adds the certificate's reason and the all-positive check.
     An all-positive expansion is the forced one, and for it
     sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so m >= (sum(a) - 1)/4 > 0
     (mbar < 0 after reversal for even beta): the certificate has fired.
     So find_positive_cf runs only on a supplied cf, which is of
     alpha/beta itself, whose certificate did not fire.
     """
-    row = _lens_row(space.alpha, space.beta, cf)
+    alpha, beta = space
+    found = _supplied(space, cf)
+    if found is None:
+        found = find_admissible_cf(alpha, _odd_beta(alpha, beta))
+    row = _lens_row(alpha, beta, found)
     bounds = _row_bounds(row)
     cert = infinite_order_certificate(bounds)
     order = row.order
@@ -194,7 +228,7 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
                 "infinite",
                 f"all-positive expansion {format_cf(positive)} certifies infinite order",
             )
-    return OrderReport(space, order, bounds, cert, _ORDER_REASONS.get(order), row.cf)
+    return OrderReport(space, order, bounds, cert, _ORDER_REASONS.get(order), found)
 
 
 def census(alpha_max: int) -> Iterator[CensusRow]:

@@ -78,9 +78,17 @@ def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
 
 def _knot_invariants(cf: AdmissibleCF) -> tuple[int, int, int, int, int]:
     """The signature and the fields of slice_genus_upper(cf), checked,
-    from one tally of the a-terms: sum(a) = (S+ - S-)/2 gives the knot
-    test and the signature.  lens reads the signature and the value alone."""
-    s_minus, s_plus, o_pos, o_neg = _tally(cf.a)
+    from one tally of the a-terms."""
+    return _tally_invariants(_tally(cf.a), cf.a[-1])
+
+
+def _tally_invariants(tally, last: int) -> tuple[int, int, int, int, int]:
+    """The signature and the fields of slice_genus_upper, checked, from
+    the tally (S-, S+, o+, o-) of an expansion's a-terms and its last
+    a-term: sum(a) = (S+ - S-)/2 gives the knot test and the signature.
+    The one such function: _knot_invariants reads a record's tally, and
+    the lens kernel the tally its forced walk made."""
+    s_minus, s_plus, o_pos, o_neg = tally
     total = (s_plus - s_minus) // 2
     if total % 2 != 1:
         raise DomainError("slice_genus_upper requires a knot (sum of a_i odd)")
@@ -93,5 +101,5 @@ def _knot_invariants(cf: AdmissibleCF) -> tuple[int, int, int, int, int]:
     value, rem = divmod(bound, 4)
     assert rem == 0 and value >= 0
     assert value == seifert_genus + max(pos_changes, neg_changes)
-    sigma = total - (1 if cf.a[-1] > 0 else -1)
+    sigma = total - (1 if last > 0 else -1)
     return sigma, value, pos_changes, neg_changes, seifert_genus

@@ -5,9 +5,10 @@ are the independent routes the tests hold it to: Dedekind sums, one
 spin filling's bounds and the spin surgery model that produces it, the
 branched double cover's bounds by their closed form,
 Murasugi's lattice-point signature of S(p, q) and the separate sums
-behind a knot's signature, odd counts and genus bound, the
-value of an expansion from its a and b sequences, the admissibility
-rules walked one by one, the JSON reader of an MBounds record, the
+behind a knot's signature, odd counts and genus bound, the Euclid
+step count behind the expansion's overrun bound, the value of an
+expansion from its a and b sequences, the admissibility rules walked
+one by one, the JSON reader of an MBounds record, the
 orientation reversal of a lens space as a pair, and exact elimination
 on the T(p, q, r) intersection matrix.  Each refuses
 input outside its domain with DomainError.
@@ -163,6 +164,17 @@ def five_sum_invariants(a) -> tuple[int, OddCounts, GenusBound | None]:
     value, rem = divmod(max(s_minus + 2 * oc.pos - 2, s_plus + 2 * oc.neg - 2), 4)
     assert rem_p == rem_n == rem_g == rem == 0
     return sig, oc, GenusBound(value, pos_changes, neg_changes, seifert_genus)
+
+
+def euclid_steps(a: int, b: int) -> int:
+    """Number of division steps in the ordinary Euclid gcd of (a, b): the
+    count the forced walk's overrun bound 2 * euclid_steps + 4 is read
+    from (the walk runs its Euclid divisions beside its b-steps)."""
+    n = 0
+    while b:
+        a, b = b, a % b
+        n += 1
+    return n
 
 
 def interleave(a, b) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,16 @@ class TestDigitCap:
                     assert dec(x) == reference_dec(x), x
                 else:
                     assert dec(x) == f"{n}/{den}", x
+
+    def test_dec_takes_only_ints_and_fractions(self):
+        # a float would print its binary value, 0.1 as 55 digits
+        for value in (0.1, 1.0, True, False, "1", Decimal("0.1"), None, 1 + 0j):
+            with pytest.raises(TypeError):
+                dec(value)
+        assert [dec(n) for n in (0, 3, -7, 10**20)] == ["0.0", "3.0", "-7.0", "1" + "0" * 20 + ".0"]
+        assert [dec(Fraction(n, d)) for n, d in ((1, 4), (-1, 8), (1, 3), (6, 4))] == [
+            "0.25", "-0.125", "1/3", "1.5"
+        ]
 
     def test_dec_refuses_long_output(self):
         # the numerator fits, but the exact decimal of x/8 has 3 more digits

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobkit import cli
+from cobkit import cli, contfrac
 from cobkit.arith import DIGIT_LIMIT, check_digits, dec
 from cobkit.cli import SCAN_CAP_ENV, _json_rows, _Quarters, main
 from cobkit.contfrac import eval_terms, format_cf, parse_cf
@@ -661,8 +661,8 @@ def _c_encoder(factory):
     return mock.patch.object(json.encoder, "c_make_encoder", factory)
 
 
-# the expansions of census(49), and one of 401 terms
-_CFS = [row.cf for row in census(49)] + [parse_cf(LONG_CF_401)]
+# the expansion texts of census(49), and one of 401 terms
+_CFS = [row.cf for row in census(49)] + [format_cf(parse_cf(LONG_CF_401))]
 _ROWS = st.lists(
     st.builds(
         CensusRow,
@@ -695,7 +695,7 @@ class TestJsonRows:
                             "beta": r.beta,
                             "m_lower": _json_text(r.m_lower),
                             "mbar_upper": _json_text(r.mbar_upper),
-                            "cf": format_cf(r.cf),
+                            "cf": r.cf,
                             "order": r.order,
                         }
                         for r in rows
@@ -866,8 +866,19 @@ class TestExitCodes:
         assert run(capsys, "lens", "7", "3", "--cf", "[1,2,1,-2,1]") == (2, "", err)
 
     def test_refused_expansion_is_three(self, capsys, monkeypatch):
-        # a record find_admissible_cf built but the check refuses is an internal failure
-        monkeypatch.setattr("cobkit.contfrac._fold", lambda terms: (0, 1))
-        code, out, err = run(capsys, "cf", "39", "17")
+        # a forced walk that fails its checks is an internal failure, on
+        # every verb that walks: here each walk is made of the swapped pair
+        walk = contfrac._walk
+
+        def swapped(alpha, beta):
+            return walk(beta, alpha)
+
+        monkeypatch.setattr("cobkit.contfrac._walk", swapped)
+        monkeypatch.setattr("cobkit.lens._walk", swapped)
+        for argv in (["cf", "39", "17"], ["lens", "39", "17"], ["genus-bound", "--lens", "39", "22"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert "expansion invalid for 17/39: not admissible: all a_i must be nonzero" in err
+        code, out, err = run(capsys, "scan", "--alpha-max", "9")
         assert (code, out) == (3, "")
-        assert "expansion invalid for 39/17: not admissible: expansion evaluates to 0" in err
+        assert "expansion invalid for 1/3: not admissible: all a_i must be nonzero" in err

@@ -12,7 +12,6 @@ from cobkit import contfrac
 from cobkit.contfrac import (
     AdmissibleCF,
     admissible_cf,
-    euclid_steps,
     eval_terms,
     find_admissible_cf,
     find_positive_cf,
@@ -21,8 +20,9 @@ from cobkit.contfrac import (
 )
 from cobkit.arith import DIGIT_LIMIT
 from cobkit.errors import DomainError, EvaluationError, ResourceLimitError
-from cobkit.lens import LensSpace, classify_order
-from oracles import admissible_violation, eval_cf, rule_violation
+from cobkit.lens import LensSpace, _lens_row, classify_order
+from cobkit.twobridge import _tally
+from oracles import admissible_violation, euclid_steps, eval_cf, rule_violation
 
 
 def fraction_fold(terms) -> Fraction:
@@ -285,6 +285,8 @@ class TestValidate:
         assert folded == 6 + 18 * 6 + 18 * 18 * 6  # a_i any, b_i of a_i's sign
 
     def test_one_fold_per_report(self, monkeypatch):
+        # a supplied expansion is folded once, by its builder; the forced
+        # one is never folded: its walk checks the target with convergents
         folds = []
         fold = contfrac._fold
 
@@ -293,8 +295,11 @@ class TestValidate:
             return fold(terms)
 
         monkeypatch.setattr("cobkit.contfrac._fold", counting)
-        report = classify_order(LensSpace(39, 22))
+        report = classify_order(LensSpace(39, 17), parse_cf("[2,4,-1,-2,2]"))
         assert folds == [report.cf.terms]
+        folds.clear()
+        report = classify_order(LensSpace(39, 22))
+        assert folds == [] and report.cf.terms == (2, 4, -1, -2, 2)
 
     @pytest.mark.parametrize(
         "build",
@@ -463,6 +468,67 @@ class TestSearch:
         assert cf.alpha == alpha and cf.beta == beta
         assert eval_cf(cf.a, cf.b) == Fraction(alpha, beta)
         assert len(cf.terms) <= 2 * euclid_steps(alpha, beta) + 4
+
+
+class TestWalk:
+    """The forced walk checks each term as it makes it.  On the pairs the
+    callers pass no check can fail, so the checks are driven here with
+    pairs outside that domain, and their wording read from _refuse."""
+
+    @staticmethod
+    def _refusal(alpha, beta) -> str:
+        with pytest.raises(AssertionError) as info:
+            contfrac._walk(alpha, beta)
+        return str(info.value)
+
+    def test_sign_rule_is_checked_per_b_term(self):
+        # 1/-3 walks [-1, 2, -2]: a_1 = -1 and b_1 = 1 differ in sign;
+        # 3/5 walks a_1 = 0
+        assert self._refusal(1, -3) == "expansion invalid for 1/-3: not admissible: a_1 * b_1 > 0 violated"
+        assert self._refusal(3, 5) == "expansion invalid for 3/5: not admissible: all a_i must be nonzero"
+
+    def test_last_term_must_be_nonzero(self):
+        # 0/1 walks [0]: no b-term, so only the a_n check can refuse it
+        assert self._refusal(0, 1) == "expansion invalid for 0/1: not admissible: all a_i must be nonzero"
+
+    def test_overrun_bound_is_exact(self):
+        # 1/-3 takes one b-step, the most euclid_steps(-2, 1) = 1 allows, and
+        # goes on to fail its sign rule; 1/-5 asks for a second and overruns
+        assert euclid_steps(1 + -3, 1) == 1 and euclid_steps(1 + -5, 1) == 1
+        assert "a_1 * b_1 > 0 violated" in self._refusal(1, -3)
+        assert self._refusal(1, -5) == "admissible expansion overran its bound for 1/-5"
+        # the Euclid pair is (alpha + beta, alpha): both pairs below take three
+        # b-steps, which euclid_steps(-9, 4) = 3 allows and euclid_steps(-17, -4) = 2 does not
+        assert "a_1 * b_1 > 0 violated" in self._refusal(4, -13)
+        assert self._refusal(-4, -13) == "admissible expansion overran its bound for -4/-13"
+
+    def test_refusal_is_worded_by_the_builder(self):
+        # the target rule, as _target_violation words it
+        with pytest.raises(AssertionError, match=r"^expansion invalid for 39/17: not admissible: "
+                           r"expansion evaluates to 62/27, not 39/17$"):
+            contfrac._refuse(39, 17, [2, 4, -1, -2, 3])
+        # terms the builder accepts: the walk's own check was at fault
+        with pytest.raises(AssertionError, match=r"^expansion invalid for 39/17: the walk refused \[2,4,-1,-2,2\]$"):
+            contfrac._refuse(39, 17, [2, 4, -1, -2, 2])
+
+    def test_walk_and_tally(self):
+        terms, tally = contfrac._walk(39, 17)
+        assert terms == [2, 4, -1, -2, 2] and tally == (2, 8, 0, 1)
+
+    def test_long_walk_matches_the_record_route(self):
+        # F(19079)/F(19078) has 3,987 digits, under the default digit cap,
+        # and a forced expansion of 12,719 terms
+        alpha, beta = fibonacci(19079), fibonacci(19078)
+        start = time.perf_counter()
+        terms, tally = contfrac._walk(alpha, beta)
+        row = _lens_row(alpha, beta)
+        elapsed = time.perf_counter() - start
+        assert len(terms) == 12719
+        record = AdmissibleCF(*find_admissible_cf(alpha, beta))  # the full builder
+        assert list(record.terms) == terms and tally == _tally(record.a)
+        assert row == _lens_row(alpha, beta, record)
+        assert row.cf == format_cf(record)
+        assert elapsed < 2.0, f"walk and row took {elapsed:.2f}s, budget 2s"
 
 
 class TestDirectRule:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -12,10 +13,12 @@ from cobkit.contfrac import (
     find_admissible_cf,
     find_positive_cf,
     format_cf,
+    parse_cf,
 )
 from cobkit.errors import DomainError
 from cobkit.lens import (
     ORDER_ANNOTATIONS,
+    CensusRow,
     LensSpace,
     census,
     classify_order,
@@ -233,6 +236,19 @@ class TestClassifyOrder:
         cf = admissible_cf((2, -3), (1,))
         assert classify_order(LensSpace(13, 5), cf).cf is cf
 
+    def test_supplied_expansion_refusals(self):
+        # a supplied expansion must be of alpha/beta itself with beta odd;
+        # for even beta the mirror refusal comes first, whatever the target
+        mirror_message = "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
+        for cf, space, message in (
+            (find_admissible_cf(39, 17), LensSpace(39, 22), mirror_message),
+            (parse_cf("[2,4,-1]"), LensSpace(39, 22), mirror_message),
+            (parse_cf("[2,4,-1]"), LensSpace(39, 17), "expansion targets 7/3, not 39/17"),
+        ):
+            for route in (classify_order, m_bounds):
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    route(space, cf)
+
     def test_annotations_cover_expected_keys(self):
         assert set(ORDER_ANNOTATIONS) == {(5, 3), (13, 5), (9, 5)}
 
@@ -254,7 +270,7 @@ class TestCensus:
         n = 0
         for row in census(399):
             sigma = murasugi_signature(row.alpha, row.beta)
-            g = five_sum_invariants(row.cf.a)[2].value
+            g = five_sum_invariants(parse_cf(row.cf).a)[2].value
             assert (row.lower, row.upper) == (5 * sigma - 8 * g, 5 * sigma + 8 * g), row
             assert row.rokhlin == sigma % 16, row
             if row.lower > 0 or row.upper < 0:
@@ -268,13 +284,36 @@ class TestCensus:
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
 
+    def test_fused_rows_match_the_record_route(self):
+        # each row comes from one forced walk; rebuild it from the record
+        # route instead: the expansion checked by AdmissibleCF's full
+        # builder, sigma and g from _knot_invariants, the text from format_cf
+        start = time.perf_counter()
+        n = 0
+        for row in census(399):
+            alpha, beta = row.alpha, row.beta
+            record = AdmissibleCF(*find_admissible_cf(alpha, beta))
+            sigma, g = _knot_invariants(record)[:2]
+            lower, upper = 5 * sigma - 8 * g, 5 * sigma + 8 * g
+            if lower > 0 or upper < 0:
+                order = "inf"
+            else:
+                order = ORDER_ANNOTATIONS.get((alpha, beta), "?")
+            text = format_cf(record)
+            assert row == CensusRow(alpha, beta, lower, upper, sigma % 16, text, order)
+            assert parse_cf(row.cf) == record
+            n += 1
+        assert n == 16182
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
+
     def test_positive_expansion_implies_bound_certificate(self):
         # sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so m >= (sum(a) - 1)/4 > 0:
         # the certificate fires before an all-positive expansion is looked for
         start = time.perf_counter()
         positive = 0
         for row in census(399):
-            cf = row.cf
+            cf = parse_cf(row.cf)
             if any(t <= 0 for t in cf.terms):
                 continue
             positive += 1

@@ -54,7 +54,8 @@ def _records():
 
 
 # recorded from the frozen dataclasses these records replace; the last,
-# CensusRow, recorded once its bounds became quarter counts
+# CensusRow, recorded once its bounds became quarter counts and its
+# expansion the printed text
 _REPRS = [
     "AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17)",
     "GenusBound(value=2, pos_changes=0, neg_changes=2, seifert_genus=0)",
@@ -84,7 +85,7 @@ _REPRS = [
     "annotation=None, cf=AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17))",
     "Output(doc={'a': 1}, text='x\\n', rows=())",
     "CensusRow(alpha=39, beta=22, lower=-26, upper=6, rokhlin=14, "
-    "cf=AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17), order='?')",
+    "cf='[2,4,-1,-2,2]', order='?')",
 ]
 
 
@@ -134,7 +135,7 @@ def test_table1_rows_are_the_reports_as_quarter_counts():
             int(4 * b.m_lower),
             int(4 * b.mbar_upper),
             b.rokhlin.value,
-            report.cf,
+            format_cf(report.cf),
             report.order,
         )
         assert (report.row.m_lower, report.row.mbar_upper) == (b.m_lower, b.mbar_upper)

@@ -28,7 +28,7 @@ def main(argv=None) -> int:
     rows = []
     for k in range(2, args.k_max + 1, 2):
         space, cf = family("16k+7", k)
-        row = _lens_row(space.alpha, space.beta, cf)
+        row = _lens_row(space.alpha, space.beta, cf)[0]
         need = slice_genus_lower(row.alpha, row.rokhlin, row.m_lower)
         rows.append(
             [str(k), str(row.alpha), str(row.beta), str(row.rokhlin), dec(row.m_lower), dec(need)]

@@ -171,28 +171,61 @@ class OrderCertificate(NamedTuple):
     reason: str
 
 
-def _bounds_certify(lower: int, upper: int) -> bool:
-    """Whether the interval certifies infinite order, m > 0 or mbar < 0,
-    read on the quarter counts lower = 4 m_lower and upper = 4 mbar_upper."""
-    return lower > 0 or upper < 0
+# Every order verdict by kind: each label it gives, with its reason's
+# template, read with the bounds b.  Only an annotation gives more than
+# one label; the annotated space names its own (lens.ORDER_ANNOTATIONS).
+_VERDICTS: dict[str, dict[str, str]] = {
+    "m_pos": {"inf": "m >= {b.m_lower} > 0"},
+    "mbar_neg": {"inf": "mbar <= {b.mbar_upper} < 0"},
+    "exact_rokhlin": {"inf": "{side} = 0 with Rokhlin invariant {b.rokhlin.value} != 0"},
+    "positive_cf": {"inf": "all-positive expansion {expansion} certifies infinite order"},
+    "annotation": {
+        "<=2": "admits an orientation-reversing self-diffeomorphism,"
+        " so the class has order at most 2",
+        "0": "bounds a Z/2-acyclic 4-manifold, so the class is 0",
+    },
+    "none": {"?": "no certificate applies"},
+}
+
+
+def _verdict(
+    lower, upper, m_exact=None, mbar_exact=None, rokhlin=None, positive=None, annotated=None
+) -> str:
+    """The kind of the order verdict, read on the quarter counts lower = 4 m_lower and
+    upper = 4 mbar_upper, the exact markers and the RokhlinClass: m > 0, mbar < 0, or
+    an exact m or mbar of 0 with R != 0 certify infinite order, alike for Y and -Y.
+    Past them, positive (called only then) finds an all-positive expansion or None,
+    and an annotated space keeps its known order."""
+    if lower > 0:
+        return "m_pos"
+    if upper < 0:
+        return "mbar_neg"
+    if rokhlin is not None and rokhlin.value != 0 and 0 in (m_exact, mbar_exact):
+        return "exact_rokhlin"
+    if positive is not None and positive() is not None:
+        return "positive_cf"
+    return "none" if annotated is None else "annotation"
+
+
+def _label(kind: str, annotated: str | None = None) -> str:
+    """The order label of a verdict; an annotation's is the annotated one."""
+    [label] = (annotated,) if kind == "annotation" else _VERDICTS[kind]
+    return label
+
+
+def _reason(kind: str, label: str, b: MBounds, expansion: str | None = None) -> str:
+    """The verdict's reason, read with the bounds and the all-positive expansion."""
+    side = "m" if b.m_exact == 0 else "mbar"
+    return _VERDICTS[kind][label].format(b=b, side=side, expansion=expansion)
 
 
 def infinite_order_certificate(x: MBounds) -> OrderCertificate:
-    """Infinite order in the homology cobordism group when m > 0, or
-    mbar < 0, or m = 0 with nonzero Rokhlin invariant."""
+    """Infinite order when m > 0, or mbar < 0, or m or mbar is exactly 0 with
+    R != 0, alike for x and reverse_orientation(x); else 'unknown'."""
     lower, upper = _quarters(x.m_lower), _quarters(x.mbar_upper)
-    if _bounds_certify(lower, upper):
-        reason = f"m >= {x.m_lower} > 0" if lower > 0 else f"mbar <= {x.mbar_upper} < 0"
-        return OrderCertificate("infinite", reason)
-    if (
-        x.m_exact == 0
-        and x.rokhlin is not None
-        and x.rokhlin.value != 0
-    ):
-        return OrderCertificate(
-            "infinite", f"m = 0 with Rokhlin invariant {x.rokhlin.value} != 0"
-        )
-    return OrderCertificate("unknown", "no certificate applies")
+    kind = _verdict(lower, upper, x.m_exact, x.mbar_exact, x.rokhlin)
+    label = _label(kind)
+    return OrderCertificate("infinite" if label == "inf" else "unknown", _reason(kind, label, x))
 
 
 def _cover_quarters(sigma_knot: int, genus_upper: int) -> tuple[int, int]:

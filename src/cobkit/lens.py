@@ -6,7 +6,8 @@ alpha/beta yields certified bounds on m and mbar and the exact Rokhlin
 invariant sigma(S(alpha, beta)) mod 16.  For even beta the mirror
 L(alpha, alpha - beta) is computed and the orientation reversed.
 One kernel, _lens_row, goes from a pair to its row in integers, with
-the expansion's printed text: census yields its rows, and m_bounds and
+the expansion's printed text and the order label of the one verdict
+function, cobordism._verdict: census yields its rows, and m_bounds and
 classify_order wrap a row in the records and the provenance.  With no
 expansion supplied, the row reads one forced walk of the pair, which
 makes the terms, their tally and every check in a single pass.
@@ -16,18 +17,11 @@ unknot.
 
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd
 from typing import NamedTuple
 
-from .cobordism import (
-    MBounds,
-    OrderCertificate,
-    _bounds_certify,
-    _cover_line,
-    _cover_quarters,
-    _quarters,
-    infinite_order_certificate,
-)
+from .cobordism import MBounds, _cover_line, _cover_quarters, _label, _reason, _verdict
 from .contfrac import (
     AdmissibleCF,
     _format_terms,
@@ -89,42 +83,26 @@ class CensusRow(NamedTuple):
 
 
 class OrderReport(NamedTuple):
-    """Order classification of [L] in the homology cobordism group.
-
-    order is 'inf', an annotated label like '<=2' or '0', or '?'.  cf is
-    the expansion the bounds came from: of alpha/beta, or of the
-    odd-beta mirror alpha/(alpha - beta) when beta is even.  reason is
-    the annotation when there is one, otherwise the certificate's reason.
-    """
+    """Order classification of [L] in the homology cobordism group: its
+    one verdict (kind and reason), the expansion cf the bounds came from
+    (of the odd-beta mirror alpha/(alpha - beta) when beta is even) and
+    the row it was built with, whose order is 'inf', '<=2', '0' or '?'."""
 
     space: LensSpace
-    order: str
     bounds: MBounds
-    certificate: OrderCertificate
-    annotation: str | None
+    kind: str
+    reason: str
     cf: AdmissibleCF
+    row: CensusRow
 
     @property
-    def reason(self) -> str:
-        return self.certificate.reason if self.annotation is None else self.annotation
-
-    @property
-    def row(self) -> CensusRow:
-        """This report as the census prints it, its expansion formatted once."""
-        b = self.bounds
-        lower, upper = _quarters(b.m_lower), _quarters(b.mbar_upper)
-        text = format_cf(self.cf)
-        return CensusRow(*self.space, lower, upper, b.rokhlin.value, text, self.order)
+    def order(self) -> str:
+        return self.row.order
 
 
-# Known order facts that the certificates here cannot derive: the label
-# of each annotated pair, and the reason each label is reported with.
-# They are reported verbatim, never computed.
+# The label of each annotated pair, a known order fact that the
+# certificates here cannot derive; its reason is the verdict table's.
 ORDER_ANNOTATIONS: dict[tuple[int, int], str] = {(5, 3): "<=2", (13, 5): "<=2", (9, 5): "0"}
-_ORDER_REASONS = {
-    "<=2": "admits an orientation-reversing self-diffeomorphism, so the class has order at most 2",
-    "0": "bounds a Z/2-acyclic 4-manifold, so the class is 0",
-}
 
 
 def _odd_beta(alpha: int, beta: int) -> int:
@@ -133,14 +111,14 @@ def _odd_beta(alpha: int, beta: int) -> int:
     return alpha - beta if beta % 2 == 0 else beta
 
 
-def _lens_row(alpha: int, beta: int, cf: AdmissibleCF | None = None) -> CensusRow:
-    """The row of L(alpha, beta), alpha odd and beta coprime to it: the
-    branched double cover bounds of the odd-beta representative, reversed
-    for even beta, and the order label from the bound certificate or
-    ORDER_ANNOTATIONS.  With no cf, one forced walk of the representative
-    gives the tally, the last a-term and the text; a supplied cf, which
-    must expand the representative (_supplied checks a user's), gives
-    them from its record."""
+def _lens_row(alpha: int, beta: int, cf=None, positive=None) -> tuple[CensusRow, str]:
+    """The row of L(alpha, beta), alpha odd and beta coprime to it, and
+    its verdict's kind: the branched double cover bounds of the odd-beta
+    representative, reversed for even beta, labelled by _verdict with
+    ORDER_ANNOTATIONS and classify_order's all-positive search, positive.
+    With no cf, one forced walk of the representative gives the tally,
+    the last a-term and the text; a supplied cf, an AdmissibleCF of the
+    representative (_supplied checks a user's), gives them from its record."""
     odd = _odd_beta(alpha, beta)
     if cf is None:
         terms, tally = _walk(alpha, odd)
@@ -151,8 +129,10 @@ def _lens_row(alpha: int, beta: int, cf: AdmissibleCF | None = None) -> CensusRo
     lower, upper = _cover_quarters(sigma, genus)
     if odd != beta:  # m(-Y) = -mbar(Y), mbar(-Y) = -m(Y), R(-Y) = -R(Y)
         lower, upper, sigma = -upper, -lower, -sigma
-    order = "inf" if _bounds_certify(lower, upper) else ORDER_ANNOTATIONS.get((alpha, beta), "?")
-    return CensusRow(alpha, beta, lower, upper, sigma % 16, _format_terms(terms), order)
+    annotated = ORDER_ANNOTATIONS.get((alpha, beta))
+    kind = _verdict(lower, upper, positive=positive, annotated=annotated)
+    text = _format_terms(terms)
+    return CensusRow(alpha, beta, lower, upper, sigma % 16, text, _label(kind, annotated)), kind
 
 
 def _supplied(space: LensSpace, cf: AdmissibleCF | None) -> AdmissibleCF | None:
@@ -194,7 +174,7 @@ def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
     supplied) presents the two-bridge cover; the branched double cover
     bounds with its signature and slice genus bound give the interval.
     """
-    return _row_bounds(_lens_row(space.alpha, space.beta, _supplied(space, cf)))
+    return _row_bounds(_lens_row(space.alpha, space.beta, _supplied(space, cf))[0])
 
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
@@ -202,33 +182,23 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
     certificate fires or an all-positive expansion exists, otherwise an
     annotated known order, otherwise unknown.
 
-    The bounds and the label come from the row that m_bounds and census
-    read, here from the record of the expansion (find_admissible_cf's
-    walk of the odd-beta representative when none is supplied); this
-    adds the certificate's reason and the all-positive check.
-    An all-positive expansion is the forced one, and for it
-    sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so m >= (sum(a) - 1)/4 > 0
-    (mbar < 0 after reversal for even beta): the certificate has fired.
-    So find_positive_cf runs only on a supplied cf, which is of
-    alpha/beta itself, whose certificate did not fire.
+    The bounds, the verdict and the label come from the row that m_bounds
+    and census read, here from the record of the expansion; this adds
+    the verdict's reason.  An all-positive expansion is the forced one,
+    and for it sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so
+    m >= (sum(a) - 1)/4 > 0 (mbar < 0 for even beta): the certificate has
+    fired.  So only a supplied cf, of alpha/beta itself, whose bounds
+    certify nothing, has find_positive_cf run, once.
     """
     alpha, beta = space
     found = _supplied(space, cf)
     if found is None:
         found = find_admissible_cf(alpha, _odd_beta(alpha, beta))
-    row = _lens_row(alpha, beta, found)
+    positive = None if cf is None else cache(partial(find_positive_cf, cf.alpha, cf.beta))
+    row, kind = _lens_row(alpha, beta, found, positive)
     bounds = _row_bounds(row)
-    cert = infinite_order_certificate(bounds)
-    order = row.order
-    if order != "inf" and cf is not None:
-        positive = find_positive_cf(cf.alpha, cf.beta)
-        if positive is not None:
-            order = "inf"
-            cert = OrderCertificate(
-                "infinite",
-                f"all-positive expansion {format_cf(positive)} certifies infinite order",
-            )
-    return OrderReport(space, order, bounds, cert, _ORDER_REASONS.get(order), found)
+    text = format_cf(positive()) if kind == "positive_cf" else None
+    return OrderReport(space, bounds, kind, _reason(kind, row.order, bounds, text), found, row)
 
 
 def census(alpha_max: int) -> Iterator[CensusRow]:
@@ -241,7 +211,7 @@ def census(alpha_max: int) -> Iterator[CensusRow]:
     for alpha in range(3, alpha_max + 1, 2):
         for beta in range(1, alpha, 2):
             if gcd(alpha, beta) == 1:
-                yield _lens_row(alpha, beta)
+                yield _lens_row(alpha, beta)[0]
 
 
 # Fixed presentations for every lens space with odd |H_1| <= 13 (beta

@@ -9,8 +9,9 @@ behind a knot's signature, odd counts and genus bound, the Euclid
 step count behind the expansion's overrun bound, the value of an
 expansion from its a and b sequences, the admissibility rules walked
 one by one, the JSON reader of an MBounds record, the
-orientation reversal of a lens space as a pair, and exact elimination
-on the T(p, q, r) intersection matrix.  Each refuses
+orientation reversal of a lens space as a pair, the paper's order
+certificate read on both orientations, and exact elimination on the
+T(p, q, r) intersection matrix.  Each refuses
 input outside its domain with DomainError.
 """
 
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
-from cobkit.cobordism import MBounds, RokhlinClass
+from cobkit.cobordism import MBounds, RokhlinClass, infinite_order_certificate, reverse_orientation
 from cobkit.contfrac import _fold, eval_terms
 from cobkit.errors import DomainError
 from cobkit.lens import LensSpace
@@ -253,6 +254,31 @@ def rule_violation(a, b) -> str | None:
 def mirror(space: LensSpace) -> LensSpace:
     """L(alpha, alpha - beta), the orientation reversal of L(alpha, beta)."""
     return LensSpace(space.alpha, space.alpha - space.beta)
+
+
+def paper_verdict(x: MBounds) -> str:
+    """'infinite' when the paper's certificate, m > 0, or mbar < 0, or
+    m = 0 exactly with R != 0, holds for x or for its reversal -Y
+    (m(-Y) = -mbar(Y), mbar(-Y) = -m(Y), R(-Y) = -R(Y)), since
+    [-Y] = -[Y]; else 'unknown'.  Read on the Fractions, one side at a time."""
+
+    rokhlin = 0 if x.rokhlin is None else x.rokhlin.value
+
+    def fires(m_lower, mbar_upper, m_exact):
+        return m_lower > 0 or mbar_upper < 0 or (m_exact == 0 and rokhlin != 0)
+
+    minus = None if x.mbar_exact is None else -x.mbar_exact
+    both = fires(x.m_lower, x.mbar_upper, x.m_exact) or fires(-x.mbar_upper, -x.m_lower, minus)
+    return "infinite" if both else "unknown"
+
+
+def reversal_verdict(x: MBounds) -> str:
+    """The verdict infinite_order_certificate gives x, checked equal to the
+    one it gives reverse_orientation(x) and to paper_verdict(x)."""
+    verdict = infinite_order_certificate(x).verdict
+    assert verdict == infinite_order_certificate(reverse_orientation(x)).verdict, x
+    assert verdict == paper_verdict(x), x
+    return verdict
 
 
 def bounds_from_json_dict(d: dict) -> MBounds:

@@ -133,6 +133,22 @@ class TestLens:
         assert code == 0
         assert out.splitlines()[1] == "3,1,0.5,4.5,[3],inf"
 
+    @pytest.mark.parametrize("fmt", [(), ("--json",), ("--csv",)])
+    def test_expansion_formatted_once(self, capsys, monkeypatch, fmt):
+        # the report keeps the row classify_order built; nothing formats it again
+        calls = []
+        format_terms = contfrac._format_terms
+
+        def counting(terms):
+            calls.append(tuple(terms))
+            return format_terms(terms)
+
+        monkeypatch.setattr("cobkit.contfrac._format_terms", counting)
+        monkeypatch.setattr("cobkit.lens._format_terms", counting)
+        code, out, _ = run(capsys, "lens", "39", "22", *fmt)
+        assert code == 0 and "[2,4,-1,-2,2]" in out
+        assert calls == [(2, 4, -1, -2, 2)]
+
     def test_domain_errors(self, capsys):
         for argv in (("lens", "4", "1"), ("lens", "9", "3"), ("lens", "5", "5")):
             code, _, err = run(capsys, *argv)

@@ -12,12 +12,22 @@ from cobkit.cobordism import (
     OrderCertificate,
     RokhlinClass,
     _cover_quarters,
+    _label,
+    _reason,
+    _verdict,
+    _VERDICTS,
     infinite_order_certificate,
     merge_bounds,
     reverse_orientation,
 )
 from cobkit.errors import DomainError
-from oracles import SpinFillingData, bound_from_filling, bounds_from_json_dict, branched_cover_bounds
+from oracles import (
+    SpinFillingData,
+    bound_from_filling,
+    bounds_from_json_dict,
+    branched_cover_bounds,
+    reversal_verdict,
+)
 
 # The 3-sphere bounds the 4-ball: everything vanishes.
 S3 = MBounds(0, 0, m_exact=0, mbar_exact=0, rokhlin=0, provenance=("S3 bounds the 4-ball",))
@@ -74,6 +84,23 @@ def filling_records(draw):
     if draw(st.booleans()):
         rec = reverse_orientation(rec)
     return rec
+
+
+@st.composite
+def exact_records(draw):
+    """A valid record around exact values m and mbar, each marker, and the
+    Rokhlin class, kept or dropped."""
+    rokhlin = 2 * draw(st.integers(0, 7))
+    m4 = rokhlin + 8 * draw(st.integers(-2, 1))  # 4m = R mod 8
+    gap = draw(st.integers(0 if m4 == rokhlin == 0 else 1, 2))
+    mbar4 = m4 + 8 * gap
+    return MBounds(
+        Fraction(m4, 4),
+        Fraction(mbar4, 4),
+        m_exact=Fraction(m4, 4) if draw(st.booleans()) else None,
+        mbar_exact=Fraction(mbar4, 4) if draw(st.booleans()) else None,
+        rokhlin=rokhlin if draw(st.booleans()) else None,
+    )
 
 
 class TestRokhlinClass:
@@ -218,18 +245,28 @@ class TestMerge:
         assert (z.m_lower, z.mbar_upper, z.rokhlin.value) == (-2, 0, 8)
 
     def test_rokhlin_conflict(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^merge_bounds requires matching Rokhlin classes$"):
             merge_bounds(
                 bound_from_filling(SpinFillingData(0, 0)),
                 bound_from_filling(SpinFillingData(2, 10)),
             )
 
     def test_disjoint_intervals(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^merge_bounds got incompatible intervals$"):
             merge_bounds(
                 bound_from_filling(SpinFillingData(16, 0)),
                 bound_from_filling(SpinFillingData(0, 0)),
             )
+
+    def test_intervals_meeting_at_a_point(self):
+        z = merge_bounds(MBounds(-2, 0), MBounds(0, 2))
+        assert nums(z) == (0, 0, None, None, None)
+
+    def test_rokhlin_from_either_side(self):
+        known, unknown = MBounds(-2, 2, rokhlin=8), MBounds(-1, 3)
+        for x, y in ((known, unknown), (unknown, known)):
+            assert merge_bounds(x, y).rokhlin == RokhlinClass(8)
+        assert merge_bounds(unknown, unknown).rokhlin is None
 
     def test_never_promotes_exact(self):
         x = MBounds(-2, 0, m_exact=-2, mbar_exact=0, rokhlin=8)
@@ -263,10 +300,24 @@ class TestOrderCertificate:
     def test_rokhlin_route_needs_exact_zero(self):
         exact = MBounds(0, 2, m_exact=0, mbar_exact=2, rokhlin=8)
         cert = infinite_order_certificate(exact)
-        assert cert.verdict == "infinite" and "Rokhlin" in cert.reason
+        assert cert == OrderCertificate("infinite", "m = 0 with Rokhlin invariant 8 != 0")
         # a mere lower bound m >= 0 does not trigger the Rokhlin route
         loose = MBounds(0, 2, rokhlin=8)
         assert infinite_order_certificate(loose).verdict == "unknown"
+
+    def test_rokhlin_route_reads_either_exact_side(self):
+        # m(-Y) = -mbar(Y): an exact mbar of 0 with R != 0 certifies, as
+        # the exact m of 0 of its reversal does
+        exact = MBounds(-2, 0, m_exact=-2, mbar_exact=0, rokhlin=8)
+        cert = infinite_order_certificate(exact)
+        assert cert == OrderCertificate("infinite", "mbar = 0 with Rokhlin invariant 8 != 0")
+        for x in (
+            MBounds(-2, 0, rokhlin=8),
+            MBounds(-2, 0, m_exact=-2, mbar_exact=0),
+            MBounds(-2, 0, m_exact=-2, mbar_exact=0, rokhlin=0),
+            MBounds(0, 2, m_exact=0, mbar_exact=2, rokhlin=0),
+        ):
+            assert infinite_order_certificate(x).verdict == "unknown", x
 
     def test_unknown(self):
         cert = infinite_order_certificate(MBounds(-2, 2, rokhlin=0))
@@ -281,6 +332,43 @@ class TestOrderCertificate:
         ):
             x = MBounds(Fraction(lower, 4), Fraction(upper, 4))
             assert infinite_order_certificate(x).verdict == verdict, (lower, upper)
+
+
+class TestVerdict:
+    def test_kinds_are_a_closed_set(self):
+        kinds = {"m_pos", "mbar_neg", "exact_rokhlin", "positive_cf", "annotation", "none"}
+        assert set(_VERDICTS) == kinds
+        labels = {kind: _label(kind, "<=2") for kind in kinds}
+        assert labels == {**dict.fromkeys(kinds, "inf"), "annotation": "<=2", "none": "?"}
+        assert _label("annotation", "0") == "0" and _label("none") == "?"
+
+    def test_first_kind_that_applies(self):
+        def refused():
+            raise AssertionError("looked for an all-positive expansion past a certificate")
+
+        r8 = RokhlinClass(8)
+        assert _verdict(1, 4, positive=refused, annotated="0") == "m_pos"
+        assert _verdict(-4, -1, positive=refused, annotated="0") == "mbar_neg"
+        assert _verdict(0, 8, 0, 2, r8, positive=refused, annotated="0") == "exact_rokhlin"
+        assert _verdict(-8, 0, -2, 0, r8, positive=refused, annotated="0") == "exact_rokhlin"
+        assert _verdict(0, 8, positive=lambda: "[3]", annotated="0") == "positive_cf"
+        assert _verdict(0, 8, positive=lambda: None, annotated="0") == "annotation"
+        assert _verdict(0, 8, positive=lambda: None) == "none"
+        assert _verdict(0, 0, 0, 0, RokhlinClass(0)) == "none"
+        assert _verdict(-1, 1, None, None, r8) == "none"
+
+    def test_reasons(self):
+        x = MBounds(Fraction(1, 4), 2, rokhlin=2)
+        assert _reason("m_pos", "inf", x) == "m >= 1/4 > 0"
+        assert _reason("mbar_neg", "inf", reverse_orientation(x)) == "mbar <= -1/4 < 0"
+        assert _reason("positive_cf", "inf", x, "[1,4,2]") == (
+            "all-positive expansion [1,4,2] certifies infinite order"
+        )
+        assert _reason("none", "?", x) == "no certificate applies"
+
+    @given(st.one_of(filling_records(), exact_records()))
+    def test_reversal_keeps_the_verdict(self, x):
+        reversal_verdict(x)
 
 
 class TestBranchedCover:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cobkit.cobordism import reverse_orientation
+from cobkit.cobordism import _verdict, reverse_orientation
 from cobkit.contfrac import (
     AdmissibleCF,
     admissible_cf,
@@ -27,7 +27,13 @@ from cobkit.lens import (
     table1,
 )
 from cobkit.twobridge import _knot_invariants
-from oracles import branched_cover_bounds, five_sum_invariants, mirror, murasugi_signature
+from oracles import (
+    branched_cover_bounds,
+    five_sum_invariants,
+    mirror,
+    murasugi_signature,
+    reversal_verdict,
+)
 
 
 def hirzebruch_jung(p: int, q: int) -> list[int]:
@@ -196,31 +202,53 @@ class TestClassifyOrder:
     def test_infinite_by_bounds(self):
         report = classify_order(LensSpace(3, 1))
         assert report.order == "inf"
-        assert report.certificate.verdict == "infinite"
-        assert "> 0" in report.certificate.reason
+        assert report.kind == "m_pos"
+        assert report.reason == "m >= 1/2 > 0"
 
     def test_infinite_by_positive_expansion(self):
         report = classify_order(LensSpace(11, 9))
         assert report.order == "inf"
         assert find_positive_cf(report.cf.alpha, report.cf.beta) is not None
 
+    def test_positive_expansion_verdict(self, monkeypatch):
+        # no expansion reaches positive_cf (TestExpansionIndependence); with
+        # the bound certificates held off, the report reads that kind and
+        # searches for the all-positive expansion once
+        searches = []
+
+        def search(alpha, beta):
+            searches.append((alpha, beta))
+            return find_positive_cf(alpha, beta)
+
+        def held_off(lower, upper, **kw):
+            return _verdict(0, 0, **kw)
+
+        monkeypatch.setattr("cobkit.lens.find_positive_cf", search)
+        monkeypatch.setattr("cobkit.lens._verdict", held_off)
+        space, cf = family("10n+1", 1)
+        report = classify_order(space, cf)
+        assert (report.order, report.kind) == ("inf", "positive_cf")
+        assert report.reason == "all-positive expansion [1,4,2] certifies infinite order"
+        assert searches == [(11, 9)]
+        assert classify_order(space).kind == "none" and searches == [(11, 9)]
+
     def test_annotated_order_two(self):
         report = classify_order(LensSpace(5, 3))
         assert report.order == "<=2"
         assert find_positive_cf(report.cf.alpha, report.cf.beta) is None
-        assert "orientation-reversing" in report.annotation
+        assert report.kind == "annotation"
+        assert "orientation-reversing" in report.reason
 
     def test_annotated_trivial(self):
         report = classify_order(LensSpace(9, 5))
         assert report.order == "0"
-        assert "acyclic" in report.annotation
-        assert report.reason == report.annotation
+        assert report.kind == "annotation"
+        assert report.reason == "bounds a Z/2-acyclic 4-manifold, so the class is 0"
 
     def test_unknown(self):
         report = classify_order(LensSpace(13, 7))
         assert report.order == "?"
-        assert report.annotation is None
-        assert report.certificate.verdict == "unknown"
+        assert report.kind == "none"
         assert report.reason == "no certificate applies"
 
     def test_reports_expansion_of_odd_representative(self):
@@ -472,6 +500,45 @@ class TestExpansionIndependence:
         assert (enumerated, len(forced), seen) == (34952, 51, 92)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"enumeration took {elapsed:.2f}s, budget 10s"
+
+    def test_positive_pairs_are_certified_by_every_expansion(self):
+        # the positive_cf verdict needs a supplied expansion whose own bounds
+        # certify nothing while its pair has an all-positive one; no small
+        # expansion is such, so every one of them reads m_pos first
+        start = time.perf_counter()
+        positive = {}
+        records = checked = 0
+        for a, b, p, q in admissible_expansions(max_terms=7, max_term=5):
+            alpha, beta = (p, q) if q > 0 else (-p, -q)
+            if not (alpha % 2 == beta % 2 == 1 and 0 < beta < alpha):
+                continue
+            records += 1
+            if (alpha, beta) not in positive:
+                positive[alpha, beta] = find_positive_cf(alpha, beta) is not None
+            if positive[alpha, beta]:
+                report = classify_order(LensSpace(alpha, beta), AdmissibleCF(a, b, alpha, beta))
+                assert report.kind == "m_pos", (a, b)
+                checked += 1
+        # 19,138 pairs, 2,828 of them with an all-positive expansion
+        counts = (records, len(positive), sum(positive.values()), checked)
+        assert counts == (21026, 19138, 2828, 3326)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"enumeration took {elapsed:.2f}s, budget 10s"
+
+
+class TestOrientation:
+    def test_verdict_survives_reversal(self):
+        # [-L] = -[L]: every lens interval, of both parities of beta, gets
+        # the verdict of its reversal and of the paper's certificate
+        start = time.perf_counter()
+        counts = [0, 0]
+        for alpha in range(3, 300, 2):
+            for beta in range(1, alpha):
+                if math.gcd(alpha, beta) == 1:
+                    counts[reversal_verdict(m_bounds(LensSpace(alpha, beta))) == "infinite"] += 1
+        assert counts == [11354, 6878]  # unknown, infinite
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
 
 
 class TestHomeomorphicPresentations:

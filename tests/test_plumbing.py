@@ -14,7 +14,7 @@ from cobkit.plumbing import (
     sigma_pqr_bounds,
     tpqr_invariants,
 )
-from oracles import StarPlumbing, all_valid_triples, det_exact, inertia
+from oracles import StarPlumbing, all_valid_triples, det_exact, inertia, reversal_verdict
 
 
 def sympy_inertia(mat):
@@ -200,6 +200,22 @@ class TestSigmaPqrBounds:
             x = sigma_pqr_bounds(t)
             assert x.mbar_exact - x.m_exact == 2
             assert x.rokhlin.value == (4 - t.total) % 16
+
+    def test_exact_mbar_zero_certifies(self):
+        # m = -2, mbar = 0 exactly with R = 8: -Y has m = 0 with R = 8, and
+        # [-Y] = -[Y], so Y has infinite order too
+        cert = infinite_order_certificate(sigma_pqr_bounds(MpqrTriple(2, 3, 7)))
+        assert cert.verdict == "infinite"
+        assert cert.reason == "mbar = 0 with Rokhlin invariant 8 != 0"
+
+    def test_verdict_survives_reversal(self):
+        # each triple and its reversal get one verdict, as the paper's
+        # certificate read on either orientation gives
+        verdicts = [reversal_verdict(sigma_pqr_bounds(t)) for t in all_valid_triples()]
+        # T(3,3,4), m = -3/2 and mbar = 1/2, is the one left unknown
+        assert len(verdicts) == 68 and verdicts.count("infinite") == 67
+        x = sigma_pqr_bounds(MpqrTriple(3, 3, 4))
+        assert infinite_order_certificate(x).verdict == "unknown"
 
 
 class TestMontesinos:

@@ -55,7 +55,8 @@ def _records():
 
 # recorded from the frozen dataclasses these records replace; the last,
 # CensusRow, recorded once its bounds became quarter counts and its
-# expansion the printed text
+# expansion the printed text, and OrderReport once it held one verdict
+# (its kind and reason) and the row it was built with
 _REPRS = [
     "AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17)",
     "GenusBound(value=2, pos_changes=0, neg_changes=2, seifert_genus=0)",
@@ -76,13 +77,15 @@ _REPRS = [
     "OrderCertificate(verdict='unknown', reason='no certificate applies')",
     "RokhlinClass(value=14)",
     "TpqrInvariants(rank=10, signature=-8, determinant_abs=1)",
-    "OrderReport(space=LensSpace(alpha=39, beta=22), order='?', "
+    "OrderReport(space=LensSpace(alpha=39, beta=22), "
     "bounds=MBounds(m_lower=Fraction(-13, 2), mbar_upper=Fraction(3, 2), m_exact=None, "
     "mbar_exact=None, rokhlin=RokhlinClass(value=14), provenance=('L(39,22) as reversed "
     "mirror', 'L(39,17) branched over S(39,17)', 'expansion [2,4,-1,-2,2]', "
     "'branched double cover (sigma(K)=2, slice genus <= 2)', 'orientation reversed')), "
-    "certificate=OrderCertificate(verdict='unknown', reason='no certificate applies'), "
-    "annotation=None, cf=AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17))",
+    "kind='none', reason='no certificate applies', "
+    "cf=AdmissibleCF(a=(2, -1, 2), b=(2, -1), alpha=39, beta=17), "
+    "row=CensusRow(alpha=39, beta=22, lower=-26, upper=6, rokhlin=14, "
+    "cf='[2,4,-1,-2,2]', order='?'))",
     "Output(doc={'a': 1}, text='x\\n', rows=())",
     "CensusRow(alpha=39, beta=22, lower=-26, upper=6, rokhlin=14, "
     "cf='[2,4,-1,-2,2]', order='?')",

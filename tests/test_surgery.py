@@ -22,6 +22,7 @@ from oracles import (
     CharSurfaceData,
     bound_from_filling,
     dedekind_sum,
+    reversal_verdict,
     spin_surgery_model,
 )
 
@@ -427,6 +428,17 @@ class TestKnownLensSurgeries:
         assert answered == 1312 - len(OVERCLAIMED)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
+
+    def test_verdict_survives_reversal(self):
+        # the surgery model's interval and the lens interval of each space
+        # get the verdicts of their reversals
+        counts = [0, 0]
+        for n, beta, g in known_lens_surgeries():
+            bounds = m_bounds(LensSpace(abs(n), beta))
+            model = m_bounds_from_surgery(n, bounds.rokhlin, g)
+            counts[reversal_verdict(model) == "infinite"] += 1
+            reversal_verdict(bounds)
+        assert counts == [2432, 198]  # unknown, infinite
 
     @pytest.mark.xfail(
         strict=True,

@@ -13,7 +13,7 @@ import csv
 import sys
 
 from cobkit.arith import dec
-from cobkit.lens import _lens_row, family
+from cobkit.lens import family, m_bounds
 from cobkit.surgery import slice_genus_lower
 
 
@@ -28,10 +28,11 @@ def main(argv=None) -> int:
     rows = []
     for k in range(2, args.k_max + 1, 2):
         space, cf = family("16k+7", k)
-        row = _lens_row(space.alpha, space.beta, cf)[0]
-        need = slice_genus_lower(row.alpha, row.rokhlin, row.m_lower)
+        bounds = m_bounds(space, cf)
+        need = slice_genus_lower(space.alpha, bounds.rokhlin, bounds.m_lower)
+        rokhlin = bounds.rokhlin.value
         rows.append(
-            [str(k), str(row.alpha), str(row.beta), str(row.rokhlin), dec(row.m_lower), dec(need)]
+            [str(k), str(space.alpha), str(space.beta), str(rokhlin), dec(bounds.m_lower), dec(need)]
         )
 
     header = ["k", "alpha", "beta", "rokhlin", "m_lower", "genus_needed"]

@@ -23,7 +23,7 @@ from .contfrac import (
     format_cf,
     parse_cf,
 )
-from .errors import DomainError, EvaluationError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .lens import LensSpace, classify_order, family, m_bounds, table1
 from .plumbing import (
     MontesinosInvariants,
@@ -38,7 +38,6 @@ from .surgery import (
     ObstructionTest,
     arf_from_surgery,
     congruence_obstruction,
-    m_bounds_from_surgery,
     obstruction_report,
     qr_obstruction,
     slice_genus_lower,

@@ -206,20 +206,17 @@ _KNOT_GENUS = (
 
 def _cmd_twobridge(args) -> Output:
     cf = contfrac.parse_cf(args.cf)
-    knot = twobridge.is_knot(cf)
-    oc = twobridge.odd_counts(cf)
+    knot, sigma, oc, genus = twobridge._plat_invariants(cf)
     doc = {
         "alpha": cf.alpha,
         "beta": cf.beta,
         "cf": contfrac.format_cf(cf),
         "is_knot": knot,
-        "signature": twobridge.signature(cf),
+        "signature": sigma,
         "determinant": cf.alpha,
         "odd_positive": oc.pos,
         "odd_negative": oc.neg,
-        "slice_genus_upper": (
-            twobridge.slice_genus_upper(cf)._asdict() if knot else None
-        ),
+        "slice_genus_upper": None if genus is None else genus._asdict(),
     }
     kind = ("knot", _KNOT_GENUS) if knot else ("link", "n/a (links are out of scope)")
     return Output(doc, _TWOBRIDGE_TEXT % kind)

@@ -17,7 +17,7 @@ from operator import index, mul
 from typing import NamedTuple
 
 from .arith import check_digits
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 
 
 def _interleave(a, b) -> tuple[int, ...]:
@@ -132,24 +132,13 @@ def _fold(terms) -> tuple[int, int]:
     """Fold a nonempty continued fraction [t1, t2, ..., tm] in integers,
     innermost first: the value p/q of the tail folds as
     (p, q) <- (t*p + q, p).  Each step has determinant -1, so p and q
-    stay coprime and only the sign is left to fix.
+    stay coprime and only the sign is left to fix.  Only terms past the
+    sign rule are folded, so no tail p is zero.
     """
     p, q = terms[-1], 1
     for t in terms[-2::-1]:
-        if p == 0:
-            raise EvaluationError(
-                "zero intermediate denominator while evaluating continued fraction"
-            )
         p, q = t * p + q, p
     return p, q
-
-
-def eval_terms(terms) -> Fraction:
-    """Exact value of a continued fraction [t1, t2, ..., tm], by the same
-    integer fold the admissibility check runs."""
-    if not terms:
-        raise DomainError("eval requires at least one term")
-    return Fraction(*_fold(terms))
 
 
 def admissible_cf(a, b) -> AdmissibleCF:

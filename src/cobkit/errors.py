@@ -10,9 +10,5 @@ class DomainError(ValueError):
     """Input violates a documented precondition."""
 
 
-class EvaluationError(DomainError):
-    """A continued fraction hit a zero intermediate denominator."""
-
-
 class ResourceLimitError(DomainError):
     """A computation exceeded an explicit size cap."""

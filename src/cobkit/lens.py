@@ -246,26 +246,18 @@ def table1() -> tuple[OrderReport, ...]:
 
 
 def family(name: str, parameter: int) -> tuple[LensSpace, AdmissibleCF]:
-    """Named infinite families with closed-form expansions.
-
-    '10n+1': L(10n+1, 8n+1) with expansion [1, 4, 2n], n >= 1; all
-    positive, so every member has infinite order.
-    '16k+7': L(16k+7, 7k+3) with expansion [2, 4, -1, -2, 1, k, -1]
-    for even k >= 2; signature 2, so the Rokhlin invariant is 2.
+    """The named series with a closed-form expansion: '16k+7' is
+    L(16k+7, 7k+3) with expansion [2, 4, -1, -2, 1, k, -1] for even
+    k >= 2; signature 2, so the Rokhlin invariant is 2.
     """
     if parameter < 1:
         raise DomainError("family requires a positive parameter")
-    if name == "10n+1":
-        n = parameter
-        cf = admissible_cf((1, 2 * n), (2,))
-        space = LensSpace(10 * n + 1, 8 * n + 1)
-    elif name == "16k+7":
-        k = parameter
-        if k % 2 != 0:
-            raise DomainError("family '16k+7' requires even k")
-        cf = admissible_cf((2, -1, 1, -1), (2, -1, k // 2))
-        space = LensSpace(16 * k + 7, 7 * k + 3)
-    else:
-        raise DomainError("family name must be '10n+1' or '16k+7'")
+    if name != "16k+7":
+        raise DomainError("family name must be '16k+7'")
+    k = parameter
+    if k % 2 != 0:
+        raise DomainError("family '16k+7' requires even k")
+    cf = admissible_cf((2, -1, 1, -1), (2, -1, k // 2))
+    space = LensSpace(16 * k + 7, 7 * k + 3)
     assert (cf.alpha, cf.beta) == (space.alpha, space.beta)
     return space, cf

@@ -19,7 +19,7 @@ from operator import index
 from typing import NamedTuple
 
 from .arith import is_square_mod
-from .cobordism import MBounds, RokhlinClass
+from .cobordism import RokhlinClass
 from .errors import DomainError
 
 
@@ -64,29 +64,6 @@ def _surgery_quarters(n: int, mu: int, genus_upper: int) -> tuple[int, int]:
     base = abs(n) - 1 + 8 * mu
     extra = 8 * genus_upper + 16 * mu
     return (-4 - 5 * eps) * base - extra, (4 - 5 * eps) * base + extra
-
-
-def m_bounds_from_surgery(n: int, rokhlin, genus_upper: int) -> MBounds:
-    """m and mbar bounds for n-surgery on a knot of slice genus <= g,
-    the interval _surgery_quarters counts for the forced Arf invariant.
-
-    A negative g, an even or zero n, and a framing whose n - sign(n) is
-    not -R mod 8 are domain errors.  n and g are read with operator.index.
-    """
-    n, genus_upper = index(n), index(genus_upper)
-    if genus_upper < 0:
-        raise DomainError("m_bounds_from_surgery requires genus_upper >= 0")
-    rokhlin = RokhlinClass(rokhlin)
-    mu = arf_from_surgery(n, rokhlin)
-    if mu is None:
-        raise DomainError("framing incompatible: n - sign(n) != -R mod 8, no such knot")
-    lower, upper = _surgery_quarters(n, mu, genus_upper)
-    return MBounds(
-        m_lower=Fraction(lower, 4),
-        mbar_upper=Fraction(upper, 4),
-        rokhlin=rokhlin,
-        provenance=(f"surgery model (n={n}, Arf={mu}, slice genus <= {genus_upper})",),
-    )
 
 
 def slice_genus_lower(h: int, rokhlin, m_lower) -> Fraction:

@@ -42,8 +42,12 @@ class GenusBound(NamedTuple):
 
 def signature(cf: AdmissibleCF) -> int:
     """Signature sum(a_i) - sign(a_n); even for knots in this convention."""
-    a = cf.a
-    return sum(a) - (1 if a[-1] > 0 else -1)
+    return _sigma(sum(cf.a), cf.a[-1])
+
+
+def _sigma(total: int, last: int) -> int:
+    """The signature from sum(a) and the last a-term."""
+    return total - (1 if last > 0 else -1)
 
 
 def _tally(a) -> tuple[int, int, int, int]:
@@ -61,8 +65,7 @@ def _tally(a) -> tuple[int, int, int, int]:
 
 
 def odd_counts(cf: AdmissibleCF) -> OddCounts:
-    _, _, pos, neg = _tally(cf.a)
-    return OddCounts(pos=pos, neg=neg)
+    return OddCounts(*_tally(cf.a)[2:])
 
 
 def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
@@ -76,6 +79,15 @@ def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
     return GenusBound(*_knot_invariants(cf)[1:])
 
 
+def _plat_invariants(cf: AdmissibleCF) -> tuple[bool, int, OddCounts, GenusBound | None]:
+    """is_knot, signature, odd_counts and, for a knot, slice_genus_upper
+    of cf, from one tally of its a-terms: what the twobridge verb prints."""
+    tally = _tally(cf.a)
+    total = (tally[1] - tally[0]) // 2  # sum(a), odd for a knot
+    genus = GenusBound(*_tally_invariants(tally, cf.a[-1])[1:]) if total % 2 else None
+    return genus is not None, _sigma(total, cf.a[-1]), OddCounts(*tally[2:]), genus
+
+
 def _knot_invariants(cf: AdmissibleCF) -> tuple[int, int, int, int, int]:
     """The signature and the fields of slice_genus_upper(cf), checked,
     from one tally of the a-terms."""
@@ -86,8 +98,8 @@ def _tally_invariants(tally, last: int) -> tuple[int, int, int, int, int]:
     """The signature and the fields of slice_genus_upper, checked, from
     the tally (S-, S+, o+, o-) of an expansion's a-terms and its last
     a-term: sum(a) = (S+ - S-)/2 gives the knot test and the signature.
-    The one such function: _knot_invariants reads a record's tally, and
-    the lens kernel the tally its forced walk made."""
+    The one such function: _knot_invariants and _plat_invariants read a
+    record's tally, and the lens kernel the tally its forced walk made."""
     s_minus, s_plus, o_pos, o_neg = tally
     total = (s_plus - s_minus) // 2
     if total % 2 != 1:
@@ -101,5 +113,4 @@ def _tally_invariants(tally, last: int) -> tuple[int, int, int, int, int]:
     value, rem = divmod(bound, 4)
     assert rem == 0 and value >= 0
     assert value == seifert_genus + max(pos_changes, neg_changes)
-    sigma = total - (1 if last > 0 else -1)
-    return sigma, value, pos_changes, neg_changes, seifert_genus
+    return _sigma(total, last), value, pos_changes, neg_changes, seifert_genus

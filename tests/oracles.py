@@ -1,30 +1,35 @@
-"""Reference computations that only the tests run.
+"""Reference computations and records that only the tests use.
 
 The package answers by closed forms and one-pass integer folds; these
 are the independent routes the tests hold it to: Dedekind sums, one
-spin filling's bounds and the spin surgery model that produces it, the
-branched double cover's bounds by their closed form,
-Murasugi's lattice-point signature of S(p, q) and the separate sums
-behind a knot's signature, odd counts and genus bound, the Euclid
-step count behind the expansion's overrun bound, the value of an
-expansion from its a and b sequences, the admissibility rules walked
-one by one, the JSON reader of an MBounds record, the
+spin filling's bounds and the spin surgery model that produces it,
+the branched double cover's bounds by their closed form, Murasugi's
+lattice-point signature of S(p, q) and the separate sums behind a
+knot's signature, odd counts and genus bound, the Euclid step count
+behind the expansion's overrun bound, the Fraction fold of an
+expansion that the integer fold is checked against, the admissibility
+rules walked one by one, the JSON reader of an MBounds record, the
 orientation reversal of a lens space as a pair, the paper's order
 certificate read on both orientations, and exact elimination on the
-T(p, q, r) intersection matrix.  Each refuses
-input outside its domain with DomainError.
+T(p, q, r) intersection matrix.  Two records that no verb, script or
+README example needs are built here from the package's own parts: the
+surgery model's interval as an MBounds (m_bounds_from_surgery), and
+the all-positive series L(10n+1, 8n+1) (positive_family).  Each
+refuses input outside its domain with DomainError.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from types import SimpleNamespace
 
 from cobkit.cobordism import MBounds, RokhlinClass, infinite_order_certificate, reverse_orientation
-from cobkit.contfrac import _fold, eval_terms
+from cobkit.contfrac import AdmissibleCF, admissible_cf
 from cobkit.errors import DomainError
 from cobkit.lens import LensSpace
 from cobkit.plumbing import MpqrTriple
+from cobkit.surgery import _surgery_quarters, arf_from_surgery
 from cobkit.twobridge import GenusBound, OddCounts
 
 
@@ -71,6 +76,31 @@ class SpinFillingData:
     def __post_init__(self):
         if self.b2 < 0:
             raise DomainError("a filling needs b2 >= 0")
+
+
+def m_bounds_from_surgery(n: int, rokhlin, genus_upper: int) -> MBounds:
+    """m and mbar bounds for n-surgery on a knot of slice genus <= g: the
+    package's one surgery formula, surgery._surgery_quarters, at the Arf
+    invariant arf_from_surgery forces.  Criterion 7d checks it against
+    the spin filling of spin_surgery_model.
+
+    A negative g, an even or zero n, and a framing whose n - sign(n) is
+    not -R mod 8 are domain errors.  n and g are read with operator.index.
+    """
+    n, genus_upper = index(n), index(genus_upper)
+    if genus_upper < 0:
+        raise DomainError("m_bounds_from_surgery requires genus_upper >= 0")
+    rokhlin = RokhlinClass(rokhlin)
+    mu = arf_from_surgery(n, rokhlin)
+    if mu is None:
+        raise DomainError("framing incompatible: n - sign(n) != -R mod 8, no such knot")
+    lower, upper = _surgery_quarters(n, mu, genus_upper)
+    return MBounds(
+        m_lower=Fraction(lower, 4),
+        mbar_upper=Fraction(upper, 4),
+        rokhlin=rokhlin,
+        provenance=(f"surgery model (n={n}, Arf={mu}, slice genus <= {genus_upper})",),
+    )
 
 
 def bound_from_filling(filling: SpinFillingData) -> MBounds:
@@ -186,13 +216,28 @@ def interleave(a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
+def fraction_fold(terms) -> Fraction:
+    """Exact value of [t1, t2, ..., tm] in Fraction arithmetic, innermost
+    term first: the reference the package's integer fold, contfrac._fold,
+    is held to.  A tail of value 0 left to invert is a zero intermediate
+    denominator."""
+    if not terms:
+        raise DomainError("fraction_fold requires at least one term")
+    value = Fraction(terms[-1])
+    for t in reversed(terms[:-1]):
+        if value == 0:
+            raise DomainError("zero intermediate denominator")
+        value = t + 1 / value
+    return value
+
+
 def eval_cf(a, b) -> Fraction:
     """Exact value of [a1, 2b1, a2, ..., an] from the a and b sequences."""
     a = tuple(int(x) for x in a)
     b = tuple(int(x) for x in b)
     if len(a) != len(b) + 1:
         raise DomainError("eval_cf requires len(a) = len(b) + 1")
-    return eval_terms(interleave(a, b))
+    return fraction_fold(interleave(a, b))
 
 
 def admissible_violation(a, b, alpha, beta) -> str | None:
@@ -208,12 +253,9 @@ def admissible_violation(a, b, alpha, beta) -> str | None:
 
 
 def target_violation(cf) -> str | None:
-    """The first target rule cf breaks, the value last.
-
-    The fold is in integers.  Its pair (p, q), signs moved so that q > 0,
-    is in lowest terms, and so is (alpha, beta) once the target rules
-    hold, so the pairs are equal exactly when the values are.
-    """
+    """The first target rule cf breaks, the value last, read by
+    fraction_fold: once the target rules hold, alpha/beta is in lowest
+    terms with beta > 0, so the value prints as the package words it."""
     alpha, beta = cf.alpha, cf.beta
     if not (0 < beta <= alpha):
         return "target requires 0 < beta <= alpha"
@@ -223,11 +265,9 @@ def target_violation(cf) -> str | None:
         return "target requires gcd(alpha, beta) = 1"
     if beta % 2 == 0:
         return "target requires odd beta"
-    p, q = _fold(cf.terms)
-    if q < 0:
-        p, q = -p, -q
-    if (p, q) != (alpha, beta):
-        return f"expansion evaluates to {Fraction(p, q)}, not {alpha}/{beta}"
+    value = fraction_fold(cf.terms)
+    if value != Fraction(alpha, beta):
+        return f"expansion evaluates to {value}, not {alpha}/{beta}"
     return None
 
 
@@ -249,6 +289,17 @@ def rule_violation(a, b) -> str | None:
         if x * y <= 0:
             return f"a_{i + 1} * b_{i + 1} > 0 violated"
     return None
+
+
+def positive_family(n: int) -> tuple[LensSpace, AdmissibleCF]:
+    """L(10n+1, 8n+1), n >= 1, with its expansion [1, 4, 2n]: all terms
+    positive, so every member has infinite order."""
+    if n < 1:
+        raise DomainError("positive_family requires n >= 1")
+    cf = admissible_cf((1, 2 * n), (2,))
+    space = LensSpace(10 * n + 1, 8 * n + 1)
+    assert (cf.alpha, cf.beta) == space
+    return space, cf
 
 
 def mirror(space: LensSpace) -> LensSpace:

@@ -28,7 +28,6 @@ from cobkit.plumbing import (
 )
 from cobkit.surgery import (
     congruence_obstruction,
-    m_bounds_from_surgery,
     obstruction_report,
     qr_obstruction,
     slice_genus_lower,
@@ -45,6 +44,7 @@ from oracles import (
     det_exact,
     eval_cf,
     inertia,
+    m_bounds_from_surgery,
     spin_surgery_model,
 )
 

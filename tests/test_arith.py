@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -63,10 +64,9 @@ class TestJacobi:
         assert jacobi(5, 1) == 1
 
     def test_rejects_even_or_nonpositive_modulus(self):
-        with pytest.raises(DomainError):
-            jacobi(2, 8)
-        with pytest.raises(DomainError):
-            jacobi(2, -3)
+        for n in (8, 0, -3):
+            with pytest.raises(DomainError, match=r"^jacobi requires odd n > 0$"):
+                jacobi(2, n)
 
     def test_matches_square_test_on_odd_primes(self):
         for p in (3, 5, 7, 11, 13, 17, 19, 23):
@@ -123,10 +123,21 @@ class TestIsSquareMod:
 
     def test_cap(self):
         assert is_square_mod(4, SQUARE_ENUM_LIMIT)
-        with pytest.raises(ResourceLimitError):
+        cap = f"^is_square_mod enumeration capped at n <= {SQUARE_ENUM_LIMIT}$"
+        with pytest.raises(ResourceLimitError, match=cap):
             is_square_mod(2, SQUARE_ENUM_LIMIT + 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^is_square_mod requires n >= 1$"):
             is_square_mod(2, 0)
+
+    def test_trial_division_stops_at_the_square_root(self):
+        # a prime modulus near the cap takes about 500 trial divisions; a
+        # search that ran on to n itself would take about 500,000 per call
+        p = 999983  # prime; Euler's criterion is the reference
+        start = time.perf_counter()
+        for a in range(200):
+            assert is_square_mod(a, p) == (pow(a, (p - 1) // 2, p) in (0, 1)), a
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"200 calls took {elapsed:.2f}s, budget 2s"
 
 
 class TestDedekindSum:

@@ -15,13 +15,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobkit import cli, contfrac
+from cobkit import cli, contfrac, twobridge
 from cobkit.arith import DIGIT_LIMIT, check_digits, dec
 from cobkit.cli import SCAN_CAP_ENV, _json_rows, _Quarters, main
-from cobkit.contfrac import eval_terms, format_cf, parse_cf
+from cobkit.contfrac import format_cf, parse_cf
 from cobkit.errors import ResourceLimitError
 from cobkit.lens import ORDER_ANNOTATIONS, CensusRow, census, table1
-from oracles import all_valid_triples, bounds_from_json_dict
+from oracles import all_valid_triples, bounds_from_json_dict, fraction_fold
 
 GOLDEN_TABLE_CSV = """\
 alpha,beta,m_lower,mbar_upper,cf,order
@@ -125,7 +125,7 @@ class TestLens:
         for _ in range(2001):
             beta, alpha = alpha, beta + alpha
         payload = run_json(capsys, "lens", str(alpha), str(beta), "--json")
-        value = eval_terms([int(t) for t in payload["cf"][1:-1].split(",")])
+        value = fraction_fold([int(t) for t in payload["cf"][1:-1].split(",")])
         assert value == Fraction(alpha, alpha - beta)
 
     def test_csv_single_row(self, capsys):
@@ -197,6 +197,21 @@ class TestTwobridge:
     def test_bad_cf(self, capsys):
         code, _, err = run(capsys, "twobridge", "[1,3,2]")
         assert code == 2
+
+    @pytest.mark.parametrize("text, a", [("[2,4,-1,-2,2]", (2, -1, 2)), ("[2]", (2,))])
+    def test_one_tally(self, capsys, monkeypatch, text, a):
+        # the knot test, the signature, the odd counts and, for a knot, the
+        # genus bound all come from one tally of the a-terms
+        tallied = []
+        tally = twobridge._tally
+
+        def counting(terms):
+            tallied.append(tuple(terms))
+            return tally(terms)
+
+        monkeypatch.setattr("cobkit.twobridge._tally", counting)
+        assert run(capsys, "twobridge", text)[0] == 0
+        assert tallied == [a]
 
 
 class TestPlumbing:

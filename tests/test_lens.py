@@ -32,6 +32,7 @@ from oracles import (
     five_sum_invariants,
     mirror,
     murasugi_signature,
+    positive_family,
     reversal_verdict,
 )
 
@@ -225,7 +226,7 @@ class TestClassifyOrder:
 
         monkeypatch.setattr("cobkit.lens.find_positive_cf", search)
         monkeypatch.setattr("cobkit.lens._verdict", held_off)
-        space, cf = family("10n+1", 1)
+        space, cf = positive_family(1)
         report = classify_order(space, cf)
         assert (report.order, report.kind) == ("inf", "positive_cf")
         assert report.reason == "all-positive expansion [1,4,2] certifies infinite order"
@@ -388,16 +389,16 @@ class TestTable:
 
 class TestFamily:
     def test_positive_family(self):
-        space, cf = family("10n+1", 1)
+        space, cf = positive_family(1)
         assert space == LensSpace(11, 9)
         assert cf.terms == (1, 4, 2)
-        space, cf = family("10n+1", 3)
+        space, cf = positive_family(3)
         assert space == LensSpace(31, 25)
         assert cf.terms == (1, 4, 6)
 
     def test_positive_family_all_infinite(self):
         for n in range(1, 7):
-            space, cf = family("10n+1", n)
+            space, cf = positive_family(n)
             report = classify_order(space, cf)
             assert report.order == "inf"
             assert m_bounds(space, cf).m_lower == Fraction(n, 2)
@@ -419,11 +420,14 @@ class TestFamily:
     def test_family_validation(self):
         with pytest.raises(DomainError, match="requires even k"):
             family("16k+7", 3)
-        for name in ("10n+1", "16k+7"):
-            with pytest.raises(DomainError, match="requires a positive parameter"):
-                family(name, 0)
-        with pytest.raises(DomainError, match="must be '10n\\+1' or '16k\\+7'"):
-            family("unknown", 2)
+        with pytest.raises(DomainError, match="requires a positive parameter"):
+            family("16k+7", 0)
+        with pytest.raises(DomainError, match="requires n >= 1"):
+            positive_family(0)
+        # the all-positive series L(10n+1, 8n+1) is built by the tests only
+        for name in ("10n+1", "unknown"):
+            with pytest.raises(DomainError, match="^family name must be '16k\\+7'$"):
+                family(name, 2)
 
 
 class TestMirrorConsistency:

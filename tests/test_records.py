@@ -228,6 +228,8 @@ _CHECKS = [
     (AdmissibleCF, ((2, -1, 2), (2, -1), 39, 22), {}, "target requires odd beta"),
     (LensSpace, (5, 0), {}, "LensSpace requires 0 < beta < alpha"),
     (LensSpace, (1, 1), {}, "LensSpace requires 0 < beta < alpha"),
+    # p = 1 passes the order rule; the reciprocal rule refuses it
+    (MpqrTriple, (1, 2, 3), {}, "MpqrTriple requires 1/p + 1/q + 1/r < 1"),
 ]
 
 

@@ -12,7 +12,6 @@ from cobkit.lens import LensSpace, m_bounds
 from cobkit.surgery import (
     arf_from_surgery,
     congruence_obstruction,
-    m_bounds_from_surgery,
     obstruction_report,
     qr_obstruction,
     slice_genus_lower,
@@ -22,6 +21,7 @@ from oracles import (
     CharSurfaceData,
     bound_from_filling,
     dedekind_sum,
+    m_bounds_from_surgery,
     reversal_verdict,
     spin_surgery_model,
 )

@@ -15,6 +15,7 @@ from cobkit.twobridge import (
     GenusBound,
     OddCounts,
     _knot_invariants,
+    _plat_invariants,
     is_knot,
     odd_counts,
     signature,
@@ -32,6 +33,8 @@ def one_pass_invariants(cf: AdmissibleCF) -> tuple[int, OddCounts, GenusBound | 
     else:
         # lens reads the signature and the bound from the same tally
         assert _knot_invariants(cf) == (signature(cf), *genus)
+    # the twobridge verb reads all four from one tally
+    assert _plat_invariants(cf) == (is_knot(cf), signature(cf), odd_counts(cf), genus)
     return signature(cf), odd_counts(cf), genus
 
 

@@ -14,7 +14,6 @@ number is a domain error; both messages name the cap.
 """
 
 import argparse
-import io
 import os
 import string
 import sys
@@ -95,6 +94,8 @@ class _Quarters(dict):
 
 
 def _csv_rows(rows: Iterable[lens.CensusRow]) -> Iterable[list[str]]:
+    """The six cells of each row, as the CSV lines and the aligned text
+    table print them, with the expansion unquoted."""
     texts = _Quarters(as_json=False)
     for row in rows:
         yield [
@@ -134,13 +135,12 @@ def _render(args, out: Output) -> str:
 
         return json.dumps(out.doc, indent=2, default=_json_value) + "\n"
     if args.csv:
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(_csv_rows(out.rows))
-        return buf.getvalue()
+        lines = [",".join(CSV_HEADER)]
+        for cells in _csv_rows(out.rows):
+            if "," in cells[4]:  # the expansion; no cell holds a quote, CR or LF
+                cells[4] = f'"{cells[4]}"'
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
     if out.text is None:
         rows = [CSV_HEADER, *_csv_rows(out.rows)]
         widths = [max(map(len, column)) for column in zip(*rows)]

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -20,7 +21,7 @@ from cobkit.arith import DIGIT_LIMIT, check_digits, dec
 from cobkit.cli import SCAN_CAP_ENV, _json_rows, _Quarters, main
 from cobkit.contfrac import format_cf, parse_cf
 from cobkit.errors import ResourceLimitError
-from cobkit.lens import ORDER_ANNOTATIONS, CensusRow, census, table1
+from cobkit.lens import ORDER_ANNOTATIONS, CensusRow, LensSpace, census, classify_order, table1
 from oracles import all_valid_triples, bounds_from_json_dict, fraction_fold
 
 GOLDEN_TABLE_CSV = """\
@@ -759,6 +760,51 @@ class TestJsonRows:
     def test_labels_need_no_escaping(self, label):
         # the writer quotes each order label as it is
         assert json.dumps(label) == f'"{label}"'
+
+
+def _csv_writer_text(rows) -> str:
+    """What csv.writer(lineterminator="\n") writes for the header and
+    the cells of _csv_rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.CSV_HEADER)
+    writer.writerows(cli._csv_rows(rows))
+    return buf.getvalue()
+
+
+class TestCsvText:
+    """The CSV mode joins the cells of _csv_rows with commas and quotes
+    the expansion exactly when it holds a comma: byte for byte what
+    csv.writer writes, since no cell holds a quote, CR or LF."""
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["scan", "--alpha-max", "399"], lambda: census(399)),
+            (["table1", "--csv"], lambda: [r.row for r in table1()]),
+            # a single-term expansion, [3], stays unquoted
+            (["lens", "3", "1", "--csv"], lambda: [classify_order(LensSpace(3, 1)).row]),
+        ],
+        ids=["scan", "table1", "lens"],
+    )
+    def test_matches_csv_writer(self, capsys, argv, rows):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == _csv_writer_text(rows())
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ROWS)
+    @example([])
+    def test_matches_csv_writer_on_any_rows(self, rows):
+        render = Namespace(json=False, csv=True)
+        try:
+            want = _csv_writer_text(rows)
+        except ResourceLimitError as exc:
+            with pytest.raises(ResourceLimitError) as info:
+                cli._render(render, cli.Output(None, None, rows))
+            assert str(info.value) == str(exc)
+        else:
+            assert cli._render(render, cli.Output(None, None, rows)) == want
 
 
 class TestRenderPinned:

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from cobkit import lens
 from cobkit.cobordism import _verdict, reverse_orientation
 from cobkit.contfrac import (
     AdmissibleCF,
+    _walk,
     admissible_cf,
     find_admissible_cf,
     find_positive_cf,
@@ -353,6 +355,76 @@ class TestCensus:
         assert positive == 3597
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
+
+
+class TestCensusMemo:
+    """census computes a row's fields past the walk once per key (tally,
+    a_n > 0, reversed, annotation) in its own sweep."""
+
+    def test_once_per_key_per_sweep(self, monkeypatch):
+        calls = []
+        tally_invariants = lens._tally_invariants
+
+        def counted(tally, last):
+            calls.append(tally)
+            return tally_invariants(tally, last)
+
+        monkeypatch.setattr(lens, "_tally_invariants", counted)
+        assert len(list(census(399))) == 16182
+        assert len(calls) == 1077
+        # a second sweep starts from an empty memo: nothing is kept per process
+        assert len(list(census(399))) == 16182
+        assert len(calls) == 2154
+
+    @pytest.mark.parametrize(
+        "annotated, later", [((5, 3), (9, 7)), ((13, 5), (25, 9)), ((9, 5), (13, 7))]
+    )
+    def test_annotation_is_part_of_the_key(self, annotated, later):
+        # the later pair shares the annotated pair's walk tally and a_n sign
+        (terms, tally), (later_terms, later_tally) = _walk(*annotated), _walk(*later)
+        assert tally == later_tally and (terms[-1] > 0) == (later_terms[-1] > 0)
+        rows = {(r.alpha, r.beta): r for r in census(25)}
+        assert rows[annotated].order == ORDER_ANNOTATIONS[annotated]
+        assert rows[later].order == "?"
+
+    def test_last_term_sign_is_part_of_the_key(self):
+        assert _walk(11, 3) == ([3, 2, -2], (4, 6, 1, 0))
+        assert _walk(21, 13) == ([1, 2, -2, -2, 2], (4, 6, 1, 0))
+        rows = {(r.alpha, r.beta): r for r in census(21)}
+        assert rows[11, 3][2:5] == (2, 18, 2)
+        assert rows[21, 13][2:5] == (-8, 8, 0)
+
+    def test_shared_memo_over_both_parities(self):
+        # one memo across every pair, even beta (reversed mirrors) included,
+        # gives the rows and kinds of the memo-free kernel
+        memo = {}
+        n = 0
+        for alpha in range(3, 100, 2):
+            for beta in range(1, alpha):
+                if math.gcd(alpha, beta) == 1:
+                    assert lens._lens_row(alpha, beta, memo=memo) == lens._lens_row(alpha, beta)
+                    n += 1
+        assert n == 2006
+        assert any(key[2] for key in memo) and any(not key[2] for key in memo)
+
+    def test_positive_search_skips_the_memo(self):
+        # a call with a positive search neither reads nor fills the memo
+        searches = []
+
+        def search():
+            searches.append(1)
+            return None
+
+        cf = parse_cf("[2,4,-1,-2,2]")
+        expected = lens._lens_row(39, 17, cf)
+        memo = {}
+        assert lens._lens_row(39, 17, cf, search, memo) == expected
+        assert memo == {} and searches == [1]
+        key = ((2, 8, 0, 1), True, False, None)
+        memo[key] = (0, 0, 0, "inf", "m_pos")
+        assert lens._lens_row(39, 17, cf, search, memo) == expected
+        assert searches == [1, 1]
+        assert lens._lens_row(39, 17, cf, memo=memo)[0].order == "inf"
 
 
 class TestTable:

@@ -57,13 +57,23 @@ def test_cli_imports(argv):
     assert {f"cobkit.{layer}" for layer in LAYERS} <= loaded
     assert "dataclasses" not in loaded
     assert ("json" in loaded) == ("--json" in argv)
-    assert ("csv" in loaded) == ("--csv" in argv)
+    # the CSV mode writes its lines as text
+    assert "csv" not in loaded
 
 
 def test_scan_json_loads_no_encoder():
     # scan prints its JSON rows as text
     proc = fresh("-S", "-c", _PROBE, "scan", "--alpha-max", "9", "--json")
     assert proc.stdout.startswith('{\n  "rows": [\n')
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "cobkit.lens" in loaded
+    assert not loaded & {"json", "csv"}
+
+
+def test_scan_csv_loads_no_csv_module():
+    # scan's CSV rows are joined as text, as its JSON rows are written
+    proc = fresh("-S", "-c", _PROBE, "scan", "--alpha-max", "9")
+    assert proc.stdout.startswith("alpha,beta,m_lower,mbar_upper,cf,order\n3,1,")
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "cobkit.lens" in loaded
     assert not loaded & {"json", "csv"}

@@ -160,7 +160,7 @@ L({alpha},{beta})
 
 
 def _cmd_lens(args) -> Output:
-    cf = contfrac.parse_cf(args.cf) if args.cf else None
+    cf = None if args.cf is None else contfrac.parse_cf(args.cf)
     report = lens.classify_order(lens.LensSpace(args.alpha, args.beta), cf)
     row = report.row
     doc = {
@@ -278,7 +278,7 @@ def _cmd_genus_bound(args) -> Output:
         if args.h is not None or args.rokhlin is not None or args.m_lower is not None:
             raise UsageError("--lens replaces --h/--rokhlin/--m-lower")
         space = lens.LensSpace(*args.lens)
-        cf = contfrac.parse_cf(args.cf) if args.cf else None
+        cf = None if args.cf is None else contfrac.parse_cf(args.cf)
         bounds = lens.m_bounds(space, cf)
         h, rk, m_lower = space.alpha, bounds.rokhlin, bounds.m_lower
     else:

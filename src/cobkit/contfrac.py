@@ -4,7 +4,7 @@ alpha/beta = [a1, 2b1, a2, 2b2, ..., an] with all entries nonzero and
 a_i * b_i > 0 for i < n.  Every coprime pair with 0 < beta < alpha and
 beta odd admits such an expansion; _walk produces one in a single
 pass, each term forced by the value still to expand and checked as it
-is made.  find_admissible_cf and the lens kernel both read that walk.
+is made.  find_admissible_cf and the lens rows both read that walk.
 The all-positive expansion, when it exists, is the forced expansion, so
 find_positive_cf only checks the signs of its terms.  A supplied
 AdmissibleCF checks the rules when it is built, so every record is
@@ -13,7 +13,7 @@ admissible.
 
 from fractions import Fraction
 from math import gcd
-from operator import index, mul
+from operator import index
 from typing import NamedTuple
 
 from .arith import check_digits
@@ -106,14 +106,10 @@ def _rule_violation(a, b) -> str | None:
     """The first shape or sign rule the terms a, b break.
 
     The sign rule keeps every tail of the fold nonzero, so folding terms
-    that passed it never meets a zero denominator.  The common case, every
-    rule kept, is decided first with C builtins: the lengths match, which
-    makes a nonempty, a_n is nonzero, and every product a_i * b_i is
-    positive, which makes the other terms nonzero.  The rules are walked
-    in order only to word a failure.
+    that passed it never meets a zero denominator.  Only supplied
+    expansions are checked here; a walk checks its own terms as it makes
+    them.
     """
-    if len(a) == len(b) + 1 and a[-1] != 0 and (not b or min(map(mul, a, b)) > 0):
-        return None
     if len(a) == 0:
         return "a must be nonempty"
     if len(a) != len(b) + 1:
@@ -240,8 +236,13 @@ def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
         raise DomainError("requires gcd(alpha, beta) = 1")
     if beta % 2 == 0:
         raise DomainError("requires odd beta")
-    a, b = _split(_walk(alpha, beta)[0])
-    return tuple.__new__(AdmissibleCF, (a, b, alpha, beta))
+    return _record(_walk(alpha, beta)[0], alpha, beta)
+
+
+def _record(terms, alpha: int, beta: int) -> AdmissibleCF:
+    """The AdmissibleCF of alpha/beta from the terms of its forced walk,
+    which checked them as it made them."""
+    return tuple.__new__(AdmissibleCF, (*_split(terms), alpha, beta))
 
 
 def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:

@@ -5,15 +5,13 @@ two-bridge knot S(alpha, beta), so any admissible expansion of
 alpha/beta yields certified bounds on m and mbar and the exact Rokhlin
 invariant sigma(S(alpha, beta)) mod 16.  For even beta the mirror
 L(alpha, alpha - beta) is computed and the orientation reversed.
-One kernel, _lens_row, goes from a pair to its row in integers, with
-the expansion's printed text and the order label of the one verdict
-function, cobordism._verdict: census yields its rows, and m_bounds and
-classify_order wrap a row in the records and the provenance.  With no
-expansion supplied, the row reads one forced walk of the pair, which
-makes the terms, their tally and every check in a single pass.  What
-comes after the walk depends only on the tally, the sign of the last
-a-term, the reversal and the annotation, so census gives the kernel a
-memo of its own and computes it once per distinct key in the sweep.
+With no expansion supplied, a row reads one forced walk of the odd-beta
+pair, which makes the terms, their tally and every check in a single
+pass.  _row_fields is the one function from a tally to the interval, the
+Rokhlin value and the order label of the one verdict function,
+cobordism._verdict.  census yields the rows, with a cache of _row_fields
+of its own per sweep; classify_order wraps a row in the records and the
+provenance, and m_bounds reads its bounds.
 Orientation convention: L(alpha, beta) is -alpha/beta surgery on the
 unknot.
 """
@@ -28,9 +26,9 @@ from .cobordism import MBounds, _cover_line, _cover_quarters, _label, _reason, _
 from .contfrac import (
     AdmissibleCF,
     _format_terms,
+    _record,
     _walk,
     admissible_cf,
-    find_admissible_cf,
     find_positive_cf,
     format_cf,
 )
@@ -114,84 +112,25 @@ def _odd_beta(alpha: int, beta: int) -> int:
     return alpha - beta if beta % 2 == 0 else beta
 
 
-def _lens_row(
-    alpha: int, beta: int, cf=None, positive=None, memo: dict | None = None
-) -> tuple[CensusRow, str]:
-    """The row of L(alpha, beta), alpha odd and beta coprime to it, and
-    its verdict's kind: the branched double cover bounds of the odd-beta
-    representative, reversed for even beta, labelled by _verdict with
-    ORDER_ANNOTATIONS and classify_order's all-positive search, positive.
-    With no cf, one forced walk of the representative gives the tally,
-    the last a-term and the text; a supplied cf, an AdmissibleCF of the
-    representative (_supplied checks a user's), gives them from its record.
-
-    Past the walk, the bounds, the Rokhlin value, the label and the kind
-    depend only on the key (tally, a_n > 0, reversed, annotation).  A
-    sweep passes its own memo, a dict from key to those fields, and they
-    are computed once per distinct key; a call with a positive search
-    never reads or fills it."""
-    odd = _odd_beta(alpha, beta)
-    if cf is None:
-        terms, tally = _walk(alpha, odd)
-    else:
-        terms, tally = cf.terms, _tally(cf.a)
-    last = terms[-1]
-    annotated = ORDER_ANNOTATIONS.get((alpha, beta))
-    if memo is None or positive is not None:
-        fields = _row_fields(tally, last, odd != beta, annotated, positive)
-    else:
-        key = (tally, last > 0, odd != beta, annotated)
-        fields = memo.get(key)
-        if fields is None:
-            fields = memo[key] = _row_fields(tally, last, odd != beta, annotated)
-    lower, upper, rokhlin, label, kind = fields
-    text = _format_terms(terms)
-    return tuple.__new__(CensusRow, (alpha, beta, lower, upper, rokhlin, text, label)), kind
-
-
-def _row_fields(tally, last: int, reversed_mirror: bool, annotated, positive=None):
-    """(lower, upper, rokhlin, label, kind) of a row from its tally, its
-    last a-term, whether beta was reversed to the odd representative and
-    its annotation: _tally_invariants with every check, the cover's
-    quarter counts, and the verdict."""
-    sigma, genus = _tally_invariants(tally, last)[:2]
+def _row_fields(tally, last_positive: bool, annotated, positive=None):
+    """(lower, upper, rokhlin, label, kind) of the branched double cover
+    of a two-bridge knot from the tally of its expansion's a-terms, the
+    sign of a_n and the pair's annotation: _tally_invariants with every
+    check (the signature reads only the sign of a_n), the cover's quarter
+    counts, and the verdict, with classify_order's all-positive search,
+    positive."""
+    sigma, genus = _tally_invariants(tally, last_positive)[:2]
     lower, upper = _cover_quarters(sigma, genus)
-    if reversed_mirror:  # m(-Y) = -mbar(Y), mbar(-Y) = -m(Y), R(-Y) = -R(Y)
-        lower, upper, sigma = -upper, -lower, -sigma
     kind = _verdict(lower, upper, positive=positive, annotated=annotated)
     return lower, upper, sigma % 16, _label(kind, annotated), kind
 
 
-def _supplied(space: LensSpace, cf: AdmissibleCF | None) -> AdmissibleCF | None:
-    """A caller's expansion for L(alpha, beta), refused unless it expands
-    alpha/beta itself with beta odd; None passes."""
-    if cf is not None:
-        if space.beta % 2 == 0:
-            raise DomainError(
-                "supply the expansion for the odd-beta mirror L(alpha, alpha - beta)"
-            )
-        if (cf.alpha, cf.beta) != space:
-            raise DomainError(
-                f"expansion targets {cf.alpha}/{cf.beta}, not {space.alpha}/{space.beta}"
-            )
-    return cf
-
-
-def _row_bounds(row: CensusRow) -> MBounds:
-    """The row's interval as an MBounds with the provenance of its cover.
-    sigma(K) and g are read back from the quarter counts 5 sigma(K) -+ 8g,
-    which _lens_row negated for even beta."""
-    alpha, beta, lower, upper, rokhlin, cf = row[:6]
-    odd = _odd_beta(alpha, beta)
-    reversed_mirror = odd != beta
-    trail = (
-        f"L({alpha},{odd}) branched over S({alpha},{odd})",
-        f"expansion {cf}",
-        _cover_line((lower + upper) // (-10 if reversed_mirror else 10), (upper - lower) // 16),
-    )
-    if reversed_mirror:
-        trail = (f"L({alpha},{beta}) as reversed mirror", *trail, "orientation reversed")
-    return MBounds(Fraction(lower, 4), Fraction(upper, 4), rokhlin=rokhlin, provenance=trail)
+def _row(alpha: int, beta: int, terms, fields) -> CensusRow:
+    """The CensusRow of L(alpha, beta) from its expansion's terms and its
+    _row_fields."""
+    lower, upper, rokhlin, label = fields[:4]
+    text = _format_terms(terms)
+    return tuple.__new__(CensusRow, (alpha, beta, lower, upper, rokhlin, text, label))
 
 
 def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
@@ -200,8 +139,9 @@ def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
     An admissible expansion of alpha/beta (found automatically when not
     supplied) presents the two-bridge cover; the branched double cover
     bounds with its signature and slice genus bound give the interval.
+    These are the bounds of classify_order's report.
     """
-    return _row_bounds(_lens_row(space.alpha, space.beta, _supplied(space, cf))[0])
+    return classify_order(space, cf).bounds
 
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
@@ -209,41 +149,71 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
     certificate fires or an all-positive expansion exists, otherwise an
     annotated known order, otherwise unknown.
 
-    The bounds, the verdict and the label come from the row that m_bounds
-    and census read, here from the record of the expansion; this adds
-    the verdict's reason.  An all-positive expansion is the forced one,
-    and for it sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so
-    m >= (sum(a) - 1)/4 > 0 (mbar < 0 for even beta): the certificate has
-    fired.  So only a supplied cf, of alpha/beta itself, whose bounds
-    certify nothing, has find_positive_cf run, once.
+    The expansion is of the odd-beta representative.  With no cf one
+    forced walk of it gives the terms, their tally and the record; a
+    supplied cf must expand alpha/beta itself with beta odd, and its
+    record gives the terms and the tally.  For even beta, L(alpha, beta)
+    is -L(alpha, alpha - beta), the branched double cover of the mirror
+    knot, whose expansion is the negated terms: its tally is
+    (S+, S-, o-, o+) and its a_n has the other sign.  The row is the one
+    census yields.  An all-positive expansion is the forced one, and for
+    it sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so
+    m >= (sum(a) - 1)/4 > 0 (mbar < 0 for even beta): the certificate
+    has fired.  So only a supplied cf whose bounds certify nothing has
+    find_positive_cf run, once.
     """
     alpha, beta = space
-    found = _supplied(space, cf)
-    if found is None:
-        found = find_admissible_cf(alpha, _odd_beta(alpha, beta))
-    positive = None if cf is None else cache(partial(find_positive_cf, cf.alpha, cf.beta))
-    row, kind = _lens_row(alpha, beta, found, positive)
-    bounds = _row_bounds(row)
+    odd = _odd_beta(alpha, beta)
+    positive = None
+    if cf is None:
+        terms, tally = _walk(alpha, odd)
+        cf = _record(terms, alpha, odd)
+    elif odd != beta:
+        raise DomainError("supply the expansion for the odd-beta mirror L(alpha, alpha - beta)")
+    elif (cf.alpha, cf.beta) != space:
+        raise DomainError(f"expansion targets {cf.alpha}/{cf.beta}, not {alpha}/{beta}")
+    else:
+        terms, tally = cf.terms, _tally(cf.a)
+        positive = cache(partial(find_positive_cf, alpha, beta))
+    last_positive = terms[-1] > 0
+    if odd != beta:
+        s_minus, s_plus, o_pos, o_neg = tally
+        tally, last_positive = (s_plus, s_minus, o_neg, o_pos), not last_positive
+    fields = _row_fields(tally, last_positive, ORDER_ANNOTATIONS.get((alpha, beta)), positive)
+    lower, upper, rokhlin, label, kind = fields
+    row = _row(alpha, beta, terms, fields)
+    # sigma(K) and g of S(alpha, odd) from the quarter counts 5 sigma -+ 8g
+    trail = (
+        f"L({alpha},{odd}) branched over S({alpha},{odd})",
+        f"expansion {row.cf}",
+        _cover_line((lower + upper) // (10 if odd == beta else -10), (upper - lower) // 16),
+    )
+    if odd != beta:
+        trail = (f"L({alpha},{beta}) as reversed mirror", *trail, "orientation reversed")
+    bounds = MBounds(Fraction(lower, 4), Fraction(upper, 4), rokhlin=rokhlin, provenance=trail)
     text = format_cf(positive()) if kind == "positive_cf" else None
-    return OrderReport(space, bounds, kind, _reason(kind, row.order, bounds, text), found, row)
+    return OrderReport(space, bounds, kind, _reason(kind, label, bounds, text), cf, row)
 
 
 def census(alpha_max: int) -> Iterator[CensusRow]:
-    """The _lens_row of every L(alpha, beta) with odd alpha <= alpha_max
-    and beta odd and coprime, in (alpha, beta) order: what
+    """The row of every L(alpha, beta) with odd alpha <= alpha_max and
+    beta odd and coprime, in (alpha, beta) order: what
     classify_order(LensSpace(alpha, beta)).row reports, without the
     records and provenance no row prints.  Every row makes its own walk
-    and text; the sweep's own memo gives the fields past the walk once
-    per distinct key, 1,077 of them for the 16,182 rows at
-    alpha_max = 399.  Nothing outlives the sweep.  The rows keep the
-    quarter counts, which the printers turn into text once per distinct
-    value.
+    and text.  Past the walk a row's fields depend only on the key
+    (tally, a_n > 0, annotation), so the sweep's own cache of _row_fields
+    computes them once per distinct key, 1,077 of them for the 16,182
+    rows at alpha_max = 399.  Nothing outlives the sweep.  The rows keep
+    the quarter counts, which the printers turn into text once per
+    distinct value.
     """
-    memo: dict = {}
+    fields = cache(_row_fields)
     for alpha in range(3, alpha_max + 1, 2):
         for beta in range(1, alpha, 2):
             if gcd(alpha, beta) == 1:
-                yield _lens_row(alpha, beta, memo=memo)[0]
+                terms, tally = _walk(alpha, beta)
+                annotated = ORDER_ANNOTATIONS.get((alpha, beta))
+                yield _row(alpha, beta, terms, fields(tally, terms[-1] > 0, annotated))
 
 
 # Fixed presentations for every lens space with odd |H_1| <= 13 (beta

@@ -97,9 +97,10 @@ def _knot_invariants(cf: AdmissibleCF) -> tuple[int, int, int, int, int]:
 def _tally_invariants(tally, last: int) -> tuple[int, int, int, int, int]:
     """The signature and the fields of slice_genus_upper, checked, from
     the tally (S-, S+, o+, o-) of an expansion's a-terms and its last
-    a-term: sum(a) = (S+ - S-)/2 gives the knot test and the signature.
-    The one such function: _knot_invariants and _plat_invariants read a
-    record's tally, and the lens kernel the tally its forced walk made."""
+    a-term, or only a_n > 0, which is all the signature reads:
+    sum(a) = (S+ - S-)/2 gives the knot test and the signature.  The one
+    such function: _knot_invariants and _plat_invariants read a record's
+    tally, and the lens rows the tally of a walk or a record."""
     s_minus, s_plus, o_pos, o_neg = tally
     total = (s_plus - s_minus) // 2
     if total % 2 != 1:

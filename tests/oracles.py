@@ -242,9 +242,9 @@ def eval_cf(a, b) -> Fraction:
 
 def admissible_violation(a, b, alpha, beta) -> str | None:
     """Why AdmissibleCF(a, b, alpha, beta) is refused, or None: the shape
-    and sign rules walked in order, then the target rules, as the record
-    checked itself before the common case was decided with C builtins.
-    TestRuleFastPath holds the record's messages to it."""
+    and sign rules walked in order, then the target rules, read by
+    fraction_fold instead of the record's integer fold.  TestRuleFastPath
+    holds the record's messages to it."""
     why = rule_violation(a, b)
     if why is None:
         cf = SimpleNamespace(alpha=alpha, beta=beta, terms=interleave(a, b))

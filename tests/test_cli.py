@@ -942,6 +942,14 @@ class TestExitCodes:
         assert run(capsys, "twobridge", "[1,2,1,-2,1]") == (2, "", err)
         assert run(capsys, "lens", "7", "3", "--cf", "[1,2,1,-2,1]") == (2, "", err)
 
+    @pytest.mark.parametrize(
+        "argv", [("lens", "3", "1"), ("genus-bound", "--lens", "3", "1"), ("genus-bound", "--lens", "39", "17")]
+    )
+    def test_empty_expansion_is_refused(self, capsys, argv):
+        # an empty --cf is an expansion to parse, not a missing one
+        err = "domain error: continued fraction text must look like [a1,2b1,...,an]\n"
+        assert run(capsys, *argv, "--cf", "") == (2, "", err)
+
     def test_refused_expansion_is_three(self, capsys, monkeypatch):
         # a forced walk that fails its checks is an internal failure, on
         # every verb that walks: here each walk is made of the swapped pair

@@ -19,7 +19,7 @@ from cobkit.contfrac import (
 )
 from cobkit.arith import DIGIT_LIMIT
 from cobkit.errors import DomainError, ResourceLimitError
-from cobkit.lens import LensSpace, _lens_row, classify_order
+from cobkit.lens import LensSpace, classify_order
 from cobkit.twobridge import _tally
 from oracles import (
     admissible_violation,
@@ -370,9 +370,9 @@ def faulty_expansions(draw):
 
 
 class TestRuleFastPath:
-    """The common case of the rules is decided with C builtins; a failure
-    is still worded by walking them in order.  The record and admissible_cf give
-    the messages of the rules walked one by one (tests/oracles.py)."""
+    """The record and admissible_cf word a failure by walking the rules in
+    order, and give the messages of the oracle that walks them one by one
+    (tests/oracles.py)."""
 
     @settings(max_examples=250, deadline=None)
     @given(faulty_expansions())
@@ -515,12 +515,12 @@ class TestWalk:
         alpha, beta = fibonacci(19079), fibonacci(19078)
         start = time.perf_counter()
         terms, tally = contfrac._walk(alpha, beta)
-        row = _lens_row(alpha, beta)[0]
+        row = classify_order(LensSpace(alpha, beta)).row
         elapsed = time.perf_counter() - start
         assert len(terms) == 12719
         record = AdmissibleCF(*find_admissible_cf(alpha, beta))  # the full builder
         assert list(record.terms) == terms and tally == _tally(record.a)
-        assert row == _lens_row(alpha, beta, record)[0]
+        assert row == classify_order(LensSpace(alpha, beta), record).row
         assert row.cf == format_cf(record)
         assert elapsed < 2.0, f"walk and row took {elapsed:.2f}s, budget 2s"
 

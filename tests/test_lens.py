@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cobkit import lens
+from cobkit import cli, contfrac, lens, twobridge
 from cobkit.cobordism import _verdict, reverse_orientation
 from cobkit.contfrac import (
     AdmissibleCF,
@@ -359,7 +359,8 @@ class TestCensus:
 
 class TestCensusMemo:
     """census computes a row's fields past the walk once per key (tally,
-    a_n > 0, reversed, annotation) in its own sweep."""
+    a_n > 0, annotation) in its own sweep; the single-pair verbs walk
+    once and build nothing twice."""
 
     def test_once_per_key_per_sweep(self, monkeypatch):
         calls = []
@@ -394,37 +395,28 @@ class TestCensusMemo:
         assert rows[11, 3][2:5] == (2, 18, 2)
         assert rows[21, 13][2:5] == (-8, 8, 0)
 
-    def test_shared_memo_over_both_parities(self):
-        # one memo across every pair, even beta (reversed mirrors) included,
-        # gives the rows and kinds of the memo-free kernel
-        memo = {}
-        n = 0
-        for alpha in range(3, 100, 2):
-            for beta in range(1, alpha):
-                if math.gcd(alpha, beta) == 1:
-                    assert lens._lens_row(alpha, beta, memo=memo) == lens._lens_row(alpha, beta)
-                    n += 1
-        assert n == 2006
-        assert any(key[2] for key in memo) and any(not key[2] for key in memo)
+    @pytest.mark.parametrize(
+        "argv", [["lens", "39", "22"], ["genus-bound", "--lens", "39", "17"]]
+    )
+    def test_one_walk_per_verb(self, capsys, monkeypatch, argv):
+        # the row reads the walk's own terms and tally: no record is
+        # interleaved and no a-term tallied again, wherever the name is bound
+        calls = {"_walk": 0, "_interleave": 0, "_tally": 0}
 
-    def test_positive_search_skips_the_memo(self):
-        # a call with a positive search neither reads nor fills the memo
-        searches = []
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
 
-        def search():
-            searches.append(1)
-            return None
+            return wrapper
 
-        cf = parse_cf("[2,4,-1,-2,2]")
-        expected = lens._lens_row(39, 17, cf)
-        memo = {}
-        assert lens._lens_row(39, 17, cf, search, memo) == expected
-        assert memo == {} and searches == [1]
-        key = ((2, 8, 0, 1), True, False, None)
-        memo[key] = (0, 0, 0, "inf", "m_pos")
-        assert lens._lens_row(39, 17, cf, search, memo) == expected
-        assert searches == [1, 1]
-        assert lens._lens_row(39, 17, cf, memo=memo)[0].order == "inf"
+        for module in (contfrac, lens, twobridge):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls == {"_walk": 1, "_interleave": 0, "_tally": 0}
 
 
 class TestTable:

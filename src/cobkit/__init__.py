@@ -43,13 +43,6 @@ from .surgery import (
     slice_genus_lower,
     unknotting_one_obstruction,
 )
-from .twobridge import (
-    GenusBound,
-    OddCounts,
-    is_knot,
-    odd_counts,
-    signature,
-    slice_genus_upper,
-)
+from .twobridge import GenusBound, PlatInvariants, plat_invariants
 
 __version__ = "0.1.0"

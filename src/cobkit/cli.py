@@ -206,19 +206,16 @@ _KNOT_GENUS = (
 
 def _cmd_twobridge(args) -> Output:
     cf = contfrac.parse_cf(args.cf)
-    knot, sigma, oc, genus = twobridge._plat_invariants(cf)
+    inv = twobridge.plat_invariants(cf)
+    genus = inv.slice_genus_upper
     doc = {
         "alpha": cf.alpha,
         "beta": cf.beta,
         "cf": contfrac.format_cf(cf),
-        "is_knot": knot,
-        "signature": sigma,
-        "determinant": cf.alpha,
-        "odd_positive": oc.pos,
-        "odd_negative": oc.neg,
+        **inv._asdict(),
         "slice_genus_upper": None if genus is None else genus._asdict(),
     }
-    kind = ("knot", _KNOT_GENUS) if knot else ("link", "n/a (links are out of scope)")
+    kind = ("knot", _KNOT_GENUS) if inv.is_knot else ("link", "n/a (links are out of scope)")
     return Output(doc, _TWOBRIDGE_TEXT % kind)
 
 

@@ -230,13 +230,19 @@ def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
     """Deterministic admissible expansion of alpha/beta (beta odd): the
     forced expansion of _walk, as a record.  A walk that fails its checks
     is an internal failure."""
+    _check_pair(alpha, beta)
+    return _record(_walk(alpha, beta)[0], alpha, beta)
+
+
+def _check_pair(alpha: int, beta: int):
+    """Refuse a pair with no forced expansion by the first rule it
+    breaks; both finders run this before they walk."""
     if not 0 < beta < alpha:
         raise DomainError("requires 0 < beta < alpha")
     if gcd(alpha, beta) != 1:
         raise DomainError("requires gcd(alpha, beta) = 1")
     if beta % 2 == 0:
         raise DomainError("requires odd beta")
-    return _record(_walk(alpha, beta)[0], alpha, beta)
 
 
 def _record(terms, alpha: int, beta: int) -> AdmissibleCF:
@@ -255,12 +261,14 @@ def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
     every b-position.  On such a value those are exactly the forced
     terms: truncation toward zero, and the nearest even integer, the
     lower one on a tie.  So the expansion is unique when it exists, and
-    None means that none exists.
+    None means that none exists.  An even alpha is refused after the
+    pair's own refusals and before the walk.
     """
-    cf = find_admissible_cf(alpha, beta)
+    _check_pair(alpha, beta)
     if alpha % 2 == 0:
         raise DomainError("requires odd alpha")
-    return cf if all(t > 0 for t in cf.a + cf.b) else None
+    terms = _walk(alpha, beta)[0]
+    return _record(terms, alpha, beta) if all(t > 0 for t in terms) else None
 
 
 def format_cf(cf: AdmissibleCF) -> str:

@@ -4,25 +4,16 @@ A 4-plat presentation P(a1, b1, ..., an) closes to the two-bridge knot
 or link S(alpha, beta) where alpha/beta = [a1, 2b1, ..., an].  The plat
 is a knot exactly when sum(a_i) is odd.  Orientation convention: S(3, 1)
 is the trefoil with signature +2; tables built with the opposite
-convention differ from these values by a global sign.
+convention differ from these values by a global sign.  plat_invariants
+reads every invariant of a record's plat from one tally of its a-terms;
+the lens rows read the signature and the genus bound from the tally of
+a walk or a record through _tally_invariants.
 """
 
 from typing import NamedTuple
 
 from .contfrac import AdmissibleCF
 from .errors import DomainError
-
-
-def is_knot(cf: AdmissibleCF) -> bool:
-    """Whether the plat of cf closes to a knot: sum(a_i) is odd."""
-    return sum(cf.a) % 2 == 1
-
-
-class OddCounts(NamedTuple):
-    """Counts of odd a-terms by sign: o+ positive, o- negative."""
-
-    pos: int
-    neg: int
 
 
 class GenusBound(NamedTuple):
@@ -40,9 +31,34 @@ class GenusBound(NamedTuple):
     seifert_genus: int
 
 
-def signature(cf: AdmissibleCF) -> int:
-    """Signature sum(a_i) - sign(a_n); even for knots in this convention."""
-    return _sigma(sum(cf.a), cf.a[-1])
+class PlatInvariants(NamedTuple):
+    """The invariants of the plat of an expansion, in the order the
+    twobridge verb prints them: the knot test, the signature, the
+    determinant alpha, the counts of odd a-terms by sign and the slice
+    genus bound, None for a link."""
+
+    is_knot: bool
+    signature: int
+    determinant: int
+    odd_positive: int
+    odd_negative: int
+    slice_genus_upper: GenusBound | None
+
+
+def plat_invariants(cf: AdmissibleCF) -> PlatInvariants:
+    """The invariants of the plat of cf from one tally of its a-terms.
+
+    The plat is a knot when sum(a_i) is odd, and its signature is
+    sum(a_i) - sign(a_n), even for a knot.  A knot's slice genus is at
+    most max(S- + 2o+ - 2, S+ + 2o- - 2) / 4 where S-+ = sum(|a_i| -+ a_i)
+    and o+- count odd a-terms by sign.  Equivalently the Seifert genus of
+    the reduced diagram, (o+ + o- - 1)/2, plus max(p, n) crossing changes
+    with p = (S- - 2o-)/4 and n = (S+ - 2o+)/4.
+    """
+    tally = _tally(cf.a)
+    total = (tally[1] - tally[0]) // 2  # sum(a), odd for a knot
+    genus = GenusBound(*_tally_invariants(tally, cf.a[-1])[1:]) if total % 2 else None
+    return PlatInvariants(genus is not None, _sigma(total, cf.a[-1]), cf.alpha, *tally[2:], genus)
 
 
 def _sigma(total: int, last: int) -> int:
@@ -64,43 +80,14 @@ def _tally(a) -> tuple[int, int, int, int]:
     return 2 * s_minus, 2 * s_plus, o_pos, o_neg
 
 
-def odd_counts(cf: AdmissibleCF) -> OddCounts:
-    return OddCounts(*_tally(cf.a)[2:])
-
-
-def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
-    """Smooth slice genus bound for a two-bridge knot.
-
-    g <= max(S- + 2o+ - 2, S+ + 2o- - 2) / 4 where S-+ = sum(|a_i| -+ a_i)
-    and o+- count odd a-terms by sign.  Equivalently the Seifert genus of
-    the reduced diagram, (o+ + o- - 1)/2, plus max(p, n) crossing changes
-    with p = (S- - 2o-)/4 and n = (S+ - 2o+)/4.
-    """
-    return GenusBound(*_knot_invariants(cf)[1:])
-
-
-def _plat_invariants(cf: AdmissibleCF) -> tuple[bool, int, OddCounts, GenusBound | None]:
-    """is_knot, signature, odd_counts and, for a knot, slice_genus_upper
-    of cf, from one tally of its a-terms: what the twobridge verb prints."""
-    tally = _tally(cf.a)
-    total = (tally[1] - tally[0]) // 2  # sum(a), odd for a knot
-    genus = GenusBound(*_tally_invariants(tally, cf.a[-1])[1:]) if total % 2 else None
-    return genus is not None, _sigma(total, cf.a[-1]), OddCounts(*tally[2:]), genus
-
-
-def _knot_invariants(cf: AdmissibleCF) -> tuple[int, int, int, int, int]:
-    """The signature and the fields of slice_genus_upper(cf), checked,
-    from one tally of the a-terms."""
-    return _tally_invariants(_tally(cf.a), cf.a[-1])
-
-
 def _tally_invariants(tally, last: int) -> tuple[int, int, int, int, int]:
-    """The signature and the fields of slice_genus_upper, checked, from
+    """The signature and the fields of a knot's GenusBound, checked, from
     the tally (S-, S+, o+, o-) of an expansion's a-terms and its last
     a-term, or only a_n > 0, which is all the signature reads:
     sum(a) = (S+ - S-)/2 gives the knot test and the signature.  The one
-    such function: _knot_invariants and _plat_invariants read a record's
-    tally, and the lens rows the tally of a walk or a record."""
+    such function: plat_invariants reads a record's tally, and the lens
+    rows the tally of a walk or a record.  A link's tally is refused:
+    the bound is a knot's."""
     s_minus, s_plus, o_pos, o_neg = tally
     total = (s_plus - s_minus) // 2
     if total % 2 != 1:

@@ -5,7 +5,7 @@ are the independent routes the tests hold it to: Dedekind sums, one
 spin filling's bounds and the spin surgery model that produces it,
 the branched double cover's bounds by their closed form, Murasugi's
 lattice-point signature of S(p, q) and the separate sums behind a
-knot's signature, odd counts and genus bound, the Euclid step count
+plat's signature, odd counts and genus bound, the Euclid step count
 behind the expansion's overrun bound, the Fraction fold of an
 expansion that the integer fold is checked against, the admissibility
 rules walked one by one, the JSON reader of an MBounds record, the
@@ -30,7 +30,7 @@ from cobkit.errors import DomainError
 from cobkit.lens import LensSpace
 from cobkit.plumbing import MpqrTriple
 from cobkit.surgery import _surgery_quarters, arf_from_surgery
-from cobkit.twobridge import GenusBound, OddCounts
+from cobkit.twobridge import GenusBound, PlatInvariants
 
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -177,24 +177,25 @@ def murasugi_signature(p: int, q: int) -> int:
     return sum(1 - 2 * (i * q // p % 2) for i in range(1, p))
 
 
-def five_sum_invariants(a) -> tuple[int, OddCounts, GenusBound | None]:
-    """Oracle: signature, odd counts and genus bound (None for a link)
-    by the separate sums the one-pass tally replaced."""
+def five_sum_invariants(cf: AdmissibleCF) -> PlatInvariants:
+    """Oracle: the invariants of cf's plat by the separate sums the
+    one-pass tally replaced, the determinant by the Fraction fold."""
+    a = cf.a
     sig = sum(a) - (1 if a[-1] > 0 else -1)
-    oc = OddCounts(
-        pos=sum(1 for x in a if x > 0 and x % 2 != 0),
-        neg=sum(1 for x in a if x < 0 and x % 2 != 0),
-    )
+    o_pos = sum(1 for x in a if x > 0 and x % 2 != 0)
+    o_neg = sum(1 for x in a if x < 0 and x % 2 != 0)
+    det = eval_cf(a, cf.b).numerator
     if sum(a) % 2 != 1:
-        return sig, oc, None
+        return PlatInvariants(False, sig, det, o_pos, o_neg, None)
     s_minus = sum(abs(x) - x for x in a)
     s_plus = sum(abs(x) + x for x in a)
-    pos_changes, rem_p = divmod(s_minus - 2 * oc.neg, 4)
-    neg_changes, rem_n = divmod(s_plus - 2 * oc.pos, 4)
-    seifert_genus, rem_g = divmod(oc.pos + oc.neg - 1, 2)
-    value, rem = divmod(max(s_minus + 2 * oc.pos - 2, s_plus + 2 * oc.neg - 2), 4)
+    pos_changes, rem_p = divmod(s_minus - 2 * o_neg, 4)
+    neg_changes, rem_n = divmod(s_plus - 2 * o_pos, 4)
+    seifert_genus, rem_g = divmod(o_pos + o_neg - 1, 2)
+    value, rem = divmod(max(s_minus + 2 * o_pos - 2, s_plus + 2 * o_neg - 2), 4)
     assert rem_p == rem_n == rem_g == rem == 0
-    return sig, oc, GenusBound(value, pos_changes, neg_changes, seifert_genus)
+    genus = GenusBound(value, pos_changes, neg_changes, seifert_genus)
+    return PlatInvariants(True, sig, det, o_pos, o_neg, genus)
 
 
 def euclid_steps(a: int, b: int) -> int:

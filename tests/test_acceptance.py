@@ -33,7 +33,7 @@ from cobkit.surgery import (
     slice_genus_lower,
     unknotting_one_obstruction,
 )
-from cobkit.twobridge import signature
+from cobkit.twobridge import plat_invariants
 from oracles import (
     CharSurfaceData,
     StarPlumbing,
@@ -300,4 +300,4 @@ def test_criterion_9_large_pair_cli(criterion, capsys):
 def test_signature_convention_anchor(criterion):
     # the whole table hangs off sigma(S(3,1)) = +2; pin it explicitly
     with criterion("convention anchor (sigma of the right-handed trefoil cover)"):
-        assert signature(find_admissible_cf(3, 1)) == 2
+        assert plat_invariants(find_admissible_cf(3, 1)).signature == 2

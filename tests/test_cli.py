@@ -176,6 +176,23 @@ class TestCf:
         code, _, err = run(capsys, "cf", "5", "2")
         assert code == 2 and "odd beta" in err
 
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            ("8", "3", "requires odd alpha"),
+            ("8", "4", "requires gcd(alpha, beta) = 1"),
+            ("8", "9", "requires 0 < beta < alpha"),
+        ],
+    )
+    def test_positive_refuses_before_the_walk(self, capsys, monkeypatch, alpha, beta, message):
+        # the pair's refusals come first, in find_admissible_cf's order,
+        # then the parity of alpha; no refused pair is walked
+        walks = []
+        monkeypatch.setattr("cobkit.contfrac._walk", lambda *pair: walks.append(pair))
+        refused = (2, "", f"domain error: {message}\n")
+        assert run(capsys, "cf", alpha, beta, "--positive") == refused
+        assert walks == []
+
 
 class TestTwobridge:
     def test_knot_json(self, capsys):
@@ -202,17 +219,24 @@ class TestTwobridge:
     @pytest.mark.parametrize("text, a", [("[2,4,-1,-2,2]", (2, -1, 2)), ("[2]", (2,))])
     def test_one_tally(self, capsys, monkeypatch, text, a):
         # the knot test, the signature, the odd counts and, for a knot, the
-        # genus bound all come from one tally of the a-terms
+        # genus bound all come from one tally of the a-terms, and only a
+        # knot's tally goes on to the genus bound
         tallied = []
-        tally = twobridge._tally
+        tally, tally_invariants = twobridge._tally, twobridge._tally_invariants
 
         def counting(terms):
             tallied.append(tuple(terms))
             return tally(terms)
 
+        def bounding(*args):
+            tallied.append(args)
+            return tally_invariants(*args)
+
         monkeypatch.setattr("cobkit.twobridge._tally", counting)
+        monkeypatch.setattr("cobkit.twobridge._tally_invariants", bounding)
         assert run(capsys, "twobridge", text)[0] == 0
-        assert tallied == [a]
+        knot = sum(a) % 2
+        assert tallied[0] == a and len(tallied) == 1 + knot
 
 
 class TestPlumbing:
@@ -906,6 +930,12 @@ class TestRenderPinned:
         [
             (("lens", "three", "1"), 1, "usage error: argument alpha: invalid int value: 'three'\n"),
             (("lens", "4", "1"), 2, "domain error: LensSpace requires odd alpha >= 1\n"),
+            # an exponent that is not an integer: the size check counts the text
+            (
+                ("genus-bound", "--h", "39", "--rokhlin", "2", "--m-lower=1e1.5"),
+                1,
+                "usage error: argument --m-lower: not a rational number: '1e1.5'\n",
+            ),
         ],
     )
     def test_stderr_pinned(self, capsys, argv, code, err):

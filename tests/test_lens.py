@@ -28,7 +28,7 @@ from cobkit.lens import (
     m_bounds,
     table1,
 )
-from cobkit.twobridge import _knot_invariants
+from cobkit.twobridge import plat_invariants
 from oracles import (
     branched_cover_bounds,
     five_sum_invariants,
@@ -37,6 +37,12 @@ from oracles import (
     positive_family,
     reversal_verdict,
 )
+
+
+def sigma_and_genus(cf) -> tuple[int, int]:
+    """sigma(K) and the slice genus bound of the knot of cf's plat."""
+    inv = plat_invariants(cf)
+    return inv.signature, inv.slice_genus_upper.value
 
 
 def hirzebruch_jung(p: int, q: int) -> list[int]:
@@ -135,7 +141,7 @@ class TestMBounds:
                     continue
                 cf = find_admissible_cf(alpha, beta)
                 head = (f"L({alpha},{beta}) branched over S({alpha},{beta})", f"expansion {format_cf(cf)}")
-                cover = branched_cover_bounds(*_knot_invariants(cf)[:2], provenance=head)
+                cover = branched_cover_bounds(*sigma_and_genus(cf), provenance=head)
                 assert m_bounds(LensSpace(alpha, beta)) == cover
 
     def test_supplied_expansion(self):
@@ -301,7 +307,7 @@ class TestCensus:
         n = 0
         for row in census(399):
             sigma = murasugi_signature(row.alpha, row.beta)
-            g = five_sum_invariants(parse_cf(row.cf).a)[2].value
+            g = five_sum_invariants(parse_cf(row.cf)).slice_genus_upper.value
             assert (row.lower, row.upper) == (5 * sigma - 8 * g, 5 * sigma + 8 * g), row
             assert row.rokhlin == sigma % 16, row
             if row.lower > 0 or row.upper < 0:
@@ -318,13 +324,13 @@ class TestCensus:
     def test_fused_rows_match_the_record_route(self):
         # each row comes from one forced walk; rebuild it from the record
         # route instead: the expansion checked by AdmissibleCF's full
-        # builder, sigma and g from _knot_invariants, the text from format_cf
+        # builder, sigma and g from plat_invariants, the text from format_cf
         start = time.perf_counter()
         n = 0
         for row in census(399):
             alpha, beta = row.alpha, row.beta
             record = AdmissibleCF(*find_admissible_cf(alpha, beta))
-            sigma, g = _knot_invariants(record)[:2]
+            sigma, g = sigma_and_genus(record)
             lower, upper = 5 * sigma - 8 * g, 5 * sigma + 8 * g
             if lower > 0 or upper < 0:
                 order = "inf"
@@ -556,9 +562,9 @@ class TestExpansionIndependence:
             space = LensSpace(alpha, beta)
             if (alpha, beta) not in forced:
                 found = find_admissible_cf(alpha, beta)
-                forced[alpha, beta] = (_knot_invariants(found)[:2], m_bounds(space))
+                forced[alpha, beta] = (sigma_and_genus(found), m_bounds(space))
             (sigma, genus), bounds = forced[alpha, beta]
-            cf_sigma, cf_genus = _knot_invariants(cf)[:2]
+            cf_sigma, cf_genus = sigma_and_genus(cf)
             assert cf_sigma == sigma and cf_genus >= genus, cf
             x = m_bounds(space, cf)
             assert x.m_lower <= bounds.m_lower and bounds.mbar_upper <= x.mbar_upper, cf

@@ -138,8 +138,8 @@ def test_public_names():
         "MpqrTriple",
         "ObstructionReport",
         "ObstructionTest",
-        "OddCounts",
         "OrderCertificate",
+        "PlatInvariants",
         "ResourceLimitError",
         "RokhlinClass",
         "TpqrInvariants",
@@ -156,7 +156,6 @@ def test_public_names():
         "find_positive_cf",
         "format_cf",
         "infinite_order_certificate",
-        "is_knot",
         "is_square_mod",
         "jacobi",
         "lens",
@@ -164,18 +163,57 @@ def test_public_names():
         "merge_bounds",
         "montesinos_invariants",
         "obstruction_report",
-        "odd_counts",
         "parse_cf",
+        "plat_invariants",
         "plumbing",
         "qr_obstruction",
         "reverse_orientation",
         "sigma_pqr_bounds",
-        "signature",
         "slice_genus_lower",
-        "slice_genus_upper",
         "surgery",
         "table1",
         "tpqr_invariants",
         "twobridge",
         "unknotting_one_obstruction",
     ]
+
+
+def test_cli_reads_no_private_name():
+    # the tracer wraps only public names, so a verb whose work ran in
+    # another module's private function would read 0 in that layer
+    tree = ast.parse((SRC / "cobkit" / "cli.py").read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+        for alias in node.names
+    }
+    assert {"contfrac", "lens", "twobridge"} <= modules
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [alias.name for alias in node.names if alias.name.startswith("_")]
+            private += [f"from .{node.module or ''} import {name}" for name in names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr.startswith("_"):
+                private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
+
+
+def test_package_never_uses_floats():
+    # exact arithmetic only: integers and Fractions
+    found = []
+    for path in sorted((SRC / "cobkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where} literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{where} name float")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{where} true division")
+            elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+                found.append(f"{where} import math")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where} math.{a.name}" for a in node.names if a.name != "gcd"]
+    assert found == []

@@ -20,10 +20,9 @@ from cobkit import (
     m_bounds,
     montesinos_invariants,
     obstruction_report,
-    odd_counts,
+    plat_invariants,
     qr_obstruction,
     sigma_pqr_bounds,
-    slice_genus_upper,
     table1,
     tpqr_invariants,
 )
@@ -36,14 +35,14 @@ def _records():
     t = MpqrTriple(2, 3, 7)
     return [
         cf,
-        slice_genus_upper(cf),
+        plat_invariants(cf).slice_genus_upper,
         LensSpace(39, 17),
         sigma_pqr_bounds(t),
         montesinos_invariants(t),
         t,
         obstruction_report(h=21, rokhlin=8, lens_pair=(5, 2)),
         qr_obstruction(5, 2),
-        odd_counts(cf),
+        plat_invariants(cf),
         infinite_order_certificate(m_bounds(LensSpace(39, 17))),
         RokhlinClass(-2),
         tpqr_invariants(t),
@@ -53,7 +52,8 @@ def _records():
     ]
 
 
-# recorded from the frozen dataclasses these records replace; the last,
+# recorded from the frozen dataclasses these records replace, except
+# PlatInvariants, recorded when it was added; the last,
 # CensusRow, recorded once its bounds became quarter counts and its
 # expansion the printed text, and OrderReport once it held one verdict
 # (its kind and reason) and the row it was built with
@@ -73,7 +73,9 @@ _REPRS = [
     "conclusion='not_integral_surgery_on_knot')",
     "ObstructionTest(name='square_class', verdict='obstructed', "
     "detail='neither 2 nor 3 is a square mod 5')",
-    "OddCounts(pos=0, neg=1)",
+    "PlatInvariants(is_knot=True, signature=2, determinant=39, odd_positive=0, "
+    "odd_negative=1, slice_genus_upper=GenusBound(value=2, pos_changes=0, neg_changes=2, "
+    "seifert_genus=0))",
     "OrderCertificate(verdict='unknown', reason='no certificate applies')",
     "RokhlinClass(value=14)",
     "TpqrInvariants(rank=10, signature=-8, determinant_abs=1)",

@@ -11,31 +11,18 @@ from cobkit.contfrac import (
     parse_cf,
 )
 from cobkit.errors import DomainError
-from cobkit.twobridge import (
-    GenusBound,
-    OddCounts,
-    _knot_invariants,
-    _plat_invariants,
-    is_knot,
-    odd_counts,
-    signature,
-    slice_genus_upper,
-)
+from cobkit.twobridge import GenusBound, _tally, _tally_invariants, plat_invariants
 from oracles import eval_cf, five_sum_invariants, murasugi_signature
 
 
-def one_pass_invariants(cf: AdmissibleCF) -> tuple[int, OddCounts, GenusBound | None]:
-    try:
-        genus = slice_genus_upper(cf)
-    except DomainError:
-        assert not is_knot(cf)
-        genus = None
-    else:
-        # lens reads the signature and the bound from the same tally
-        assert _knot_invariants(cf) == (signature(cf), *genus)
-    # the twobridge verb reads all four from one tally
-    assert _plat_invariants(cf) == (is_knot(cf), signature(cf), odd_counts(cf), genus)
-    return signature(cf), odd_counts(cf), genus
+def signature(cf: AdmissibleCF) -> int:
+    return plat_invariants(cf).signature
+
+
+def slice_genus_upper(cf: AdmissibleCF) -> GenusBound:
+    genus = plat_invariants(cf).slice_genus_upper
+    assert genus is not None, cf
+    return genus
 
 
 @st.composite
@@ -52,7 +39,8 @@ def big_term_expansions(draw):
 
 
 class TestOnePassOracle:
-    """The one-pass tally gives what the separate sums gave."""
+    """The one-pass tally gives what the separate sums and the Fraction
+    fold give."""
 
     def test_every_small_pair(self):
         start = time.perf_counter()
@@ -62,7 +50,7 @@ class TestOnePassOracle:
                 if math.gcd(alpha, beta) != 1:
                     continue
                 cf = find_admissible_cf(alpha, beta)
-                assert one_pass_invariants(cf) == five_sum_invariants(cf.a), (alpha, beta)
+                assert plat_invariants(cf) == five_sum_invariants(cf), (alpha, beta)
                 pairs += 1
         assert pairs == 32334
         elapsed = time.perf_counter() - start
@@ -71,7 +59,7 @@ class TestOnePassOracle:
     @settings(max_examples=200, deadline=None)
     @given(big_term_expansions())
     def test_big_terms(self, cf):
-        assert one_pass_invariants(cf) == five_sum_invariants(cf.a)
+        assert plat_invariants(cf) == five_sum_invariants(cf)
 
 
 class TestFourPlat:
@@ -88,9 +76,9 @@ class TestFourPlat:
             AdmissibleCF(a=(2, -1), b=(2,), alpha=11, beta=3)
 
     def test_knot_detection(self):
-        assert is_knot(parse_cf("[3]"))
-        assert is_knot(parse_cf("[1,2,-2]"))
-        assert not is_knot(admissible_cf((2,), ()))  # Hopf link
+        assert plat_invariants(parse_cf("[3]")).is_knot
+        assert plat_invariants(parse_cf("[1,2,-2]")).is_knot
+        assert not plat_invariants(admissible_cf((2,), ())).is_knot  # Hopf link
 
 
 class TestSignature:
@@ -109,7 +97,8 @@ class TestSignature:
                 if math.gcd(alpha, beta) != 1:
                     continue
                 cf = find_admissible_cf(alpha, beta)
-                assert signature(cf) % 2 == (0 if is_knot(cf) else 1)
+                inv = plat_invariants(cf)
+                assert inv.signature % 2 == (0 if inv.is_knot else 1)
 
     def test_matches_lattice_point_formula(self):
         start = time.perf_counter()
@@ -128,10 +117,14 @@ class TestSignature:
 
 class TestOddCounts:
     def test_cases(self):
-        assert odd_counts(parse_cf("[3]")) == OddCounts(pos=1, neg=0)
-        assert odd_counts(parse_cf("[2,4,-1]")) == OddCounts(pos=0, neg=1)
-        assert odd_counts(parse_cf("[1,2,-2]")) == OddCounts(pos=1, neg=0)
-        assert odd_counts(parse_cf("[2,4,-1,-2,1,4,-1]")) == OddCounts(pos=1, neg=2)
+        def odd_counts(text):
+            inv = plat_invariants(parse_cf(text))
+            return inv.odd_positive, inv.odd_negative
+
+        assert odd_counts("[3]") == (1, 0)
+        assert odd_counts("[2,4,-1]") == (0, 1)
+        assert odd_counts("[1,2,-2]") == (1, 0)
+        assert odd_counts("[2,4,-1,-2,1,4,-1]") == (1, 2)
 
 
 class TestSliceGenus:
@@ -156,8 +149,11 @@ class TestSliceGenus:
         assert bound == GenusBound(value=2, pos_changes=0, neg_changes=1, seifert_genus=1)
 
     def test_rejects_links(self):
-        with pytest.raises(DomainError):
-            slice_genus_upper(admissible_cf((2,), ()))
+        # a link's plat has no bound, and the tally kernel refuses a link
+        hopf = admissible_cf((2,), ())
+        assert plat_invariants(hopf).slice_genus_upper is None
+        with pytest.raises(DomainError, match="slice_genus_upper requires a knot"):
+            _tally_invariants(_tally(hopf.a), hopf.a[-1])
 
     def test_dominates_half_signature(self):
         # the slice genus bound can never undercut |signature| / 2

@@ -27,7 +27,7 @@ def main(argv=None) -> int:
 
     rows = []
     for k in range(2, args.k_max + 1, 2):
-        space, cf = family("16k+7", k)
+        space, cf = family(k)
         bounds = m_bounds(space, cf)
         need = slice_genus_lower(space.alpha, bounds.rokhlin, bounds.m_lower)
         rokhlin = bounds.rokhlin.value

@@ -4,11 +4,12 @@ Verbs: lens, cf, twobridge, plumbing, montesinos, surgery-check,
 genus-bound, table1, scan.  Output is text by default; --json and --csv
 switch modes where they apply.  Rationals are printed as exact decimals
 in text and CSV and as 'p/q' strings in JSON.  Exit codes: 0 success,
-1 usage error, 2 domain error (a violated precondition is printed),
-3 internal invariant failure.  The environment variable COBKIT_MAX_N
-(default 1000) caps the scan sweep size; a value that is not an integer
-is a usage error.  Numbers are capped at 4000 decimal digits, fewer
-when PYTHONINTMAXSTRDIGITS is below 4300: a longer integer or rational
+1 usage or output error (a closed stdout or a failed write), 2 domain
+error (a violated precondition is printed), 3 internal invariant
+failure.  The environment variable COBKIT_MAX_N (default 1000) caps the
+scan sweep size; a value that is not an integer is a usage error.
+Numbers are capped at 4000 decimal digits, fewer when
+PYTHONINTMAXSTRDIGITS is below 4300: a longer integer or rational
 argument is a usage error, and a result that would print a longer
 number is a domain error; both messages name the cap.
 """
@@ -447,7 +448,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        sys.stdout.write(_render(args, args.func(args)))
+        text = _render(args, args.func(args))
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -460,6 +465,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal error: invariant failed ({exc})", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -45,8 +45,11 @@ class RokhlinClass(_RokhlinFields):
 
 
 def _on_grid(x, step: int, what: str) -> Fraction:
-    """x as a Fraction, refused unless it is a multiple of 1/step."""
+    """x, an int or a Fraction (anything else is a TypeError), as a
+    Fraction, refused unless it is a multiple of 1/step."""
     if type(x) is not Fraction:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{what} must be an int or a Fraction, not {type(x).__name__}")
         x = Fraction(x)
     if step % x.denominator != 0:
         raise DomainError(f"{what} must be a multiple of 1/{step}")
@@ -226,20 +229,3 @@ def infinite_order_certificate(x: MBounds) -> OrderCertificate:
     kind = _verdict(lower, upper, x.m_exact, x.mbar_exact, x.rokhlin)
     label = _label(kind)
     return OrderCertificate("infinite" if label == "inf" else "unknown", _reason(kind, label, x))
-
-
-def _cover_quarters(sigma_knot: int, genus_upper: int) -> tuple[int, int]:
-    """(4 m_lower, 4 mbar_upper) = (5 sigma(K) - 8g, 5 sigma(K) + 8g) for
-    the branched double cover of a knot, refused unless g >= 0 and
-    sigma(K) is even; with g >= 0 the interval is not empty."""
-    if genus_upper < 0:
-        raise DomainError("_cover_quarters requires genus_upper >= 0")
-    if sigma_knot % 2 != 0:
-        raise DomainError("knot signatures are even")
-    return 5 * sigma_knot - 8 * genus_upper, 5 * sigma_knot + 8 * genus_upper
-
-
-def _cover_line(sigma_knot: int, genus_upper: int) -> str:
-    """The provenance line of the bounds of a branched double cover."""
-    return f"branched double cover (sigma(K)={sigma_knot}, slice genus <= {genus_upper})"
-

@@ -6,8 +6,8 @@ beta odd admits such an expansion; _walk produces one in a single
 pass, each term forced by the value still to expand and checked as it
 is made.  find_admissible_cf and the lens rows both read that walk.
 The all-positive expansion, when it exists, is the forced expansion, so
-find_positive_cf only checks the signs of its terms.  A supplied
-AdmissibleCF checks the rules when it is built, so every record is
+find_positive_cf only checks the signs of its terms.  _build alone
+reads a supplied expansion and checks the rules, so every record is
 admissible.
 """
 
@@ -38,7 +38,7 @@ class _AdmissibleFields(NamedTuple):
 class AdmissibleCF(_AdmissibleFields):
     """An admissible expansion: a-terms, b-terms, and the target alpha/beta.
 
-    Construction checks shape, sign pattern and target and raises
+    Construction, _make and _replace go through _build, which raises
     DomainError on the first violation, so every record is admissible;
     find_admissible_cf makes its records from a walk that checked each
     term as it made it.
@@ -62,11 +62,15 @@ class AdmissibleCF(_AdmissibleFields):
 
 
 def _build(cls, a, b, target=None):
-    """The one builder of an AdmissibleCF: the shape and sign rules, one
-    fold of the terms, then the target rules and the value.  Past the
-    sign rules the fold cannot fail, so the first rule broken is still
-    the one reported.  With no target the fold's value, which must be
-    positive, is the target."""
+    """The one reader of a supplied AdmissibleCF: the terms and the
+    target read with operator.index, a and b kept as tuples, then the
+    shape and sign rules, one fold of the terms, the target rules and the
+    value.  Past the sign rules the fold cannot fail, so the first rule
+    broken is still the one reported.  With no target the fold's value,
+    which must be positive, is the target."""
+    a, b = tuple(map(index, a)), tuple(map(index, b))
+    if target is not None:
+        target = tuple(map(index, target))
     why = _rule_violation(a, b)
     if why is None:
         p, q = _fold(_interleave(a, b))
@@ -140,10 +144,6 @@ def _fold(terms) -> tuple[int, int]:
 def admissible_cf(a, b) -> AdmissibleCF:
     """Build an AdmissibleCF, deriving the target by evaluation.  Terms
     must be integers: a float, a Fraction or a str is a TypeError."""
-    a = tuple(map(index, a))
-    b = tuple(map(index, b))
-    if len(a) != len(b) + 1:
-        raise DomainError("admissible_cf requires len(a) = len(b) + 1")
     return _build(AdmissibleCF, a, b)
 
 
@@ -299,9 +299,8 @@ def parse_cf(text: str) -> AdmissibleCF:
         raise DomainError(f"bad continued fraction term: {exc}") from None
     if len(terms) % 2 == 0:
         raise DomainError("continued fraction must have an odd number of terms")
-    evens = terms[1::2]
-    if any(t % 2 for t in evens):
+    if any(t % 2 for t in terms[1::2]):
         raise DomainError("terms at even positions must be even integers")
-    cf = admissible_cf(terms[0::2], [t // 2 for t in evens])
+    cf = admissible_cf(*_split(terms))
     check_digits(cf.alpha)
     return cf

@@ -4,7 +4,8 @@ The package answers by closed forms and one-pass integer folds; these
 are the independent routes the tests hold it to: Dedekind sums, one
 spin filling's bounds and the spin surgery model that produces it,
 the branched double cover's bounds by their closed form, Murasugi's
-lattice-point signature of S(p, q) and the separate sums behind a
+lattice-point signature of S(p, q), Levine's Arf invariant of a torus
+knot from its Alexander polynomial, the separate sums behind a
 plat's signature, odd counts and genus bound, the Euclid step count
 behind the expansion's overrun bound, the Fraction fold of an
 expansion that the integer fold is checked against, the admissibility
@@ -175,6 +176,28 @@ def murasugi_signature(p: int, q: int) -> int:
     """sigma(S(p, q)) = sum_{i=1}^{p-1} (-1)^floor(iq/p), Murasugi's
     lattice-point formula: a route that needs no expansion."""
     return sum(1 - 2 * (i * q // p % 2) for i in range(1, p))
+
+
+def torus_knot_arf(p: int, q: int) -> int:
+    """Arf(T(p, q)) for coprime p, q >= 1 by Levine (1966): Arf(K) = 0
+    exactly when Delta_K(-1) = +-1 mod 8.  The Alexander polynomial
+    Delta_{T(p,q)}(t) = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) is found
+    by exact integer division, one factor t^k - 1 at a time, on
+    coefficient lists lowest degree first; T(1, q) is the unknot."""
+    if p < 1 or q < 1 or gcd(p, q) != 1:
+        raise DomainError("torus_knot_arf requires coprime p, q >= 1")
+    f = [0] * (p * q + 2)
+    for degree, c in ((0, 1), (1, -1), (p * q, -1), (p * q + 1, 1)):
+        f[degree] += c
+    for k in (p, q):
+        # f = (t^k - 1) g reads f_i = g_{i-k} - g_i, the last k terms g_{i-k}
+        g = [0] * (len(f) - k)
+        for i in range(len(g)):
+            g[i] = (g[i - k] if i >= k else 0) - f[i]
+        assert f[len(g):] == g[len(g) - k:], "not divisible"
+        f = g
+    delta = sum(c if i % 2 == 0 else -c for i, c in enumerate(f))
+    return 0 if delta % 8 in (1, 7) else 1
 
 
 def five_sum_invariants(cf: AdmissibleCF) -> PlatInvariants:

@@ -164,7 +164,7 @@ def test_criterion_5_surgery_obstructions(criterion, capsys):
 def test_criterion_6_series_family(criterion):
     with criterion("criterion 6 (growing genus series k in {2,4,6})"):
         for k in (2, 4, 6):
-            space, cf = family("16k+7", k)
+            space, cf = family(k)
             assert space.alpha == 16 * k + 7 and space.beta == 7 * k + 3
             bounds = m_bounds(space, cf)
             assert bounds.rokhlin.value == 2, k

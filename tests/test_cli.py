@@ -953,6 +953,27 @@ class TestExitCodes:
         code, out, _ = run(capsys, "--help")
         assert code == 0 and "cobkit" in out
 
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "error", [OSError(28, "No space left on device"), BrokenPipeError(32, "Broken pipe")]
+    )
+    @pytest.mark.parametrize("argv", [["lens", "9", "5"], ["scan", "--alpha-max", "99"]])
+    def test_failed_write_is_one(self, argv, error, method):
+        def refuse(*args):
+            raise error
+
+        out, err = io.StringIO(), io.StringIO()
+        setattr(out, method, refuse)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (1, f"output error: {error}\n")
+
+    def test_closed_stdout_is_one(self):
+        err = io.StringIO()
+        with mock.patch.object(sys, "stdout", None), contextlib.redirect_stderr(err):
+            code = main(["lens", "9", "5"])
+        assert (code, err.getvalue()) == (1, "output error: stdout is closed\n")
+
     def test_internal_error_is_three(self, capsys, monkeypatch):
         def boom():
             raise AssertionError("forced for the test")

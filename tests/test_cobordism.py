@@ -11,7 +11,6 @@ from cobkit.cobordism import (
     MBounds,
     OrderCertificate,
     RokhlinClass,
-    _cover_quarters,
     _label,
     _reason,
     _verdict,
@@ -391,18 +390,3 @@ class TestBranchedCover:
     def test_negative_signature(self):
         x = branched_cover_bounds(-4, 2)
         assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (-9, -1, 12)
-
-    def test_rejects_bad_input(self):
-        # the kernel's quarter counts refuse what the closed form cannot hold
-        for sigma in (3, -3, 1, -1):
-            with pytest.raises(DomainError, match="^knot signatures are even$"):
-                _cover_quarters(sigma, 1)
-        for genus in (-1, -2):
-            with pytest.raises(DomainError, match="^_cover_quarters requires genus_upper >= 0$"):
-                _cover_quarters(2, genus)
-        assert _cover_quarters(2, 0) == (10, 10)
-        assert _cover_quarters(-4, 2) == (-36, -4)
-        for sigma in range(-6, 7, 2):
-            for genus in range(3):
-                x = branched_cover_bounds(sigma, genus)
-                assert _cover_quarters(sigma, genus) == (4 * x.m_lower, 4 * x.mbar_upper)

@@ -133,8 +133,8 @@ class TestMBounds:
         )
 
     def test_odd_beta_is_the_cover_record(self):
-        # the provenance reads sigma(K) and g back from the quarter counts;
-        # the public cover record takes them from the knot
+        # the provenance prints the sigma(K) and g that _row_fields made the
+        # quarter counts from; the public cover record takes them from the knot
         for alpha in range(3, 100, 2):
             for beta in range(1, alpha, 2):
                 if math.gcd(alpha, beta) != 1:
@@ -474,11 +474,11 @@ class TestFamily:
             assert m_bounds(space, cf).m_lower == Fraction(n, 2)
 
     def test_series_family(self):
-        space, cf = family("16k+7", 2)
+        space, cf = family(2)
         assert space == LensSpace(39, 17)
         x = m_bounds(space, cf)
         assert (x.m_lower, x.rokhlin.value) == (Fraction(-3, 2), 2)
-        space, cf = family("16k+7", 4)
+        space, cf = family(4)
         assert space == LensSpace(71, 31)
         x = m_bounds(space, cf)
         assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (
@@ -489,15 +489,11 @@ class TestFamily:
 
     def test_family_validation(self):
         with pytest.raises(DomainError, match="requires even k"):
-            family("16k+7", 3)
+            family(3)
         with pytest.raises(DomainError, match="requires a positive parameter"):
-            family("16k+7", 0)
+            family(0)
         with pytest.raises(DomainError, match="requires n >= 1"):
             positive_family(0)
-        # the all-positive series L(10n+1, 8n+1) is built by the tests only
-        for name in ("10n+1", "unknown"):
-            with pytest.raises(DomainError, match="^family name must be '16k\\+7'$"):
-                family(name, 2)
 
 
 class TestMirrorConsistency:

@@ -244,12 +244,41 @@ def test_checks_and_their_order(record, args, kwargs, message):
     assert str(info.value) == message
 
 
+# (record, args, keywords) that name a number inexactly: a float, a str
+# or a bool is a TypeError, never read as the number it spells
+_TYPE_CHECKS = [
+    (MBounds, (0.25, 0.5), {}),
+    (MBounds, ("1/4", "1/2"), {}),
+    (MBounds, (True, 2), {}),
+    (MBounds, (0, 2), {"m_exact": 0.0}),
+    (MBounds, (0, 2), {"mbar_exact": "2"}),
+    (MBounds, (-2, 0), {"m_exact": -2, "mbar_exact": False}),
+    (AdmissibleCF, ([3.0], [], 3, 1), {}),
+    (AdmissibleCF, ((2, -1), (2.0,), 7, 3), {}),
+    (AdmissibleCF, ((3,), (), 3.0, 1), {}),
+    (AdmissibleCF, ((3,), (), 3, "1"), {}),
+]
+
+
+@pytest.mark.parametrize("record, args, kwargs", _TYPE_CHECKS)
+def test_exact_numbers_only(record, args, kwargs):
+    with pytest.raises(TypeError):
+        record(*args, **kwargs)
+    if not kwargs:
+        with pytest.raises(TypeError):
+            record._make(args)
+
+
 def test_normalised_on_construction():
     assert RokhlinClass(-2).value == 14
     x = MBounds(-1, 2, rokhlin=18, provenance=["a", "b"])
     assert (type(x.m_lower), x.m_lower, x.mbar_upper) == (Fraction, -1, 2)
     assert x.rokhlin == RokhlinClass(2)
     assert x.provenance == ("a", "b")
+    for a in ((2, -1), [2, -1]):
+        cf = AdmissibleCF(a, [2], 7, 3)
+        assert (type(cf.a), type(cf.b)) == (tuple, tuple)
+        assert hash(cf) == hash(((2, -1), (2,), 7, 3))
 
 
 @pytest.mark.parametrize(
@@ -270,6 +299,21 @@ def test_replace_checks_too(record, fields, message):
     with pytest.raises(DomainError) as info:
         record._replace(**fields)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (MBounds(0, 1), {"m_lower": 0.25}),
+        (MBounds(0, 1), {"mbar_upper": "1"}),
+        (MBounds(0, 1), {"m_lower": True}),
+        (find_admissible_cf(7, 3), {"a": [2.0, -1.0]}),
+        (find_admissible_cf(7, 3), {"beta": 3.0}),
+    ],
+)
+def test_replace_takes_exact_numbers_only(record, fields):
+    with pytest.raises(TypeError):
+        record._replace(**fields)
 
 
 def test_replace_builds_a_whole_record():

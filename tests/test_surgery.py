@@ -24,17 +24,20 @@ from oracles import (
     m_bounds_from_surgery,
     reversal_verdict,
     spin_surgery_model,
+    torus_knot_arf,
 )
 
 
-def known_lens_surgeries():
-    """(n, beta, g): n-surgery on a knot of slice genus g is L(|n|, beta).
+def known_torus_surgeries():
+    """(p, q, n, beta, g): n-surgery on the torus knot T(p, q), or on its
+    mirror for n < 0, of slice genus g is L(|n|, beta).
 
     Moser (1971): pq + 1 and pq - 1 surgery on the torus knot T(p, q)
     are lens spaces, +n giving L(n, -q^2 mod n) and -n on the mirror
     L(n, q^2 mod n); Kronheimer-Mrowka (1993): g(T(p, q)) = (p-1)(q-1)/2.
     Taken for coprime 2 <= p < q, p < 40, q < 60, pq even (so n is odd).
-    Then the unknot, g = 0: +n surgery is L(n, n-1), -n surgery L(n, 1).
+    Then the unknot T(1, 1), g = 0: +n surgery is L(n, n-1), -n surgery
+    L(n, 1).
     """
     out = []
     for p in range(2, 40):
@@ -43,12 +46,18 @@ def known_lens_surgeries():
                 continue
             g = (p - 1) * (q - 1) // 2
             for n in (p * q - 1, p * q + 1):
-                out.append((n, -q * q % n, g))
-                out.append((-n, q * q % n, g))
+                out.append((p, q, n, -q * q % n, g))
+                out.append((p, q, -n, q * q % n, g))
     for n in range(3, 200, 2):
-        out.append((n, n - 1, 0))
-        out.append((-n, 1, 0))
+        out.append((1, 1, n, n - 1, 0))
+        out.append((1, 1, -n, 1, 0))
     return out
+
+
+def known_lens_surgeries():
+    """(n, beta, g): n-surgery on a knot of slice genus g is L(|n|, beta),
+    for each of known_torus_surgeries."""
+    return [(n, beta, g) for _, _, n, beta, g in known_torus_surgeries()]
 
 
 def lens_genus_bound(h, bounds):
@@ -439,6 +448,17 @@ class TestKnownLensSurgeries:
             counts[reversal_verdict(model) == "infinite"] += 1
             reversal_verdict(bounds)
         assert counts == [2432, 198]  # unknown, infinite
+
+    def test_arf_is_levines(self):
+        # the framing congruence's Arf invariant of the surgery knot is the
+        # one Levine's Delta(-1) test gives, for T(p, q) and its mirror alike
+        arfs = {}
+        for p, q, n, beta, _ in known_torus_surgeries():
+            if (p, q) not in arfs:
+                arfs[p, q] = torus_knot_arf(p, q)
+            rokhlin = m_bounds(LensSpace(abs(n), beta)).rokhlin
+            assert arf_from_surgery(n, rokhlin) == arfs[p, q], (p, q, n)
+        assert set(arfs.values()) == {0, 1} and arfs[1, 1] == 0
 
     @pytest.mark.xfail(
         strict=True,

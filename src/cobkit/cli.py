@@ -15,6 +15,7 @@ number is a domain error; both messages name the cap.
 """
 
 import argparse
+import contextlib
 import os
 import string
 import sys
@@ -329,9 +330,7 @@ def _scan_cap() -> int:
 def _cmd_scan(args) -> Output:
     cap = _scan_cap()
     if args.alpha_max > cap:
-        raise DomainError(
-            f"scan requires alpha_max <= {SCAN_CAP_ENV} (currently {cap})"
-        )
+        raise DomainError(f"scan requires alpha_max <= {SCAN_CAP_ENV} (currently {cap})")
     if args.alpha_max < 3:
         raise DomainError("scan requires alpha_max >= 3")
     # one sweep, read once: by the JSON rows or by the CSV writer
@@ -423,12 +422,7 @@ def build_parser() -> Parser:
     p.add_argument("--cf", help="expansion for the --lens pair")
     p.add_argument("--h", type=_integer)
     p.add_argument("--rokhlin", type=_integer)
-    p.add_argument(
-        "--m-lower",
-        dest="m_lower",
-        type=_fraction,
-        help="certified lower bound for m, e.g. '-3/2'",
-    )
+    p.add_argument("--m-lower", type=_fraction, help="certified lower bound for m, e.g. '-3/2'")
     add_modes(p, csv_mode=False)
     p.set_defaults(func=_cmd_genus_bound)
 
@@ -467,6 +461,11 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
+        # else the shutdown flush retries the bytes a failed flush kept, and exits 120
+        with contextlib.suppress(AttributeError, ValueError):  # no descriptor
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
         return 1
 
 

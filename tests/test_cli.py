@@ -330,14 +330,25 @@ H_4000 = "1" * 4000
 CAP = f"exceeds the {DIGIT_LIMIT}-digit cap"
 
 
-def _run_at_the_minimum_limit(argv):
-    """python -m cobkit argv with Python's minimum int-to-str limit, 640."""
+def _run_from_source(argv, env, **kwargs):
+    """python -m cobkit argv from this tree's src, in the environment env."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-m", "cobkit", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "cobkit", *argv],
+        env={**env, "PYTHONPATH": path}, text=True, **kwargs,
     )
+
+
+def _block_buffered_env():
+    """os.environ without PYTHONUNBUFFERED, so stdout on a file is block-buffered."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _run_at_the_minimum_limit(argv):
+    """python -m cobkit argv with Python's minimum int-to-str limit, 640."""
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+    return _run_from_source(argv, env, capture_output=True)
 
 
 class TestDigitCap:
@@ -967,6 +978,27 @@ class TestExitCodes:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert (code, err.getvalue()) == (1, f"output error: {error}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["lens", "9", "5"], ["scan", "--alpha-max", "99"]])
+    def test_full_stdout_is_one_line(self, argv):
+        # the bytes a failed flush keeps must not fail again at shutdown
+        env = _block_buffered_env()
+        with open("/dev/full", "w") as full:
+            proc = _run_from_source(argv, env, stdout=full, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (
+            1, "output error: [Errno 28] No space left on device\n"
+        )
+
+    def test_broken_pipe_is_one_line(self):
+        env = _block_buffered_env()
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _run_from_source(["lens", "9", "5"], env, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "output error: [Errno 32] Broken pipe\n")
 
     def test_closed_stdout_is_one(self):
         err = io.StringIO()

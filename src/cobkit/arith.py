@@ -99,6 +99,14 @@ def _is_square_mod_prime_power(a: int, p: int, k: int) -> bool:
     return jacobi(a, p) == 1
 
 
+def _index(x) -> int:
+    """x read with operator.index, so a float, a Fraction or a str is a
+    TypeError; so is a bool, which index would read as 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError("a bool is not a number")
+    return index(x)
+
+
 def dec(x) -> str:
     """Exact decimal form of a rational with denominator 2^a 5^b, else p/q.
 
@@ -108,9 +116,7 @@ def dec(x) -> str:
     DIGIT_LIMIT digits.
     """
     if not isinstance(x, Fraction):
-        if isinstance(x, bool):
-            raise TypeError("dec takes an int or a Fraction, not a bool")
-        x = Fraction(index(x))
+        x = Fraction(_index(x))
     num, den = x.numerator, x.denominator
     check_digits(x)
     d, k2, k5 = den, 0, 0

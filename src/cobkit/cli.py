@@ -19,7 +19,7 @@ import contextlib
 import os
 import string
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -95,10 +95,10 @@ class _Quarters(dict):
         return text
 
 
-def _csv_rows(rows: Iterable[lens.CensusRow]) -> Iterable[list[str]]:
+def _csv_rows(rows: Iterable[lens.CensusRow], texts: _Quarters) -> Iterator[list[str]]:
     """The six cells of each row, as the CSV lines and the aligned text
-    table print them, with the expansion unquoted."""
-    texts = _Quarters(as_json=False)
+    table print them, with the expansion unquoted and the bounds' texts
+    from the render's one memo."""
     for row in rows:
         yield [
             str(row.alpha),
@@ -110,44 +110,79 @@ def _csv_rows(rows: Iterable[lens.CensusRow]) -> Iterable[list[str]]:
         ]
 
 
-def _json_rows(rows: Iterable[lens.CensusRow]) -> str:
+def _by_alpha(rows: Iterable[lens.CensusRow]) -> Iterator[list[lens.CensusRow]]:
+    """The rows in runs of one alpha each, in the order they come.  A run
+    goes out when the first row of the next alpha has been read, or at
+    the end."""
+    run, alpha = [], None
+    for row in rows:
+        if row.alpha != alpha:
+            if run:
+                yield run
+                run = []
+            alpha = row.alpha
+        run.append(row)
+    if run:
+        yield run
+
+
+def _csv_lines(rows: Iterable[lens.CensusRow]) -> Iterator[str]:
+    """The CSV text of the rows, one block per alpha, the header with the
+    first; the header alone when there are no rows."""
+    texts = _Quarters(as_json=False)
+    lead = ",".join(CSV_HEADER) + "\n"
+    for run in _by_alpha(rows):
+        lines = [lead]
+        for cells in _csv_rows(run, texts):
+            if "," in cells[4]:  # the expansion; no cell holds a quote, CR or LF
+                cells[4] = f'"{cells[4]}"'
+            lines.append(",".join(cells) + "\n")
+        yield "".join(lines)
+        lead = ""
+    if lead:
+        yield lead
+
+
+def _json_rows(rows: Iterable[lens.CensusRow]) -> Iterator[str]:
     """The text json.dumps({"rows": [...]}, indent=2) writes for the rows
-    as scan prints them.  Each row is written as text: no value needs
-    escaping, since alpha and beta are ints, the bounds 'p/q' strings,
-    the expansion digits, '-', ',' and brackets, and the order one of
-    the kernel's ASCII labels."""
+    as scan prints them, one block per alpha: the frame's opening goes
+    out with the first block and its close after the last.  Each row is
+    written as text: no value needs escaping, since alpha and beta are
+    ints, the bounds 'p/q' strings, the expansion digits, '-', ',' and
+    brackets, and the order one of the kernel's ASCII labels."""
     texts = _Quarters(as_json=True)
-    items = [
-        f'    {{\n      "alpha": {r.alpha},\n      "beta": {r.beta},\n'
-        f'      "m_lower": "{texts[r.lower]}",\n      "mbar_upper": "{texts[r.upper]}",\n'
-        f'      "cf": "{r.cf}",\n      "order": "{r.order}"\n    }}'
-        for r in rows
-    ]
-    if not items:
-        return '{\n  "rows": []\n}\n'
-    return '{\n  "rows": [\n' + ",\n".join(items) + "\n  ]\n}\n"
+    lead, close = '{\n  "rows": [\n', '{\n  "rows": []\n}\n'
+    for run in _by_alpha(rows):
+        yield lead + ",\n".join([
+            f'    {{\n      "alpha": {r.alpha},\n      "beta": {r.beta},\n'
+            f'      "m_lower": "{texts[r.lower]}",\n      "mbar_upper": "{texts[r.upper]}",\n'
+            f'      "cf": "{r.cf}",\n      "order": "{r.order}"\n    }}'
+            for r in run
+        ])
+        lead, close = ",\n", "\n  ]\n}\n"
+    yield close
 
 
-def _render(args, out: Output) -> str:
-    """The one output path: JSON, CSV or text, as the mode flags ask."""
+def _render(args, out: Output) -> Iterable[str]:
+    """The one output path: JSON, CSV or text, as the mode flags ask, in
+    the blocks main writes.  Rows as CSV or as scan's JSON go out one
+    alpha per block, so a sweep is never held whole; every other output,
+    the aligned table too, is one block.  A failure in a later block, an
+    internal check or a bound past the digit cap, leaves the blocks
+    before it written."""
     if args.json:
         if out.doc is None:
             return _json_rows(out.rows)
         import json
 
-        return json.dumps(out.doc, indent=2, default=_json_value) + "\n"
+        return (json.dumps(out.doc, indent=2, default=_json_value) + "\n",)
     if args.csv:
-        lines = [",".join(CSV_HEADER)]
-        for cells in _csv_rows(out.rows):
-            if "," in cells[4]:  # the expansion; no cell holds a quote, CR or LF
-                cells[4] = f'"{cells[4]}"'
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return _csv_lines(out.rows)
     if out.text is None:
-        rows = [CSV_HEADER, *_csv_rows(out.rows)]
+        rows = [CSV_HEADER, *_csv_rows(out.rows, _Quarters(as_json=False))]
         widths = [max(map(len, column)) for column in zip(*rows)]
-        return "".join("  ".join(map(str.ljust, row, widths)) + "\n" for row in rows)
-    return _Text().format(out.text, **out.doc)
+        return ("".join("  ".join(map(str.ljust, row, widths)) + "\n" for row in rows),)
+    return (_Text().format(out.text, **out.doc),)
 
 
 _LENS_TEXT = """\
@@ -438,35 +473,47 @@ def build_parser() -> Parser:
     return parser
 
 
+def _to_devnull(stream) -> None:
+    """Point the stream's descriptor, when it has one, at the null device:
+    else the interpreter's shutdown flush retries the bytes a failed write
+    kept, and the process exits 120."""
+    with contextlib.suppress(AttributeError, ValueError):  # no descriptor
+        fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+
+
+def _fail(code: int, message: str) -> int:
+    """Print the one failure line on stderr and return the exit code.  A
+    missing, closed or failing stderr loses the line, never the code."""
+    try:
+        sys.stderr.write(message + "\n")  # line-buffered: a failed write raises here
+    except (AttributeError, OSError, ValueError):
+        _to_devnull(sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = _render(args, args.func(args))
-        if sys.stdout is None:
-            raise OSError("stdout is closed")
-        sys.stdout.write(text)
+        for block in _render(args, args.func(args)):
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
+            sys.stdout.write(block)
         sys.stdout.flush()
         return 0
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"usage error: {exc}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"domain error: {exc}")
     except AssertionError as exc:
-        print(f"internal error: invariant failed ({exc})", file=sys.stderr)
-        return 3
+        return _fail(3, f"internal error: invariant failed ({exc})")
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        # else the shutdown flush retries the bytes a failed flush kept, and exits 120
-        with contextlib.suppress(AttributeError, ValueError):  # no descriptor
-            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, fd)
-            os.close(null)
-        return 1
+        _to_devnull(sys.stdout)
+        return _fail(1, f"output error: {exc}")
 
 
 if __name__ == "__main__":

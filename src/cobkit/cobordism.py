@@ -11,9 +11,9 @@ quarter of the Rokhlin invariant.
 """
 
 from fractions import Fraction
-from operator import index
 from typing import NamedTuple
 
+from .arith import _index
 from .errors import DomainError
 
 
@@ -24,14 +24,14 @@ class _RokhlinFields(NamedTuple):
 class RokhlinClass(_RokhlinFields):
     """Rokhlin invariant in Z/16, stored as the even representative 0..14.
     Takes an integer, or a RokhlinClass (returned unchanged); anything
-    else, a float, a Fraction or a str, is a TypeError."""
+    else, a bool, a float, a Fraction or a str, is a TypeError."""
 
     __slots__ = ()
 
     def __new__(cls, value):
         if isinstance(value, RokhlinClass):
             return value
-        v = index(value) % 16
+        v = _index(value) % 16
         if v % 2 != 0:
             raise DomainError("Rokhlin invariant of a Z/2-homology sphere is even")
         return tuple.__new__(cls, (v,))

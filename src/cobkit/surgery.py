@@ -15,10 +15,9 @@ framing, allowed too when R = 0 mod 8, is ROADMAP item 1.
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
-from operator import index
 from typing import NamedTuple
 
-from .arith import is_square_mod
+from .arith import _index, is_square_mod
 from .cobordism import RokhlinClass
 from .errors import DomainError
 
@@ -29,9 +28,9 @@ def arf_from_surgery(n: int, rokhlin) -> int | None:
     Returns None when n - sign(n) != -R mod 8, in which case no such
     knot exists.  Otherwise Arf = (n - sign(n) + R)/8 mod 2 with R the
     representative in 0..14.  n is read with operator.index, so a float
-    or a str is a TypeError.
+    or a str is a TypeError, and so is a bool.
     """
-    n = index(n)
+    n = _index(n)
     if n == 0 or n % 2 == 0:
         raise DomainError("arf_from_surgery requires odd nonzero n")
     eps = 1 if n > 0 else -1
@@ -44,9 +43,9 @@ def congruence_obstruction(h: int, rokhlin) -> frozenset[str]:
 
     '+' is allowed when arf_from_surgery(h, R) exists and '-' when
     arf_from_surgery(-h, R) does; an empty set means the space is not
-    integral surgery on a knot.  h is read with operator.index.
+    integral surgery on a knot.  h is read as arf_from_surgery reads n.
     """
-    h = index(h)
+    h = _index(h)
     if h < 1 or h % 2 == 0:
         raise DomainError("congruence_obstruction requires odd h >= 1")
     rokhlin = RokhlinClass(rokhlin)
@@ -75,11 +74,11 @@ def slice_genus_lower(h: int, rokhlin, m_lower) -> Fraction:
     count at g = 0 (_surgery_quarters), and m <= mbar; so the bound is
     (4 m_lower - U)/8, clamped at 0.  The '-' framing, allowed too at
     R = 0 mod 8, is not considered: that is ROADMAP item 1.  h is read
-    with operator.index and m_lower must be an int or a Fraction; a float
-    or a str is a TypeError.
+    as arf_from_surgery reads n, and m_lower must be an int or a
+    Fraction; a bool, a float or a str is a TypeError.
     """
-    h = index(h)
-    if not isinstance(m_lower, Rational):
+    h = _index(h)
+    if isinstance(m_lower, bool) or not isinstance(m_lower, Rational):
         raise TypeError(f"m_lower must be an int or a Fraction, not {type(m_lower).__name__}")
     if h < 1 or h % 2 == 0:
         raise DomainError("slice_genus_lower requires odd h >= 1")

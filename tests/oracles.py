@@ -22,9 +22,9 @@ refuses input outside its domain with DomainError.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import index
 from types import SimpleNamespace
 
+from cobkit.arith import _index
 from cobkit.cobordism import MBounds, RokhlinClass, infinite_order_certificate, reverse_orientation
 from cobkit.contfrac import AdmissibleCF, admissible_cf
 from cobkit.errors import DomainError
@@ -86,9 +86,10 @@ def m_bounds_from_surgery(n: int, rokhlin, genus_upper: int) -> MBounds:
     the spin filling of spin_surgery_model.
 
     A negative g, an even or zero n, and a framing whose n - sign(n) is
-    not -R mod 8 are domain errors.  n and g are read with operator.index.
+    not -R mod 8 are domain errors.  n and g are read as
+    arf_from_surgery reads n: a bool, a float or a str is a TypeError.
     """
-    n, genus_upper = index(n), index(genus_upper)
+    n, genus_upper = _index(n), _index(genus_upper)
     if genus_upper < 0:
         raise DomainError("m_bounds_from_surgery requires genus_upper >= 0")
     rokhlin = RokhlinClass(rokhlin)

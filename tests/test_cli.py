@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
@@ -330,12 +331,13 @@ H_4000 = "1" * 4000
 CAP = f"exceeds the {DIGIT_LIMIT}-digit cap"
 
 
-def _run_from_source(argv, env, **kwargs):
-    """python -m cobkit argv from this tree's src, in the environment env."""
+def _run_from_source(argv, env, launcher=(), **kwargs):
+    """python -m cobkit argv from this tree's src, in the environment env,
+    started through the launcher command if one is given."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "cobkit", *argv],
+        [*launcher, sys.executable, "-m", "cobkit", *argv],
         env={**env, "PYTHONPATH": path}, text=True, **kwargs,
     )
 
@@ -753,6 +755,7 @@ class TestJsonRows:
 
     @staticmethod
     def check(rows):
+        # the writer's blocks, joined, are the document
         try:
             want = json.dumps(
                 {
@@ -772,10 +775,10 @@ class TestJsonRows:
             )
         except ResourceLimitError as exc:
             with pytest.raises(ResourceLimitError) as info:
-                _json_rows(rows)
+                "".join(_json_rows(rows))
             assert str(info.value) == str(exc)
         else:
-            assert _json_rows(rows) == want + "\n"
+            assert "".join(_json_rows(rows)) == want + "\n"
 
     @settings(max_examples=300, deadline=None)
     @given(_ROWS)
@@ -803,7 +806,7 @@ def _csv_writer_text(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli.CSV_HEADER)
-    writer.writerows(cli._csv_rows(rows))
+    writer.writerows(cli._csv_rows(rows, _Quarters(as_json=False)))
     return buf.getvalue()
 
 
@@ -836,10 +839,10 @@ class TestCsvText:
             want = _csv_writer_text(rows)
         except ResourceLimitError as exc:
             with pytest.raises(ResourceLimitError) as info:
-                cli._render(render, cli.Output(None, None, rows))
+                "".join(cli._render(render, cli.Output(None, None, rows)))
             assert str(info.value) == str(exc)
         else:
-            assert cli._render(render, cli.Output(None, None, rows)) == want
+            assert "".join(cli._render(render, cli.Output(None, None, rows))) == want
 
 
 class TestRenderPinned:
@@ -990,6 +993,20 @@ class TestExitCodes:
             1, "output error: [Errno 28] No space left on device\n"
         )
 
+    @pytest.mark.skipif(
+        not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+        reason="needs /dev/full and /proc/self/fd",
+    )
+    def test_failed_write_keeps_no_descriptor(self):
+        # the null device replaces the stream's descriptor, and its own
+        # descriptor is closed; closing the stream then flushes the kept
+        # bytes into the null device
+        with open("/dev/full", "w") as full, contextlib.redirect_stderr(io.StringIO()):
+            before = len(os.listdir("/proc/self/fd"))
+            with contextlib.redirect_stdout(full):
+                assert main(["lens", "9", "5"]) == 1
+            assert len(os.listdir("/proc/self/fd")) == before
+
     def test_broken_pipe_is_one_line(self):
         env = _block_buffered_env()
         read, write = os.pipe()
@@ -1006,13 +1023,44 @@ class TestExitCodes:
             code = main(["lens", "9", "5"])
         assert (code, err.getvalue()) == (1, "output error: stdout is closed\n")
 
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+    @pytest.mark.parametrize("argv, code", [(["lens", "4", "1"], 2), (["lens", "x", "1"], 1)])
+    def test_closed_stderr_keeps_the_code(self, redirect, argv, code):
+        # closed, stderr is None; open for reading only, every write fails,
+        # and the bytes it kept must not fail the shutdown flush (exit 120)
+        launcher = ["/bin/sh", "-c", f'exec "$@" {redirect}', "sh"]
+        proc = _run_from_source(argv, _block_buffered_env(), launcher, stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout) == (code, "")
+
+    @pytest.mark.parametrize("stderr", ["missing", "closed", "failing"])
+    @pytest.mark.parametrize(
+        "argv, code", [(["lens", "three", "1"], 1), (["lens", "4", "1"], 2), (["table1"], 3)]
+    )
+    def test_lost_stderr_keeps_the_code(self, capsys, monkeypatch, stderr, argv, code):
+        def boom():
+            raise AssertionError("forced for the test")
+
+        def refuse(text):
+            raise OSError(9, "Bad file descriptor")
+
+        monkeypatch.setattr("cobkit.lens.table1", boom)
+        err = None if stderr == "missing" else io.StringIO()
+        if stderr == "closed":
+            err.close()
+        elif stderr == "failing":
+            err.write = refuse
+        with mock.patch.object(sys, "stderr", err):
+            got = main(argv)
+        assert (got, capsys.readouterr().out) == (code, "")
+
     def test_internal_error_is_three(self, capsys, monkeypatch):
         def boom():
             raise AssertionError("forced for the test")
 
         monkeypatch.setattr("cobkit.lens.table1", boom)
-        code, _, err = run(capsys, "table1")
-        assert code == 3 and "internal error" in err
+        code, out, err = run(capsys, "table1")
+        assert (code, out, err) == (3, "", "internal error: invariant failed (forced for the test)\n")
 
     def test_inadmissible_expansion_is_two(self, capsys):
         err = "domain error: not admissible: a_1 * b_1 > 0 violated\n"
@@ -1050,3 +1098,70 @@ class TestExitCodes:
         code, out, err = run(capsys, "scan", "--alpha-max", "9")
         assert (code, out) == (3, "")
         assert "expansion invalid for 1/3: not admissible: all a_i must be nonzero" in err
+
+
+class TestBlocks:
+    """main writes rows as CSV or as scan's JSON one alpha per block, so
+    a sweep's memory does not grow with the output; the blocks join to
+    the bytes a whole-document writer printed."""
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_one_block_per_alpha(self, as_json):
+        mode = Namespace(json=as_json, csv=True)
+        blocks = list(cli._render(mode, cli.Output(None, None, census(9))))
+        alpha = r'"alpha": (\d+),' if as_json else r"^(\d+),"
+        alphas = [set(re.findall(alpha, block, re.MULTILINE)) for block in blocks]
+        each = [{"3"}, {"5"}, {"7"}, {"9"}]
+        if as_json:
+            # the frame opens with the first block and closes after the last
+            assert blocks[0].startswith('{\n  "rows": [\n    {') and blocks[-1] == "\n  ]\n}\n"
+            assert alphas == [*each, set()]
+        else:
+            assert blocks[0].startswith(",".join(cli.CSV_HEADER) + "\n3,1,")
+            assert alphas == each
+
+    def test_every_other_output_is_one_block(self):
+        csv_mode, text_mode = Namespace(json=False, csv=True), Namespace(json=False, csv=False)
+        rows = [r.row for r in table1()]
+        assert len(list(cli._render(csv_mode, cli.Output(None, None, rows)))) == 6
+        assert len(list(cli._render(text_mode, cli.Output(None, None, rows)))) == 1
+        report = classify_order(LensSpace(9, 5))
+        for mode in (text_mode, Namespace(json=True, csv=False)):
+            out = cli._render(mode, cli.Output({"cf": report.row.cf}, "{cf}\n", [report.row]))
+            assert len(list(out)) == 1
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_sweep_memory_does_not_hold_the_output(self, mode):
+        # written whole, the sweep peaked at 3.0 MB (CSV) and 8.6 MB (JSON)
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert main(["scan", "--alpha-max", "9", *mode]) == 0  # first-call state
+            tracemalloc.start()
+            try:
+                code = main(["scan", "--alpha-max", "399", *mode])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_failure_mid_sweep_keeps_the_blocks_written(self, capsys, monkeypatch, mode):
+        # the walk fails from alpha = 9 on.  A block goes out once the first
+        # row of the next alpha is read, and alpha = 7's next row is the
+        # first that fails: stdout holds the blocks of alpha <= 5
+        code, whole, _ = run(capsys, "scan", "--alpha-max", "7", *mode)
+        assert code == 0
+        walk = contfrac._walk
+
+        def fails_from_nine(alpha, beta):
+            return walk(beta, alpha) if alpha >= 9 else walk(alpha, beta)
+
+        monkeypatch.setattr("cobkit.lens._walk", fails_from_nine)
+        code, out, err = run(capsys, "scan", "--alpha-max", "11", *mode)
+        assert (code, err.count("\n")) == (3, 1)
+        assert err.startswith("internal error: invariant failed (expansion invalid for 1/9:")
+        if mode:
+            want = whole[: whole.index(',\n    {\n      "alpha": 7,')]
+        else:
+            want = "".join(line for line in whole.splitlines(True) if not line.startswith("7,"))
+        assert out == want

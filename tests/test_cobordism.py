@@ -203,7 +203,7 @@ class TestMBoundsValidation:
             MBounds(-2, 0, m_exact=-2, mbar_exact=0, rokhlin=8),
             MBounds(Fraction(1, 4), Fraction(3, 4)),
         ):
-            text = _render(args, Output({"bounds": _bounds(x)}))
+            text = "".join(_render(args, Output({"bounds": _bounds(x)})))
             assert bounds_from_json_dict(json.loads(text)["bounds"]) == x
 
 

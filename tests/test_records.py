@@ -257,6 +257,9 @@ _TYPE_CHECKS = [
     (AdmissibleCF, ((2, -1), (2.0,), 7, 3), {}),
     (AdmissibleCF, ((3,), (), 3.0, 1), {}),
     (AdmissibleCF, ((3,), (), 3, "1"), {}),
+    (MBounds, (0, 2), {"rokhlin": False}),
+    (RokhlinClass, (False,), {}),
+    (RokhlinClass, (True,), {}),
 ]
 
 

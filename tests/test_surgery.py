@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -170,10 +171,16 @@ class TestSurgeryCandidate:
             arf_from_surgery(3, Fraction(14))
         with pytest.raises(TypeError):
             congruence_obstruction(3, "14")
+        # a bool is not a class: index would read False as 0
+        with pytest.raises(TypeError):
+            arf_from_surgery(1, False)
+        with pytest.raises(TypeError):
+            congruence_obstruction(1, False)
 
     def test_refuses_non_integer_n_h_and_genus(self):
-        # n, h and g are read with operator.index, as RokhlinClass reads R
-        for bad in (3.0, Fraction(3), "3"):
+        # n, h and g are read with operator.index, as RokhlinClass reads R,
+        # and a bool, which index would read as 0 or 1, is refused too
+        for bad in (3.0, Fraction(3), "3", True, False):
             with pytest.raises(TypeError):
                 arf_from_surgery(bad, 14)
             with pytest.raises(TypeError):
@@ -309,13 +316,16 @@ class TestSliceGenusLower:
             slice_genus_lower(39, 2.0, Fraction(-3, 2))
         with pytest.raises(TypeError):
             slice_genus_lower(39, Fraction(2), Fraction(-3, 2))
+        with pytest.raises(TypeError):
+            slice_genus_lower(1, False, 0)
         # h is checked before the class is read
         with pytest.raises(DomainError, match="odd h >= 1"):
             slice_genus_lower(4, 2.0, 0)
 
     def test_refuses_inexact_m_lower(self):
         # a float would be read as its binary value: 0.1 is not 1/10
-        for bad in (0.1, -1.5, "1/10", None):
+        # a bool would be read as 0 or 1: True gave 17/4
+        for bad in (0.1, -1.5, "1/10", None, True, False):
             with pytest.raises(TypeError, match="m_lower must be an int or a Fraction"):
                 slice_genus_lower(39, 2, bad)
         assert slice_genus_lower(39, 2, Fraction(1, 10)) == Fraction(19, 5)
@@ -341,6 +351,22 @@ class TestQrObstruction:
             qr_obstruction(4, 1)
         with pytest.raises(DomainError):
             qr_obstruction(9, 3)
+
+    def test_congruence_never_obstructs_alone(self):
+        # two routes to "not surgery on a knot": the congruence reads R from
+        # the lens kernel, the QR test reads the pair alone.  Over every
+        # coprime pair with odd alpha < 200, beta of either parity, the
+        # congruence never obstructs a presentation the QR test passes
+        counts = Counter()
+        for alpha in range(3, 200, 2):
+            for beta in range(1, alpha):
+                if math.gcd(alpha, beta) == 1:
+                    rokhlin = m_bounds(LensSpace(alpha, beta)).rokhlin
+                    congruence = not congruence_obstruction(alpha, rokhlin)
+                    qr = qr_obstruction(alpha, beta).verdict == "obstructed"
+                    counts[congruence, qr] += 1
+        assert counts == {(True, True): 1832, (False, True): 1188, (False, False): 5130}
+        assert counts[True, False] == 0
 
 
 class TestUnknottingObstruction:

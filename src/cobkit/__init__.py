@@ -6,7 +6,7 @@ surgeries on knots, together with two-bridge knot invariants and
 obstruction reports.  All arithmetic is exact (integers and Fractions).
 """
 
-from .arith import is_square_mod, jacobi
+from .arith import is_square_mod
 from .cobordism import (
     MBounds,
     OrderCertificate,

@@ -1,6 +1,7 @@
-"""Exact elementary number theory: Jacobi symbols, quadratic residues
-by factoring the modulus, and the exact decimal form of a rational
-under a cap on the digits printed.
+"""Exact elementary number theory: quadratic residues by factoring the
+modulus and Euler's criterion, an integer reader that refuses a bool
+or a float, and the exact decimal form of a rational under a cap on
+the digits printed.
 
 Everything here is integer or Fraction arithmetic, no floating point.
 """
@@ -33,37 +34,17 @@ def check_digits(x):
     raise ResourceLimitError(f"a number exceeds the {DIGIT_LIMIT}-digit cap")
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n > 0.
-
-    Computed by quadratic reciprocity with the standard rules for factors
-    of two; returns 0 when gcd(a, n) > 1, and 1 for n = 1.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise DomainError("jacobi requires odd n > 0")
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def is_square_mod(a: int, n: int) -> bool:
     """Whether a is congruent to a square modulo n >= 1.
 
     Factors n by trial division and decides each prime power p^k apart:
     a = 0 mod p^k is a square; otherwise write a = p^v * u with p not
     dividing u and v < k.  Then v must be even, and for odd p the unit u
-    a residue, jacobi(u, p) = 1; for p = 2 the unit must be 1 mod 8 when
-    k - v >= 3 and 1 mod 4 when k - v = 2.
+    a residue, u^((p-1)/2) = 1 mod p by Euler's criterion; for p = 2 the
+    unit must be 1 mod 8 when k - v >= 3 and 1 mod 4 when k - v = 2.
+    a and n are read with _index, so a bool or a float is a TypeError.
     """
+    a, n = _index(a), _index(n)
     if n < 1:
         raise DomainError("is_square_mod requires n >= 1")
     if n > SQUARE_ENUM_LIMIT:
@@ -96,7 +77,7 @@ def _is_square_mod_prime_power(a: int, p: int, k: int) -> bool:
         return False
     if p == 2:
         return a % min(8, 2 ** (k - v)) == 1
-    return jacobi(a, p) == 1
+    return pow(a, (p - 1) // 2, p) == 1
 
 
 def _index(x) -> int:

@@ -4,10 +4,9 @@ Verbs: lens, cf, twobridge, plumbing, montesinos, surgery-check,
 genus-bound, table1, scan.  Output is text by default; --json and --csv
 switch modes where they apply.  Rationals are printed as exact decimals
 in text and CSV and as 'p/q' strings in JSON.  Exit codes: 0 success,
-1 usage or output error (a closed stdout or a failed write), 2 domain
-error (a violated precondition is printed), 3 internal invariant
-failure.  The environment variable COBKIT_MAX_N (default 1000) caps the
-scan sweep size; a value that is not an integer is a usage error.
+1 usage or output error (a closed stdout or a failed write, of help
+text too), 2 domain error (a violated precondition is printed), 3
+internal invariant failure.  scan takes --alpha-max up to 1000.
 Numbers are capped at 4000 decimal digits, fewer when
 PYTHONINTMAXSTRDIGITS is below 4300: a longer integer or rational
 argument is a usage error, and a result that would print a longer
@@ -21,6 +20,8 @@ import string
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import contfrac, lens, plumbing, surgery, twobridge
@@ -28,8 +29,7 @@ from .arith import DIGIT_LIMIT, check_digits, dec
 from .cobordism import MBounds, RokhlinClass
 from .errors import DomainError
 
-SCAN_CAP_ENV = "COBKIT_MAX_N"
-SCAN_CAP_DEFAULT = 1000
+SCAN_CAP = 1000
 CSV_HEADER = ["alpha", "beta", "m_lower", "mbar_upper", "cf", "order"]
 
 
@@ -37,9 +37,20 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """The help text asked for, carried to main as the one block it
+    writes."""
+
+
 class Parser(argparse.ArgumentParser):
+    """argparse that hands main its errors and its help text instead of
+    printing them and exiting."""
+
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 class Output(NamedTuple):
@@ -62,15 +73,12 @@ class _Text(string.Formatter):
         return super().format_field(value, format_spec)
 
 
-def _json_value(value):
-    """JSON form of a value json cannot encode itself: a Fraction, as its
-    'p/q' string under the digit cap, or the lazily built rows, so a mode
-    that does not print them never builds them.  json writes any tuple
-    subclass, a record too, as an array without calling this hook, so
-    the verbs put records into their documents as dicts."""
-    if isinstance(value, Fraction):
-        return str(check_digits(value))
-    return list(value)
+def _json_value(value: Fraction) -> str:
+    """JSON form of a Fraction, the one value in a document json cannot
+    encode itself: its 'p/q' string under the digit cap.  json writes any
+    tuple subclass, a record too, as an array without calling this hook,
+    so the verbs put records into their documents as dicts."""
+    return str(check_digits(value))
 
 
 def _bounds(bounds: MBounds) -> dict:
@@ -110,28 +118,13 @@ def _csv_rows(rows: Iterable[lens.CensusRow], texts: _Quarters) -> Iterator[list
         ]
 
 
-def _by_alpha(rows: Iterable[lens.CensusRow]) -> Iterator[list[lens.CensusRow]]:
-    """The rows in runs of one alpha each, in the order they come.  A run
-    goes out when the first row of the next alpha has been read, or at
-    the end."""
-    run, alpha = [], None
-    for row in rows:
-        if row.alpha != alpha:
-            if run:
-                yield run
-                run = []
-            alpha = row.alpha
-        run.append(row)
-    if run:
-        yield run
-
-
 def _csv_lines(rows: Iterable[lens.CensusRow]) -> Iterator[str]:
     """The CSV text of the rows, one block per alpha, the header with the
-    first; the header alone when there are no rows."""
+    first; the header alone when there are no rows.  A block goes out
+    once the first row of the next alpha has been read, or at the end."""
     texts = _Quarters(as_json=False)
     lead = ",".join(CSV_HEADER) + "\n"
-    for run in _by_alpha(rows):
+    for _, run in groupby(rows, attrgetter("alpha")):
         lines = [lead]
         for cells in _csv_rows(run, texts):
             if "," in cells[4]:  # the expansion; no cell holds a quote, CR or LF
@@ -152,7 +145,7 @@ def _json_rows(rows: Iterable[lens.CensusRow]) -> Iterator[str]:
     brackets, and the order one of the kernel's ASCII labels."""
     texts = _Quarters(as_json=True)
     lead, close = '{\n  "rows": [\n', '{\n  "rows": []\n}\n'
-    for run in _by_alpha(rows):
+    for _, run in groupby(rows, attrgetter("alpha")):
         yield lead + ",\n".join([
             f'    {{\n      "alpha": {r.alpha},\n      "beta": {r.beta},\n'
             f'      "m_lower": "{texts[r.lower]}",\n      "mbar_upper": "{texts[r.upper]}",\n'
@@ -337,7 +330,7 @@ def _cmd_genus_bound(args) -> Output:
 def _cmd_table1(args) -> Output:
     reports = lens.table1()
     rows = [r.row for r in reports]
-    doc = (
+    doc = [
         {
             "alpha": r.space.alpha,
             "beta": r.space.beta,
@@ -346,26 +339,13 @@ def _cmd_table1(args) -> Output:
             "order": r.order,
         }
         for r, row in zip(reports, rows)
-    )
+    ]
     return Output({"rows": doc}, None, rows)
 
 
-def _scan_cap() -> int:
-    raw = os.environ.get(SCAN_CAP_ENV)
-    if raw is None:
-        return SCAN_CAP_DEFAULT
-    if len(raw) > DIGIT_LIMIT:
-        raise UsageError(f"{SCAN_CAP_ENV} exceeds the {DIGIT_LIMIT}-digit cap")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SCAN_CAP_ENV} must be an integer, got {raw!r}") from None
-
-
 def _cmd_scan(args) -> Output:
-    cap = _scan_cap()
-    if args.alpha_max > cap:
-        raise DomainError(f"scan requires alpha_max <= {SCAN_CAP_ENV} (currently {cap})")
+    if args.alpha_max > SCAN_CAP:
+        raise DomainError(f"scan requires alpha_max <= {SCAN_CAP}")
     if args.alpha_max < 3:
         raise DomainError("scan requires alpha_max >= 3")
     # one sweep, read once: by the JSON rows or by the CSV writer
@@ -493,11 +473,19 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _blocks(argv) -> Iterable[str]:
+    """What main writes: the help text asked for as one block, or the
+    verb's output rendered."""
     try:
-        args = parser.parse_args(argv)
-        for block in _render(args, args.func(args)):
+        args = build_parser().parse_args(argv)
+    except _Help as exc:
+        return exc.args
+    return _render(args, args.func(args))
+
+
+def main(argv=None) -> int:
+    try:
+        for block in _blocks(argv):
             if sys.stdout is None:
                 raise OSError("stdout is closed")
             sys.stdout.write(block)
@@ -505,8 +493,6 @@ def main(argv=None) -> int:
         return 0
     except UsageError as exc:
         return _fail(1, f"usage error: {exc}")
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
     except DomainError as exc:
         return _fail(2, f"domain error: {exc}")
     except AssertionError as exc:

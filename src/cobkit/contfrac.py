@@ -13,10 +13,9 @@ admissible.
 
 from fractions import Fraction
 from math import gcd
-from operator import index
 from typing import NamedTuple
 
-from .arith import check_digits
+from .arith import _index, check_digits
 from .errors import DomainError
 
 
@@ -63,14 +62,14 @@ class AdmissibleCF(_AdmissibleFields):
 
 def _build(cls, a, b, target=None):
     """The one reader of a supplied AdmissibleCF: the terms and the
-    target read with operator.index, a and b kept as tuples, then the
+    target read with arith._index, a and b kept as tuples, then the
     shape and sign rules, one fold of the terms, the target rules and the
     value.  Past the sign rules the fold cannot fail, so the first rule
     broken is still the one reported.  With no target the fold's value,
     which must be positive, is the target."""
-    a, b = tuple(map(index, a)), tuple(map(index, b))
+    a, b = tuple(map(_index, a)), tuple(map(_index, b))
     if target is not None:
-        target = tuple(map(index, target))
+        target = tuple(map(_index, target))
     why = _rule_violation(a, b)
     if why is None:
         p, q = _fold(_interleave(a, b))
@@ -230,19 +229,21 @@ def find_admissible_cf(alpha: int, beta: int) -> AdmissibleCF:
     """Deterministic admissible expansion of alpha/beta (beta odd): the
     forced expansion of _walk, as a record.  A walk that fails its checks
     is an internal failure."""
-    _check_pair(alpha, beta)
+    alpha, beta = _check_pair(alpha, beta)
     return _record(_walk(alpha, beta)[0], alpha, beta)
 
 
-def _check_pair(alpha: int, beta: int):
-    """Refuse a pair with no forced expansion by the first rule it
-    breaks; both finders run this before they walk."""
+def _check_pair(alpha: int, beta: int) -> tuple[int, int]:
+    """The pair read with arith._index, or its refusal by the first rule
+    it breaks; both finders run this before they walk."""
+    alpha, beta = _index(alpha), _index(beta)
     if not 0 < beta < alpha:
         raise DomainError("requires 0 < beta < alpha")
     if gcd(alpha, beta) != 1:
         raise DomainError("requires gcd(alpha, beta) = 1")
     if beta % 2 == 0:
         raise DomainError("requires odd beta")
+    return alpha, beta
 
 
 def _record(terms, alpha: int, beta: int) -> AdmissibleCF:
@@ -264,7 +265,7 @@ def find_positive_cf(alpha: int, beta: int) -> AdmissibleCF | None:
     None means that none exists.  An even alpha is refused after the
     pair's own refusals and before the walk.
     """
-    _check_pair(alpha, beta)
+    alpha, beta = _check_pair(alpha, beta)
     if alpha % 2 == 0:
         raise DomainError("requires odd alpha")
     terms = _walk(alpha, beta)[0]

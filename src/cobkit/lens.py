@@ -23,6 +23,7 @@ from functools import cache, partial
 from math import gcd
 from typing import NamedTuple
 
+from .arith import _index
 from .cobordism import MBounds, _label, _reason, _verdict
 from .contfrac import (
     AdmissibleCF,
@@ -43,11 +44,13 @@ class _LensFields(NamedTuple):
 
 
 class LensSpace(_LensFields):
-    """L(alpha, beta), alpha odd, 0 < beta < alpha coprime."""
+    """L(alpha, beta), alpha odd, 0 < beta < alpha coprime; both read
+    with arith._index, so a bool or a float is a TypeError."""
 
     __slots__ = ()
 
     def __init__(self, alpha, beta):
+        alpha, beta = _index(alpha), _index(beta)
         if alpha < 1 or alpha % 2 == 0:
             raise DomainError("LensSpace requires odd alpha >= 1")
         if not 0 < beta < alpha:

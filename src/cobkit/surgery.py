@@ -118,8 +118,10 @@ def qr_obstruction(p: int, q: int) -> ObstructionTest:
     """Quadratic residue test for L(p, q) as surgery on a knot.
 
     If L(p, q) is integral surgery on a knot then q or -q is a square
-    mod p; when neither is, the lens space is obstructed.
+    mod p; when neither is, the lens space is obstructed.  p and q are
+    read with arith._index, so a bool or a float is a TypeError.
     """
+    p, q = _index(p), _index(q)
     if p < 1 or p % 2 == 0:
         raise DomainError("qr_obstruction requires odd p >= 1")
     if gcd(p, q) != 1:
@@ -133,8 +135,10 @@ def unknotting_one_obstruction(det: int) -> ObstructionTest:
     The branched double cover of an unknotting number one knot is
     half-integral surgery, hence +-2 times a square class: when neither
     2 nor -2 is a square mod |det| the cover is not integral surgery on
-    a knot with that determinant pattern.
+    a knot with that determinant pattern.  det is read with
+    arith._index, so a bool or a float is a TypeError.
     """
+    det = _index(det)
     if det % 2 == 0 or abs(det) <= 1:
         raise DomainError("unknotting_one_obstruction requires odd |det| > 1")
     return _square_class("unknotting_determinant", 2, abs(det), "2 or -2", (2, -2))

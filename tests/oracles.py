@@ -11,8 +11,10 @@ behind the expansion's overrun bound, the Fraction fold of an
 expansion that the integer fold is checked against, the admissibility
 rules walked one by one, the JSON reader of an MBounds record, the
 orientation reversal of a lens space as a pair, the paper's order
-certificate read on both orientations, and exact elimination on the
-T(p, q, r) intersection matrix.  Two records that no verb, script or
+certificate read on both orientations, exact elimination on the
+T(p, q, r) intersection matrix, and the Jacobi symbol by quadratic
+reciprocity, against which the package's Euler-criterion residue test
+and the Dedekind sums are checked.  Two records that no verb, script or
 README example needs are built here from the package's own parts: the
 surgery model's interval as an MBounds (m_bounds_from_surgery), and
 the all-positive series L(10n+1, 8n+1) (positive_family).  Each
@@ -32,6 +34,30 @@ from cobkit.lens import LensSpace
 from cobkit.plumbing import MpqrTriple
 from cobkit.surgery import _surgery_quarters, arf_from_surgery
 from cobkit.twobridge import GenusBound, PlatInvariants
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0.
+
+    Computed by quadratic reciprocity with the standard rules for factors
+    of two; returns 0 when gcd(a, n) > 1, and 1 for n = 1.  TestJacobi
+    checks is_square_mod against it on odd primes, and criterion 7c
+    checks the Dedekind sums.
+    """
+    if n <= 0 or n % 2 == 0:
+        raise DomainError("jacobi requires odd n > 0")
+    a %= n
+    result = 1
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def sawtooth(x: Fraction) -> Fraction:

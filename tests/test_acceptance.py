@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from cobkit.arith import is_square_mod, jacobi
+from cobkit.arith import is_square_mod
 from cobkit.cli import main
 from cobkit.cobordism import infinite_order_certificate, reverse_orientation
 from cobkit.contfrac import find_admissible_cf, parse_cf
@@ -44,6 +44,7 @@ from oracles import (
     det_exact,
     eval_cf,
     inertia,
+    jacobi,
     m_bounds_from_surgery,
     spin_surgery_model,
 )

@@ -13,10 +13,12 @@ from cobkit.arith import (
     check_digits,
     dec,
     is_square_mod,
-    jacobi,
 )
+from cobkit.contfrac import admissible_cf, find_admissible_cf, find_positive_cf
 from cobkit.errors import DomainError, ResourceLimitError
-from oracles import dedekind_sum, sawtooth
+from cobkit.lens import LensSpace
+from cobkit.surgery import qr_obstruction, unknotting_one_obstruction
+from oracles import dedekind_sum, jacobi, sawtooth
 
 
 def brute_square_mod(a, n):
@@ -132,10 +134,10 @@ class TestIsSquareMod:
     def test_trial_division_stops_at_the_square_root(self):
         # a prime modulus near the cap takes about 500 trial divisions; a
         # search that ran on to n itself would take about 500,000 per call
-        p = 999983  # prime; Euler's criterion is the reference
+        p = 999983  # prime; the Jacobi symbol, by reciprocity, is the reference
         start = time.perf_counter()
         for a in range(200):
-            assert is_square_mod(a, p) == (pow(a, (p - 1) // 2, p) in (0, 1)), a
+            assert is_square_mod(a, p) == (jacobi(a, p) in (0, 1)), a
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"200 calls took {elapsed:.2f}s, budget 2s"
 
@@ -236,3 +238,25 @@ class TestDigitCap:
         with pytest.raises(ResourceLimitError):
             dec(x)
         assert dec(Fraction(10 ** (DIGIT_LIMIT - 4) + 1, 8)).endswith(".125")
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (unknotting_one_obstruction, (7.0,)),
+        (unknotting_one_obstruction, (True,)),
+        (is_square_mod, (2.0, 7)),
+        (is_square_mod, (2, True)),
+        (LensSpace, (9, True)),
+        (find_admissible_cf, (3, True)),
+        (find_positive_cf, (3, True)),
+        (admissible_cf, ((True,), ())),
+        (admissible_cf, ((2, -1), (True,))),
+        (qr_obstruction, (9, True)),
+    ],
+)
+def test_integer_entries_refuse_bools_and_floats(entry, args):
+    # every public integer entry reads through arith._index: a float is
+    # not exact, and a bool would be read as 0 or 1
+    with pytest.raises(TypeError):
+        entry(*args)

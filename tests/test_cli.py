@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cobkit import cli, contfrac, twobridge
 from cobkit.arith import DIGIT_LIMIT, check_digits, dec
-from cobkit.cli import SCAN_CAP_ENV, _json_rows, _Quarters, main
+from cobkit.cli import _json_rows, _Quarters, main
 from cobkit.contfrac import format_cf, parse_cf
 from cobkit.errors import ResourceLimitError
 from cobkit.lens import ORDER_ANNOTATIONS, CensusRow, LensSpace, census, classify_order, table1
@@ -523,10 +523,9 @@ class TestFuzz:
     @example(["genus-bound", "--h", H_4300, "--rokhlin", "2", "--m-lower=1/4"])
     def test_exit_code(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        # the cap keeps every scan small whatever --alpha-max is drawn
-        with mock.patch.dict(os.environ, {SCAN_CAP_ENV: "51"}):
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+        # every scan is small: --alpha-max is drawn below 52
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
 
@@ -559,33 +558,19 @@ class TestScan:
         assert [r["alpha"] for r in payload["rows"]] == [3, 5, 5]
         assert payload["rows"][0]["m_lower"] == "1/2"
 
-    def test_default_cap(self, capsys):
-        code, _, err = run(capsys, "scan", "--alpha-max", "2001")
-        assert code == 2 and SCAN_CAP_ENV in err
-
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv(SCAN_CAP_ENV, "9")
-        code, _, err = run(capsys, "scan", "--alpha-max", "11")
-        assert code == 2 and SCAN_CAP_ENV in err
-        code, out, _ = run(capsys, "scan", "--alpha-max", "9")
-        assert code == 0
+    def test_default_cap(self, capsys, monkeypatch):
+        err = "domain error: scan requires alpha_max <= 1000\n"
+        for n in ("1001", "2001"):
+            assert run(capsys, "scan", "--alpha-max", n) == (2, "", err)
+        # the cap itself is admitted; the sweep is stubbed out
+        monkeypatch.setattr("cobkit.lens.census", lambda alpha_max: iter(()))
+        assert run(capsys, "scan", "--alpha-max", "1000") == (0, ",".join(cli.CSV_HEADER) + "\n", "")
 
     def test_minimum(self, capsys):
         code, _, err = run(capsys, "scan", "--alpha-max", "2")
         assert code == 2
-
-    def test_env_cap_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv(SCAN_CAP_ENV, "abc")
-        code, out, err = run(capsys, "scan", "--alpha-max", "9")
-        assert code == 1 and out == ""
-        assert err.startswith("usage error: ") and SCAN_CAP_ENV in err
-
-    def test_env_cap_too_long(self, capsys, monkeypatch):
-        # int() would hit the interpreter's own digit limit first
-        monkeypatch.setenv(SCAN_CAP_ENV, "1" * 5000)
-        code, out, err = run(capsys, "scan", "--alpha-max", "9")
-        assert (code, out) == (1, "")
-        assert err == f"usage error: {SCAN_CAP_ENV} exceeds the {DIGIT_LIMIT}-digit cap\n"
+        code, out, _ = run(capsys, "scan", "--alpha-max", "3")
+        assert code == 0 and out.splitlines()[1:] == ["3,1,0.5,4.5,[3],inf"]
 
     @pytest.mark.parametrize(
         "mode, digest",
@@ -983,7 +968,9 @@ class TestExitCodes:
         assert (code, err.getvalue()) == (1, f"output error: {error}\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("argv", [["lens", "9", "5"], ["scan", "--alpha-max", "99"]])
+    @pytest.mark.parametrize(
+        "argv", [["lens", "9", "5"], ["scan", "--alpha-max", "99"], ["--help"], ["lens", "--help"]]
+    )
     def test_full_stdout_is_one_line(self, argv):
         # the bytes a failed flush keeps must not fail again at shutdown
         env = _block_buffered_env()
@@ -1018,10 +1005,12 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (1, "output error: [Errno 32] Broken pipe\n")
 
     def test_closed_stdout_is_one(self):
-        err = io.StringIO()
-        with mock.patch.object(sys, "stdout", None), contextlib.redirect_stderr(err):
-            code = main(["lens", "9", "5"])
-        assert (code, err.getvalue()) == (1, "output error: stdout is closed\n")
+        # help goes through the one checked writer, not argparse's stderr fallback
+        for argv in (["lens", "9", "5"], ["--help"], ["lens", "--help"]):
+            err = io.StringIO()
+            with mock.patch.object(sys, "stdout", None), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, err.getvalue()) == (1, "output error: stdout is closed\n"), argv
 
     @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
     @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])

@@ -157,7 +157,6 @@ def test_public_names():
         "format_cf",
         "infinite_order_certificate",
         "is_square_mod",
-        "jacobi",
         "lens",
         "m_bounds",
         "merge_bounds",

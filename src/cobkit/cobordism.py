@@ -181,7 +181,6 @@ _VERDICTS: dict[str, dict[str, str]] = {
     "m_pos": {"inf": "m >= {b.m_lower} > 0"},
     "mbar_neg": {"inf": "mbar <= {b.mbar_upper} < 0"},
     "exact_rokhlin": {"inf": "{side} = 0 with Rokhlin invariant {b.rokhlin.value} != 0"},
-    "positive_cf": {"inf": "all-positive expansion {expansion} certifies infinite order"},
     "annotation": {
         "<=2": "admits an orientation-reversing self-diffeomorphism,"
         " so the class has order at most 2",
@@ -191,22 +190,19 @@ _VERDICTS: dict[str, dict[str, str]] = {
 }
 
 
-def _verdict(
-    lower, upper, m_exact=None, mbar_exact=None, rokhlin=None, positive=None, annotated=None
-) -> str:
+def _verdict(lower, upper, m_exact=None, mbar_exact=None, rokhlin=None, annotated=None) -> str:
     """The kind of the order verdict, read on the quarter counts lower = 4 m_lower and
     upper = 4 mbar_upper, the exact markers and the RokhlinClass: m > 0, mbar < 0, or
     an exact m or mbar of 0 with R != 0 certify infinite order, alike for Y and -Y.
-    Past them, positive (called only then) finds an all-positive expansion or None,
-    and an annotated space keeps its known order."""
+    Past them an annotated space keeps its known order.  A lens space's interval
+    is the meet of every expansion it was given with its forced one, so the kind
+    does not depend on the expansion."""
     if lower > 0:
         return "m_pos"
     if upper < 0:
         return "mbar_neg"
     if rokhlin is not None and rokhlin.value != 0 and 0 in (m_exact, mbar_exact):
         return "exact_rokhlin"
-    if positive is not None and positive() is not None:
-        return "positive_cf"
     return "none" if annotated is None else "annotation"
 
 
@@ -216,10 +212,10 @@ def _label(kind: str, annotated: str | None = None) -> str:
     return label
 
 
-def _reason(kind: str, label: str, b: MBounds, expansion: str | None = None) -> str:
-    """The verdict's reason, read with the bounds and the all-positive expansion."""
+def _reason(kind: str, label: str, b: MBounds) -> str:
+    """The verdict's reason, read with the bounds."""
     side = "m" if b.m_exact == 0 else "mbar"
-    return _VERDICTS[kind][label].format(b=b, side=side, expansion=expansion)
+    return _VERDICTS[kind][label].format(b=b, side=side)
 
 
 def infinite_order_certificate(x: MBounds) -> OrderCertificate:

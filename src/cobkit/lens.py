@@ -5,33 +5,32 @@ two-bridge knot S(alpha, beta), so any admissible expansion of
 alpha/beta yields certified bounds on m and mbar and the exact Rokhlin
 invariant sigma(S(alpha, beta)) mod 16.  For even beta the mirror
 L(alpha, alpha - beta) is computed and the orientation reversed.
-With no expansion supplied, a row reads one forced walk of the odd-beta
-pair, which makes the terms, their tally and every check in a single
-pass.  _row_fields is the one function from a tally to the interval
-4m >= 5 sigma(K) - 8g, 4 mbar <= 5 sigma(K) + 8g, the Rokhlin value,
-the order label of the one verdict function, cobordism._verdict, and
-the sigma(K) and g of the provenance.  census yields the rows, with a
-cache of _row_fields of its own per sweep; classify_order wraps a row in
-the records and the provenance, and m_bounds reads its bounds.
+Every report reads one forced walk of the odd-beta pair, which makes
+the terms, their tally and every check in a single pass, and meets a
+supplied expansion's interval with the walk's, so the order label is
+the space's.  _interval is the one function from a tally to
+4m >= 5 sigma(K) - 8g, 4 mbar <= 5 sigma(K) + 8g, and
+cobordism._verdict the one verdict.  census yields the rows, with a
+cache of their fields per sweep; classify_order builds the records, the
+provenance and the row, and m_bounds reads its bounds.
 Orientation convention: L(alpha, beta) is -alpha/beta surgery on the
 unknot.
 """
 
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import gcd
 from typing import NamedTuple
 
 from .arith import _index
-from .cobordism import MBounds, _label, _reason, _verdict
+from .cobordism import MBounds, _label, _quarters, _reason, _verdict, merge_bounds
 from .contfrac import (
     AdmissibleCF,
     _format_terms,
     _record,
     _walk,
     admissible_cf,
-    find_positive_cf,
     format_cf,
 )
 from .errors import DomainError
@@ -110,93 +109,89 @@ class OrderReport(NamedTuple):
 ORDER_ANNOTATIONS: dict[tuple[int, int], str] = {(5, 3): "<=2", (13, 5): "<=2", (9, 5): "0"}
 
 
-def _odd_beta(alpha: int, beta: int) -> int:
-    """beta of the odd-beta representative: beta, or alpha - beta for
-    even beta, whose space is the reversed mirror."""
-    return alpha - beta if beta % 2 == 0 else beta
-
-
-def _row_fields(tally, last_positive: bool, annotated, positive=None):
-    """(lower, upper, rokhlin, label, kind, sigma, genus) of the branched
-    double cover of a two-bridge knot K from the tally of its expansion's
-    a-terms, the sign of a_n and the pair's annotation: sigma(K) and g
-    by _tally_invariants with every check (it refuses a link, so sigma is
-    even, and g >= 0), the quarter counts 5 sigma -+ 8g, and the verdict,
-    with classify_order's all-positive search, positive."""
+def _interval(tally, last_positive: bool) -> tuple[int, int, int, int]:
+    """(lower, upper, sigma, genus) of the branched double cover of a
+    two-bridge knot K from the tally of its expansion's a-terms and the
+    sign of a_n: sigma(K) and g by _tally_invariants with every check (it
+    refuses a link, so sigma is even, and g >= 0) and the quarter counts
+    5 sigma -+ 8g."""
     sigma, genus = _tally_invariants(tally, last_positive)[:2]
-    lower, upper = 5 * sigma - 8 * genus, 5 * sigma + 8 * genus
-    kind = _verdict(lower, upper, positive=positive, annotated=annotated)
-    return lower, upper, sigma % 16, _label(kind, annotated), kind, sigma, genus
+    return 5 * sigma - 8 * genus, 5 * sigma + 8 * genus, sigma, genus
 
 
-def _row(alpha: int, beta: int, terms, fields) -> CensusRow:
-    """The CensusRow of L(alpha, beta) from its expansion's terms and its
-    _row_fields."""
-    lower, upper, rokhlin, label = fields[:4]
-    text = _format_terms(terms)
-    return tuple.__new__(CensusRow, (alpha, beta, lower, upper, rokhlin, text, label))
+def _census_fields(tally, last_positive: bool, annotated) -> tuple[int, int, int, str]:
+    """(lower, upper, rokhlin, label) of a census row."""
+    lower, upper, sigma = _interval(tally, last_positive)[:3]
+    return lower, upper, sigma % 16, _label(_verdict(lower, upper, annotated=annotated), annotated)
+
+
+def _cover(alpha: int, beta: int, odd: int, text: str, last_positive: bool, tally) -> MBounds:
+    """The MBounds of L(alpha, beta) from an expansion of alpha/odd, odd the
+    odd-beta representative: its text, a_n > 0 and its tally.  For even
+    beta the space is the cover of the mirror knot, whose expansion is the
+    negated terms: tally (S+, S-, o-, o+) and a_n of the other sign."""
+    if odd != beta:
+        s_minus, s_plus, o_pos, o_neg = tally
+        tally, last_positive = (s_plus, s_minus, o_neg, o_pos), not last_positive
+    lower, upper, sigma, genus = _interval(tally, last_positive)
+    knot_sigma = sigma if odd == beta else -sigma  # of S(alpha, odd)
+    trail = (
+        f"L({alpha},{odd}) branched over S({alpha},{odd})",
+        f"expansion {text}",
+        f"branched double cover (sigma(K)={knot_sigma}, slice genus <= {genus})",
+    )
+    if odd != beta:
+        trail = (f"L({alpha},{beta}) as reversed mirror", *trail, "orientation reversed")
+    return MBounds(Fraction(lower, 4), Fraction(upper, 4), rokhlin=sigma % 16, provenance=trail)
 
 
 def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
     """Certified m and mbar bounds and the Rokhlin class of L(alpha, beta).
 
-    An admissible expansion of alpha/beta (found automatically when not
-    supplied) presents the two-bridge cover; the branched double cover
-    bounds with its signature and slice genus bound give the interval.
-    These are the bounds of classify_order's report.
+    The forced expansion of alpha/beta, met with a supplied one, presents
+    the two-bridge cover; the branched double cover bounds with its
+    signature and slice genus bound give the interval.  These are the
+    bounds of classify_order's report.
     """
     return classify_order(space, cf).bounds
 
 
 def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderReport:
     """Classify the order of [L(alpha, beta)]: infinite if the bound
-    certificate fires or an all-positive expansion exists, otherwise an
-    annotated known order, otherwise unknown.
+    certificate fires, otherwise an annotated known order, otherwise
+    unknown.
 
-    The expansion is of the odd-beta representative.  With no cf one
-    forced walk of it gives the terms, their tally and the record; a
-    supplied cf must expand alpha/beta itself with beta odd, and its
-    record gives the terms and the tally.  For even beta, L(alpha, beta)
-    is -L(alpha, alpha - beta), the branched double cover of the mirror
-    knot, whose expansion is the negated terms: its tally is
-    (S+, S-, o-, o+) and its a_n has the other sign.  The row is the one
-    census yields.  An all-positive expansion is the forced one, and for
-    it sigma = sum(a) - 1 and g <= (sum(a) - 1)/2, so
-    m >= (sum(a) - 1)/4 > 0 (mbar < 0 for even beta): the certificate
-    has fired.  So only a supplied cf whose bounds certify nothing has
-    find_positive_cf run, once.
+    space is read through LensSpace.  One forced walk of the odd-beta
+    representative gives the terms, their tally and the record.  A
+    supplied cf must expand alpha/beta itself with beta odd; unless it is
+    the forced record, its interval is met with the walk's by
+    merge_bounds, its trail first, so every expansion gets the space's
+    verdict, read once on the interval the report prints.  The row
+    carries that interval and the text of cf.  An all-positive expansion
+    is the forced one, with sigma = sum(a) - 1 and g <= (sum(a) - 1)/2,
+    so m >= (sum(a) - 1)/4 > 0 (mbar < 0 for even beta).
     """
-    alpha, beta = space
-    odd = _odd_beta(alpha, beta)
-    positive = None
-    if cf is None:
-        terms, tally = _walk(alpha, odd)
-        cf = _record(terms, alpha, odd)
-    elif odd != beta:
+    alpha, beta = space = LensSpace._make(space)
+    odd = alpha - beta if beta % 2 == 0 else beta  # for even beta, the reversed mirror's
+    if cf is not None and odd != beta:
         raise DomainError("supply the expansion for the odd-beta mirror L(alpha, alpha - beta)")
-    elif (cf.alpha, cf.beta) != space:
+    if cf is not None and (cf.alpha, cf.beta) != space:
         raise DomainError(f"expansion targets {cf.alpha}/{cf.beta}, not {alpha}/{beta}")
-    else:
-        terms, tally = cf.terms, _tally(cf.a)
-        positive = cache(partial(find_positive_cf, alpha, beta))
-    last_positive = terms[-1] > 0
-    if odd != beta:
-        s_minus, s_plus, o_pos, o_neg = tally
-        tally, last_positive = (s_plus, s_minus, o_neg, o_pos), not last_positive
-    fields = _row_fields(tally, last_positive, ORDER_ANNOTATIONS.get((alpha, beta)), positive)
-    lower, upper, rokhlin, label, kind, sigma, genus = fields
-    row = _row(alpha, beta, terms, fields)
-    sigma = sigma if odd == beta else -sigma  # for even beta, fields of the mirror
-    trail = (
-        f"L({alpha},{odd}) branched over S({alpha},{odd})",
-        f"expansion {row.cf}",
-        f"branched double cover (sigma(K)={sigma}, slice genus <= {genus})",
-    )
-    if odd != beta:
-        trail = (f"L({alpha},{beta}) as reversed mirror", *trail, "orientation reversed")
-    bounds = MBounds(Fraction(lower, 4), Fraction(upper, 4), rokhlin=rokhlin, provenance=trail)
-    text = format_cf(positive()) if kind == "positive_cf" else None
-    return OrderReport(space, bounds, kind, _reason(kind, label, bounds, text), cf, row)
+    terms, tally = _walk(alpha, odd)
+    forced = _record(terms, alpha, odd)
+    text = _format_terms(terms)
+    bounds = _cover(alpha, beta, odd, text, terms[-1] > 0, tally)
+    cf = forced if cf is None else cf
+    if cf != forced:
+        text = format_cf(cf)
+        supplied = _cover(alpha, beta, odd, text, cf.a[-1] > 0, _tally(cf.a))
+        bounds = merge_bounds(supplied, bounds)
+    lower, upper = _quarters(bounds.m_lower), _quarters(bounds.mbar_upper)
+    annotated = ORDER_ANNOTATIONS.get(space)
+    kind = _verdict(lower, upper, annotated=annotated)
+    label = _label(kind, annotated)
+    row = CensusRow(alpha, beta, lower, upper, bounds.rokhlin.value, text, label)
+    return OrderReport(space, bounds, kind, _reason(kind, label, bounds), cf, row)
 
 
 def census(alpha_max: int) -> Iterator[CensusRow]:
@@ -205,21 +200,23 @@ def census(alpha_max: int) -> Iterator[CensusRow]:
     classify_order(LensSpace(alpha, beta)).row reports, without the
     records and provenance no row prints.  Every row makes its own walk
     and text.  Past the walk a row's fields depend only on the key
-    (tally, a_n > 0, annotation), so the sweep's own cache of _row_fields
-    computes them once per distinct key, 1,077 of them for the 16,182
-    rows at alpha_max = 399.  Nothing outlives the sweep.  The rows keep
+    (tally, a_n > 0, annotation), so the sweep's own cache of
+    _census_fields computes them once per distinct key, 1,077 of them
+    for the 16,182 rows at alpha_max = 399.  Nothing outlives the sweep.  The rows keep
     the quarter counts, which the printers turn into text once per
     distinct value.
     """
     # a row reads four fields; caching only those saved 1.3 MB of peak RSS
     # over eight CSV and JSON scans to 399 (CPython 3.11, Linux x86-64)
-    fields = cache(lambda *key: _row_fields(*key)[:4])
+    fields = cache(_census_fields)
     for alpha in range(3, alpha_max + 1, 2):
         for beta in range(1, alpha, 2):
             if gcd(alpha, beta) == 1:
                 terms, tally = _walk(alpha, beta)
                 annotated = ORDER_ANNOTATIONS.get((alpha, beta))
-                yield _row(alpha, beta, terms, fields(tally, terms[-1] > 0, annotated))
+                lower, upper, rokhlin, label = fields(tally, terms[-1] > 0, annotated)
+                text = _format_terms(terms)
+                yield tuple.__new__(CensusRow, (alpha, beta, lower, upper, rokhlin, text, label))
 
 
 # Fixed presentations for every lens space with odd |H_1| <= 13 (beta

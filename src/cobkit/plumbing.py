@@ -14,6 +14,7 @@ which pins the invariants exactly: m = -(p+q+r)/4 + 1 and mbar = m + 2.
 from fractions import Fraction
 from typing import NamedTuple
 
+from .arith import _index
 from .cobordism import MBounds, RokhlinClass
 from .errors import DomainError
 
@@ -28,12 +29,14 @@ class MpqrTriple(_TripleFields):
     """Parameters of a plumbing sphere with the K3 embedding available.
 
     Requires p <= q <= r, exactly one even, 1/p + 1/q + 1/r < 1, and
-    p + q + r <= 22.
+    p + q + r <= 22; all three read with arith._index, so a bool or a
+    float is a TypeError.
     """
 
     __slots__ = ()
 
     def __init__(self, p, q, r):
+        p, q, r = _index(p), _index(q), _index(r)
         if not (1 <= p <= q <= r):
             raise DomainError("MpqrTriple requires 1 <= p <= q <= r")
         if sum(1 for v in (p, q, r) if v % 2 == 0) != 1:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -16,7 +17,8 @@ from cobkit.arith import (
 )
 from cobkit.contfrac import admissible_cf, find_admissible_cf, find_positive_cf
 from cobkit.errors import DomainError, ResourceLimitError
-from cobkit.lens import LensSpace
+from cobkit.lens import LensSpace, classify_order, m_bounds
+from cobkit.plumbing import MpqrTriple
 from cobkit.surgery import qr_obstruction, unknotting_one_obstruction
 from oracles import dedekind_sum, jacobi, sawtooth
 
@@ -253,6 +255,10 @@ class TestDigitCap:
         (admissible_cf, ((True,), ())),
         (admissible_cf, ((2, -1), (True,))),
         (qr_obstruction, (9, True)),
+        (classify_order, ((9, True),)),
+        (m_bounds, ((9, True),)),
+        (MpqrTriple, (True, 3, 7)),
+        (MpqrTriple, (2.0, 3, 7)),
     ],
 )
 def test_integer_entries_refuse_bools_and_floats(entry, args):
@@ -260,3 +266,15 @@ def test_integer_entries_refuse_bools_and_floats(entry, args):
     # not exact, and a bool would be read as 0 or 1
     with pytest.raises(TypeError):
         entry(*args)
+
+
+@pytest.mark.parametrize(
+    "space, message",
+    [((9, 3), "LensSpace requires gcd(alpha, beta) = 1"), ((8, 3), "LensSpace requires odd alpha >= 1")],
+    ids=["9-3", "8-3"],
+)
+def test_lens_entries_read_the_space_through_lens_space(space, message):
+    # a bare pair gets LensSpace's own refusal, not a failure inside the walk
+    for entry in (classify_order, m_bounds):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            entry(space)

@@ -120,6 +120,15 @@ class TestLens:
         payload = run_json(capsys, "lens", "13", "5", "--cf", "[2,2,-3]", "--json")
         assert payload["cf"] == "[2,2,-3]"
 
+    def test_supplied_cf_keeps_the_space_label(self, capsys):
+        # the expansion's own interval [-3/2, 13/2] certifies nothing; met
+        # with the forced walk's it reads the label that lens 11 3 prints
+        code, out, _ = run(capsys, "lens", "11", "3", "--cf", "[3,2,-1,-2,1]")
+        assert code == 0
+        assert "  expansion: [3,2,-1,-2,1]\n" in out
+        assert "  order:      inf\n  reason:     m >= 1/2 > 0\n" in out
+        assert out.replace("[3,2,-1,-2,1]", "[3,2,-2]") == run(capsys, "lens", "11", "3")[1]
+
     def test_long_euclid_chain(self, capsys):
         # F(2002)/F(2001): the even-beta mirror F(2002)/F(2000) takes about
         # 2,000 Euclid steps
@@ -852,7 +861,7 @@ class TestRenderPinned:
             (("lens", "9", "5", "--csv"), 0, "a85009ef73ef44f4c7de53b1df96274b55b97575d5ba220a2e9bc944d713fa96"),
             (("lens", "13", "5", "--cf", "[2,2,-3]", "--json"), 0, "c241d9bf33a226fa908dce1a667c4a17327ce962191311d74456666c94923cac"),
             (("table1",), 0, "80a820b919016cff84befd2d4fe7103b2ccb4b6dacb51761aede5b9973572b26"),
-            (("table1", "--json"), 0, "2ddc8d973e309a277623ed6816b8ee3654e4a1ec8b2907df96c6069ffadcf0ce"),
+            (("table1", "--json"), 0, "c6ccad1cccb4da27ab4b36b062b843c4c0a7c2710c5ce95b3fd3b2d5832a7e69"),
             (("table1", "--csv"), 0, "733940569a7915739e52b0b520bc0643247816885b0b723d900db68117102abc"),
             (("genus-bound", "--lens", "39", "17", "--json"), 0, "a0b1098e226953930c71a559a79b7c07466aac72fc75531959333ec8476294d3"),
             # R(L(39,22)) = 14 fails h - 1 = -R mod 8: a domain error, no stdout

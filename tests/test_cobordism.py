@@ -335,24 +335,20 @@ class TestOrderCertificate:
 
 class TestVerdict:
     def test_kinds_are_a_closed_set(self):
-        kinds = {"m_pos", "mbar_neg", "exact_rokhlin", "positive_cf", "annotation", "none"}
+        kinds = {"m_pos", "mbar_neg", "exact_rokhlin", "annotation", "none"}
         assert set(_VERDICTS) == kinds
         labels = {kind: _label(kind, "<=2") for kind in kinds}
         assert labels == {**dict.fromkeys(kinds, "inf"), "annotation": "<=2", "none": "?"}
         assert _label("annotation", "0") == "0" and _label("none") == "?"
 
     def test_first_kind_that_applies(self):
-        def refused():
-            raise AssertionError("looked for an all-positive expansion past a certificate")
-
         r8 = RokhlinClass(8)
-        assert _verdict(1, 4, positive=refused, annotated="0") == "m_pos"
-        assert _verdict(-4, -1, positive=refused, annotated="0") == "mbar_neg"
-        assert _verdict(0, 8, 0, 2, r8, positive=refused, annotated="0") == "exact_rokhlin"
-        assert _verdict(-8, 0, -2, 0, r8, positive=refused, annotated="0") == "exact_rokhlin"
-        assert _verdict(0, 8, positive=lambda: "[3]", annotated="0") == "positive_cf"
-        assert _verdict(0, 8, positive=lambda: None, annotated="0") == "annotation"
-        assert _verdict(0, 8, positive=lambda: None) == "none"
+        assert _verdict(1, 4, annotated="0") == "m_pos"
+        assert _verdict(-4, -1, annotated="0") == "mbar_neg"
+        assert _verdict(0, 8, 0, 2, r8, annotated="0") == "exact_rokhlin"
+        assert _verdict(-8, 0, -2, 0, r8, annotated="0") == "exact_rokhlin"
+        assert _verdict(0, 8, annotated="0") == "annotation"
+        assert _verdict(0, 8) == "none"
         assert _verdict(0, 0, 0, 0, RokhlinClass(0)) == "none"
         assert _verdict(-1, 1, None, None, r8) == "none"
 
@@ -360,9 +356,6 @@ class TestVerdict:
         x = MBounds(Fraction(1, 4), 2, rokhlin=2)
         assert _reason("m_pos", "inf", x) == "m >= 1/4 > 0"
         assert _reason("mbar_neg", "inf", reverse_orientation(x)) == "mbar <= -1/4 < 0"
-        assert _reason("positive_cf", "inf", x, "[1,4,2]") == (
-            "all-positive expansion [1,4,2] certifies infinite order"
-        )
         assert _reason("none", "?", x) == "no certificate applies"
 
     @given(st.one_of(filling_records(), exact_records()))

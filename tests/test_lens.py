@@ -45,6 +45,11 @@ def sigma_and_genus(cf) -> tuple[int, int]:
     return inv.signature, inv.slice_genus_upper.value
 
 
+def interval(x) -> tuple:
+    """The bounds and the Rokhlin class of an MBounds, without its provenance."""
+    return x.m_lower, x.mbar_upper, x.rokhlin
+
+
 def hirzebruch_jung(p: int, q: int) -> list[int]:
     """[c_1, ..., c_n] with p/q = c_1 - 1/(c_2 - 1/(... - 1/c_n)), c_i >= 2."""
     cs = []
@@ -218,28 +223,6 @@ class TestClassifyOrder:
         report = classify_order(LensSpace(11, 9))
         assert report.order == "inf"
         assert find_positive_cf(report.cf.alpha, report.cf.beta) is not None
-
-    def test_positive_expansion_verdict(self, monkeypatch):
-        # no expansion reaches positive_cf (TestExpansionIndependence); with
-        # the bound certificates held off, the report reads that kind and
-        # searches for the all-positive expansion once
-        searches = []
-
-        def search(alpha, beta):
-            searches.append((alpha, beta))
-            return find_positive_cf(alpha, beta)
-
-        def held_off(lower, upper, **kw):
-            return _verdict(0, 0, **kw)
-
-        monkeypatch.setattr("cobkit.lens.find_positive_cf", search)
-        monkeypatch.setattr("cobkit.lens._verdict", held_off)
-        space, cf = positive_family(1)
-        report = classify_order(space, cf)
-        assert (report.order, report.kind) == ("inf", "positive_cf")
-        assert report.reason == "all-positive expansion [1,4,2] certifies infinite order"
-        assert searches == [(11, 9)]
-        assert classify_order(space).kind == "none" and searches == [(11, 9)]
 
     def test_annotated_order_two(self):
         report = classify_order(LensSpace(5, 3))
@@ -544,7 +527,8 @@ def admissible_expansions(max_terms: int, max_term: int):
 class TestExpansionIndependence:
     def test_every_small_expansion_agrees_with_the_forced_one(self):
         # sigma is a knot invariant; no expansion bounds the slice genus
-        # below the forced one, so a supplied cf never tightens an interval
+        # below the forced one, so meeting a supplied cf's interval with the
+        # forced walk's leaves the forced interval
         start = time.perf_counter()
         forced = {}
         seen = 0
@@ -563,8 +547,7 @@ class TestExpansionIndependence:
             cf_sigma, cf_genus = sigma_and_genus(cf)
             assert cf_sigma == sigma and cf_genus >= genus, cf
             x = m_bounds(space, cf)
-            assert x.m_lower <= bounds.m_lower and bounds.mbar_upper <= x.mbar_upper, cf
-            assert x.rokhlin == bounds.rokhlin, cf
+            assert interval(x) == interval(bounds), cf
             seen += 1
         # 8 + 8^2 2 + 8^3 2^2 + 8^4 2^3 sequences; 51 of the 106 pairs have one
         assert (enumerated, len(forced), seen) == (34952, 51, 92)
@@ -572,9 +555,9 @@ class TestExpansionIndependence:
         assert elapsed < 10.0, f"enumeration took {elapsed:.2f}s, budget 10s"
 
     def test_positive_pairs_are_certified_by_every_expansion(self):
-        # the positive_cf verdict needs a supplied expansion whose own bounds
-        # certify nothing while its pair has an all-positive one; no small
-        # expansion is such, so every one of them reads m_pos first
+        # an all-positive expansion is the forced one, and its interval has
+        # m > 0; every small expansion of such a pair reads m_pos, though
+        # its own interval may be wider than the forced one
         start = time.perf_counter()
         positive = {}
         records = checked = 0
@@ -592,6 +575,36 @@ class TestExpansionIndependence:
         # 19,138 pairs, 2,828 of them with an all-positive expansion
         counts = (records, len(positive), sum(positive.values()), checked)
         assert counts == (21026, 19138, 2828, 3326)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"enumeration took {elapsed:.2f}s, budget 10s"
+
+    def test_every_expansion_gets_the_forced_verdict(self):
+        # the order label is a fact about the space: a supplied expansion
+        # is met with the forced walk, so its report has the forced order
+        # and interval, however wide the expansion's own interval is
+        start = time.perf_counter()
+        forced = {}
+        records = wider = relabelled = 0
+        for a, b, p, q in admissible_expansions(max_terms=7, max_term=5):
+            alpha, beta = (p, q) if q > 0 else (-p, -q)
+            if not (alpha % 2 == beta % 2 == 1 and 0 < beta < alpha):
+                continue
+            records += 1
+            space, cf = LensSpace(alpha, beta), AdmissibleCF(a, b, alpha, beta)
+            if space not in forced:
+                forced[space] = classify_order(space)
+            want, report = forced[space], classify_order(space, cf)
+            assert (report.order, report.kind, report.reason) == (want.order, want.kind, want.reason), cf
+            assert interval(report.bounds) == interval(want.bounds), cf
+            assert report.row == want.row._replace(cf=format_cf(cf)), cf
+            sigma, genus = sigma_and_genus(cf)
+            own = 5 * sigma - 8 * genus, 5 * sigma + 8 * genus
+            if own != (want.row.lower, want.row.upper):
+                wider += 1
+                relabelled += _verdict(*own, annotated=ORDER_ANNOTATIONS.get(space)) != want.kind
+        # the expansions whose own interval is wider, and those of them
+        # whose own interval would read another verdict (all '?' for 'inf')
+        assert (records, len(forced), wider, relabelled) == (21026, 19138, 158, 52)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"enumeration took {elapsed:.2f}s, budget 10s"
 

@@ -95,11 +95,6 @@ def test_readme_example_runs():
     exec(compile(readme_example(), "README.md", "exec"), {})
 
 
-# Public names that no verb, script or README example reaches yet, with
-# the reason each stays.
-AWAITING_CALLER = {"merge_bounds": "ROADMAP item 3 gives it a caller"}
-
-
 def test_every_public_name_has_a_consumer():
     # a public top-level def or class of the package must be read, by name,
     # outside its own definition: by package code, a script or the README
@@ -121,7 +116,7 @@ def test_every_public_name_has_a_consumer():
                 elif isinstance(sub, ast.Attribute):
                     readers[sub.attr].add((source, owner))
     unread = {name for source, name in defined if not readers[name] - {(source, name)}}
-    assert unread == set(AWAITING_CALLER)
+    assert unread == set()
 
 
 def test_public_names():

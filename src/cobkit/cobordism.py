@@ -174,54 +174,48 @@ class OrderCertificate(NamedTuple):
     reason: str
 
 
-# Every order verdict by kind: each label it gives, with its reason's
-# template, read with the bounds b.  Only an annotation gives more than
-# one label; the annotated space names its own (lens.ORDER_ANNOTATIONS).
-_VERDICTS: dict[str, dict[str, str]] = {
-    "m_pos": {"inf": "m >= {b.m_lower} > 0"},
-    "mbar_neg": {"inf": "mbar <= {b.mbar_upper} < 0"},
-    "exact_rokhlin": {"inf": "{side} = 0 with Rokhlin invariant {b.rokhlin.value} != 0"},
-    "annotation": {
-        "<=2": "admits an orientation-reversing self-diffeomorphism,"
-        " so the class has order at most 2",
-        "0": "bounds a Z/2-acyclic 4-manifold, so the class is 0",
-    },
-    "none": {"?": "no certificate applies"},
+# The reason of every order verdict, a template read with the bounds b,
+# keyed by kind; an annotation's is keyed by its label, which the
+# annotated space names (lens.ORDER_ANNOTATIONS).
+_REASONS: dict[str, str] = {
+    "m_pos": "m >= {b.m_lower} > 0",
+    "mbar_neg": "mbar <= {b.mbar_upper} < 0",
+    "exact_rokhlin": "{side} = 0 with Rokhlin invariant {b.rokhlin.value} != 0",
+    "none": "no certificate applies",
+    "<=2": "admits an orientation-reversing self-diffeomorphism,"
+    " so the class has order at most 2",
+    "0": "bounds a Z/2-acyclic 4-manifold, so the class is 0",
 }
 
 
-def _verdict(lower, upper, m_exact=None, mbar_exact=None, rokhlin=None, annotated=None) -> str:
-    """The kind of the order verdict, read on the quarter counts lower = 4 m_lower and
-    upper = 4 mbar_upper, the exact markers and the RokhlinClass: m > 0, mbar < 0, or
-    an exact m or mbar of 0 with R != 0 certify infinite order, alike for Y and -Y.
-    Past them an annotated space keeps its known order.  A lens space's interval
-    is the meet of every expansion it was given with its forced one, so the kind
-    does not depend on the expansion."""
+def _verdict(
+    lower, upper, m_exact=None, mbar_exact=None, rokhlin=None, annotated=None
+) -> tuple[str, str]:
+    """The order verdict (kind, label), read on the quarter counts lower = 4 m_lower
+    and upper = 4 mbar_upper, the exact markers and the RokhlinClass: m > 0,
+    mbar < 0, or an exact m or mbar of 0 with R != 0 certify infinite order,
+    label 'inf', alike for Y and -Y.  Past them an annotated space keeps its known
+    order as its label, and any other reads '?'.  A lens space's interval is the
+    meet of every expansion it was given with its forced one, so the verdict does
+    not depend on the expansion."""
     if lower > 0:
-        return "m_pos"
+        return "m_pos", "inf"
     if upper < 0:
-        return "mbar_neg"
+        return "mbar_neg", "inf"
     if rokhlin is not None and rokhlin.value != 0 and 0 in (m_exact, mbar_exact):
-        return "exact_rokhlin"
-    return "none" if annotated is None else "annotation"
-
-
-def _label(kind: str, annotated: str | None = None) -> str:
-    """The order label of a verdict; an annotation's is the annotated one."""
-    [label] = (annotated,) if kind == "annotation" else _VERDICTS[kind]
-    return label
+        return "exact_rokhlin", "inf"
+    return ("none", "?") if annotated is None else ("annotation", annotated)
 
 
 def _reason(kind: str, label: str, b: MBounds) -> str:
     """The verdict's reason, read with the bounds."""
     side = "m" if b.m_exact == 0 else "mbar"
-    return _VERDICTS[kind][label].format(b=b, side=side)
+    return _REASONS[label if kind == "annotation" else kind].format(b=b, side=side)
 
 
 def infinite_order_certificate(x: MBounds) -> OrderCertificate:
     """Infinite order when m > 0, or mbar < 0, or m or mbar is exactly 0 with
     R != 0, alike for x and reverse_orientation(x); else 'unknown'."""
     lower, upper = _quarters(x.m_lower), _quarters(x.mbar_upper)
-    kind = _verdict(lower, upper, x.m_exact, x.mbar_exact, x.rokhlin)
-    label = _label(kind)
+    kind, label = _verdict(lower, upper, x.m_exact, x.mbar_exact, x.rokhlin)
     return OrderCertificate("infinite" if label == "inf" else "unknown", _reason(kind, label, x))

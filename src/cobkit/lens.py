@@ -4,14 +4,15 @@ L(alpha, beta) with alpha odd is the branched double cover of the
 two-bridge knot S(alpha, beta), so any admissible expansion of
 alpha/beta yields certified bounds on m and mbar and the exact Rokhlin
 invariant sigma(S(alpha, beta)) mod 16.  For even beta the mirror
-L(alpha, alpha - beta) is computed and the orientation reversed.
-Every report reads one forced walk of the odd-beta pair, which makes
-the terms, their tally and every check in a single pass, and meets a
-supplied expansion's interval with the walk's, so the order label is
-the space's.  _interval is the one function from a tally to
-4m >= 5 sigma(K) - 8g, 4 mbar <= 5 sigma(K) + 8g, and
-cobordism._verdict the one verdict.  census yields the rows, with a
-cache of their fields per sweep; classify_order builds the records, the
+L(alpha, alpha - beta) is computed and the orientation reversed, which
+negates its interval and sigma, not its tally.  Every report reads one
+forced walk of the odd-beta pair, which makes the terms, their tally
+and every check in a single pass, and meets a supplied expansion's
+interval with the walk's, so the order label is the space's.
+_interval is the one function from a tally to 4m >= 5 sigma(K) - 8g,
+4 mbar <= 5 sigma(K) + 8g, and one cobordism._verdict call gives a
+verdict's kind and label.  census yields the rows, with a cache of
+their fields per sweep; classify_order builds the records, the
 provenance and the row, and m_bounds reads its bounds.
 Orientation convention: L(alpha, beta) is -alpha/beta surgery on the
 unknot.
@@ -24,7 +25,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import _index
-from .cobordism import MBounds, _label, _quarters, _reason, _verdict, merge_bounds
+from .cobordism import MBounds, _quarters, _reason, _verdict, merge_bounds
 from .contfrac import (
     AdmissibleCF,
     _format_terms,
@@ -48,7 +49,7 @@ class LensSpace(_LensFields):
 
     __slots__ = ()
 
-    def __init__(self, alpha, beta):
+    def __new__(cls, alpha, beta):
         alpha, beta = _index(alpha), _index(beta)
         if alpha < 1 or alpha % 2 == 0:
             raise DomainError("LensSpace requires odd alpha >= 1")
@@ -56,6 +57,7 @@ class LensSpace(_LensFields):
             raise DomainError("LensSpace requires 0 < beta < alpha")
         if gcd(alpha, beta) != 1:
             raise DomainError("LensSpace requires gcd(alpha, beta) = 1")
+        return tuple.__new__(cls, (alpha, beta))
 
     @classmethod
     def _make(cls, iterable):
@@ -122,25 +124,23 @@ def _interval(tally, last_positive: bool) -> tuple[int, int, int, int]:
 def _census_fields(tally, last_positive: bool, annotated) -> tuple[int, int, int, str]:
     """(lower, upper, rokhlin, label) of a census row."""
     lower, upper, sigma = _interval(tally, last_positive)[:3]
-    return lower, upper, sigma % 16, _label(_verdict(lower, upper, annotated=annotated), annotated)
+    return lower, upper, sigma % 16, _verdict(lower, upper, annotated=annotated)[1]
 
 
 def _cover(alpha: int, beta: int, odd: int, text: str, last_positive: bool, tally) -> MBounds:
     """The MBounds of L(alpha, beta) from an expansion of alpha/odd, odd the
     odd-beta representative: its text, a_n > 0 and its tally.  For even
-    beta the space is the cover of the mirror knot, whose expansion is the
-    negated terms: tally (S+, S-, o-, o+) and a_n of the other sign."""
-    if odd != beta:
-        s_minus, s_plus, o_pos, o_neg = tally
-        tally, last_positive = (s_plus, s_minus, o_neg, o_pos), not last_positive
+    beta the space is the reversed cover of S(alpha, odd), so its interval
+    and sigma are the cover's negated, m(-Y) = -mbar(Y), mbar(-Y) = -m(Y),
+    R(-Y) = -R(Y), the step the trail ends with."""
     lower, upper, sigma, genus = _interval(tally, last_positive)
-    knot_sigma = sigma if odd == beta else -sigma  # of S(alpha, odd)
     trail = (
         f"L({alpha},{odd}) branched over S({alpha},{odd})",
         f"expansion {text}",
-        f"branched double cover (sigma(K)={knot_sigma}, slice genus <= {genus})",
+        f"branched double cover (sigma(K)={sigma}, slice genus <= {genus})",
     )
     if odd != beta:
+        lower, upper, sigma = -upper, -lower, -sigma
         trail = (f"L({alpha},{beta}) as reversed mirror", *trail, "orientation reversed")
     return MBounds(Fraction(lower, 4), Fraction(upper, 4), rokhlin=sigma % 16, provenance=trail)
 
@@ -187,9 +187,7 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
         supplied = _cover(alpha, beta, odd, text, cf.a[-1] > 0, _tally(cf.a))
         bounds = merge_bounds(supplied, bounds)
     lower, upper = _quarters(bounds.m_lower), _quarters(bounds.mbar_upper)
-    annotated = ORDER_ANNOTATIONS.get(space)
-    kind = _verdict(lower, upper, annotated=annotated)
-    label = _label(kind, annotated)
+    kind, label = _verdict(lower, upper, annotated=ORDER_ANNOTATIONS.get(space))
     row = CensusRow(alpha, beta, lower, upper, bounds.rokhlin.value, text, label)
     return OrderReport(space, bounds, kind, _reason(kind, label, bounds), cf, row)
 

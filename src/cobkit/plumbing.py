@@ -35,7 +35,7 @@ class MpqrTriple(_TripleFields):
 
     __slots__ = ()
 
-    def __init__(self, p, q, r):
+    def __new__(cls, p, q, r):
         p, q, r = _index(p), _index(q), _index(r)
         if not (1 <= p <= q <= r):
             raise DomainError("MpqrTriple requires 1 <= p <= q <= r")
@@ -45,6 +45,7 @@ class MpqrTriple(_TripleFields):
             raise DomainError("MpqrTriple requires 1/p + 1/q + 1/r < 1")
         if p + q + r > 22:
             raise DomainError("MpqrTriple requires p + q + r <= 22")
+        return tuple.__new__(cls, (p, q, r))
 
     @classmethod
     def _make(cls, iterable):

@@ -27,7 +27,7 @@ def arf_from_surgery(n: int, rokhlin) -> int | None:
 
     Returns None when n - sign(n) != -R mod 8, in which case no such
     knot exists.  Otherwise Arf = (n - sign(n) + R)/8 mod 2 with R the
-    representative in 0..14.  n is read with operator.index, so a float
+    representative in 0..14.  n is read with arith._index, so a float
     or a str is a TypeError, and so is a bool.
     """
     n = _index(n)

@@ -924,12 +924,14 @@ class TestRenderPinned:
             ("genus-bound", "ed62e5b930aa41ab7cf70ed61641cb8b62a5ffb248a4c7c40dd8af0f2d6ad8be"),
             ("table1", "b25d615a040ac85c4a8ce1dfad589cdc5704e3acae0384d4b341d2d1a4d03134"),
             ("scan", "85e908bbd0abbc07da832722e5c4d52a8b749d7a58df5c53e4f3102137962e12"),
+            # the top-level help, with every verb's one-line help
+            ("", "09134c1c0f1fdfec64aef4d780c8465d548bacf73f84719d00947dc0d55c1768"),
         ],
     )
     def test_help_pinned(self, capsys, monkeypatch, verb, digest):
         # argparse wraps help to the terminal width
         monkeypatch.setenv("COLUMNS", "80")
-        code, out, _ = run(capsys, verb, "--help")
+        code, out, _ = run(capsys, *verb.split(), "--help")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

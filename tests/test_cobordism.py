@@ -11,10 +11,9 @@ from cobkit.cobordism import (
     MBounds,
     OrderCertificate,
     RokhlinClass,
-    _label,
+    _REASONS,
     _reason,
     _verdict,
-    _VERDICTS,
     infinite_order_certificate,
     merge_bounds,
     reverse_orientation,
@@ -335,22 +334,44 @@ class TestOrderCertificate:
 
 class TestVerdict:
     def test_kinds_are_a_closed_set(self):
-        kinds = {"m_pos", "mbar_neg", "exact_rokhlin", "annotation", "none"}
-        assert set(_VERDICTS) == kinds
-        labels = {kind: _label(kind, "<=2") for kind in kinds}
-        assert labels == {**dict.fromkeys(kinds, "inf"), "annotation": "<=2", "none": "?"}
-        assert _label("annotation", "0") == "0" and _label("none") == "?"
+        # every verdict is one of five kinds, each with its one label but an
+        # annotation's, which is the label the annotated space names
+        r8 = RokhlinClass(8)
+        verdicts = {
+            _verdict(lower, upper, m_exact, mbar_exact, rokhlin, annotated)
+            for lower, upper in itertools.product(range(-9, 10), repeat=2)
+            if lower <= upper
+            for m_exact, mbar_exact in ((None, None), (0, None), (None, 0), (0, 2), (-2, 0))
+            for rokhlin in (None, RokhlinClass(0), r8)
+            for annotated in (None, "<=2", "0")
+        }
+        assert verdicts == {
+            ("m_pos", "inf"),
+            ("mbar_neg", "inf"),
+            ("exact_rokhlin", "inf"),
+            ("annotation", "<=2"),
+            ("annotation", "0"),
+            ("none", "?"),
+        }
+
+    def test_reasons_by_kind_and_annotated_label(self):
+        assert list(_REASONS) == ["m_pos", "mbar_neg", "exact_rokhlin", "none", "<=2", "0"]
+        x = MBounds(0, 2)
+        assert _reason("annotation", "0", x) == _REASONS["0"]
+        assert _reason("annotation", "<=2", x) == _REASONS["<=2"]
 
     def test_first_kind_that_applies(self):
         r8 = RokhlinClass(8)
-        assert _verdict(1, 4, annotated="0") == "m_pos"
-        assert _verdict(-4, -1, annotated="0") == "mbar_neg"
-        assert _verdict(0, 8, 0, 2, r8, annotated="0") == "exact_rokhlin"
-        assert _verdict(-8, 0, -2, 0, r8, annotated="0") == "exact_rokhlin"
-        assert _verdict(0, 8, annotated="0") == "annotation"
-        assert _verdict(0, 8) == "none"
-        assert _verdict(0, 0, 0, 0, RokhlinClass(0)) == "none"
-        assert _verdict(-1, 1, None, None, r8) == "none"
+        assert _verdict(1, 4, annotated="0") == ("m_pos", "inf")
+        assert _verdict(-4, -1, annotated="0") == ("mbar_neg", "inf")
+        assert _verdict(0, 8, 0, 2, r8, annotated="0") == ("exact_rokhlin", "inf")
+        assert _verdict(-8, 0, -2, 0, r8, annotated="0") == ("exact_rokhlin", "inf")
+        assert _verdict(0, 8, annotated="0") == ("annotation", "0")
+        assert _verdict(0, 8, annotated="<=2") == ("annotation", "<=2")
+        assert _verdict(0, 8) == ("none", "?")
+        assert _verdict(0, 0, 0, 0, RokhlinClass(0)) == ("none", "?")
+        assert _verdict(-1, 1, None, None, r8) == ("none", "?")
+        assert _verdict(-1, 1, rokhlin=r8) == ("none", "?")  # no exact marker given
 
     def test_reasons(self):
         x = MBounds(Fraction(1, 4), 2, rokhlin=2)

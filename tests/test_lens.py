@@ -481,8 +481,9 @@ class TestFamily:
 
 class TestMirrorConsistency:
     def test_even_beta_equals_reversed_odd(self):
-        # the kernel reverses the odd mirror's row in integers; the record
-        # route reverses its MBounds: the two must agree to the provenance
+        # the kernel negates the odd mirror's cover interval and sigma in
+        # integers, reading the walk's own tally; the record route reverses
+        # its MBounds: the two must agree to the provenance
         start = time.perf_counter()
         checked = 0
         for alpha in range(3, 200, 2):
@@ -601,7 +602,7 @@ class TestExpansionIndependence:
             own = 5 * sigma - 8 * genus, 5 * sigma + 8 * genus
             if own != (want.row.lower, want.row.upper):
                 wider += 1
-                relabelled += _verdict(*own, annotated=ORDER_ANNOTATIONS.get(space)) != want.kind
+                relabelled += _verdict(*own, annotated=ORDER_ANNOTATIONS.get(space)) != (want.kind, want.order)
         # the expansions whose own interval is wider, and those of them
         # whose own interval would read another verdict (all '?' for 'inf')
         assert (records, len(forced), wider, relabelled) == (21026, 19138, 158, 52)

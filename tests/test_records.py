@@ -284,6 +284,29 @@ def test_normalised_on_construction():
         assert hash(cf) == hash(((2, -1), (2,), 7, 3))
 
 
+class _Index:
+    """An integer seen only through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_index_objects_are_stored_as_ints():
+    # a record stores the ints it checked, as RokhlinClass and
+    # find_admissible_cf do, so the kernels never see the object itself
+    space, triple = LensSpace(_Index(9), _Index(5)), MpqrTriple(_Index(2), 3, _Index(7))
+    assert (space, triple) == (LensSpace(9, 5), MpqrTriple(2, 3, 7))
+    assert {type(v) for v in (*space, *triple)} == {int}
+    assert classify_order(space).row == classify_order(LensSpace(9, 5)).row
+    even = classify_order((_Index(39), _Index(22)))
+    assert even == classify_order(LensSpace(39, 22))
+    assert sigma_pqr_bounds(triple) == sigma_pqr_bounds(MpqrTriple(2, 3, 7))
+    assert type(LensSpace(39, 17)._replace(beta=_Index(19)).beta) is int
+
+
 @pytest.mark.parametrize(
     "record, fields, message",
     [

@@ -30,10 +30,8 @@ def main(argv=None) -> int:
         space, cf = family(k)
         bounds = m_bounds(space, cf)
         need = slice_genus_lower(space.alpha, bounds.rokhlin, bounds.m_lower)
-        rokhlin = bounds.rokhlin.value
-        rows.append(
-            [str(k), str(space.alpha), str(space.beta), str(rokhlin), dec(bounds.m_lower), dec(need)]
-        )
+        cells = (k, space.alpha, space.beta, bounds.rokhlin)
+        rows.append([*map(str, cells), dec(bounds.m_lower), dec(need)])
 
     header = ["k", "alpha", "beta", "rokhlin", "m_lower", "genus_needed"]
     if args.csv:

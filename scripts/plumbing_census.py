@@ -52,7 +52,7 @@ def main(argv=None) -> int:
                 str(inv.determinant_abs),
                 dec(bounds.m_exact),
                 dec(bounds.mbar_exact),
-                str(bounds.rokhlin.value),
+                str(bounds.rokhlin),
                 str(knot.slice_genus),
                 str(knot.signature),
             ]

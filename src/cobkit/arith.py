@@ -14,7 +14,7 @@ from .errors import DomainError, ResourceLimitError
 
 # Largest modulus is_square_mod accepts; a larger one raises
 # ResourceLimitError.  Below it, trial division takes O(sqrt(n)) steps.
-SQUARE_ENUM_LIMIT = 10**6
+TRIAL_DIVISION_LIMIT = 10**6
 
 # Largest number of decimal digits read or printed.  Python refuses to
 # convert an int of more than 4300 digits to text by default; the margin
@@ -47,9 +47,9 @@ def is_square_mod(a: int, n: int) -> bool:
     a, n = _index(a), _index(n)
     if n < 1:
         raise DomainError("is_square_mod requires n >= 1")
-    if n > SQUARE_ENUM_LIMIT:
+    if n > TRIAL_DIVISION_LIMIT:
         raise ResourceLimitError(
-            f"is_square_mod enumeration capped at n <= {SQUARE_ENUM_LIMIT}"
+            f"is_square_mod trial division capped at n <= {TRIAL_DIVISION_LIMIT}"
         )
     p = 2
     while n > 1:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import contfrac, lens, plumbing, surgery, twobridge
 from .arith import DIGIT_LIMIT, check_digits, dec
-from .cobordism import MBounds, RokhlinClass
+from .cobordism import RokhlinClass
 from .errors import DomainError
 
 SCAN_CAP = 1000
@@ -77,15 +77,9 @@ def _json_value(value: Fraction) -> str:
     """JSON form of a Fraction, the one value in a document json cannot
     encode itself: its 'p/q' string under the digit cap.  json writes any
     tuple subclass, a record too, as an array without calling this hook,
-    so the verbs put records into their documents as dicts."""
+    so the verbs put records into their documents as dicts; an int
+    subclass, a RokhlinClass, it writes as a number."""
     return str(check_digits(value))
-
-
-def _bounds(bounds: MBounds) -> dict:
-    """An MBounds as a document dict: its fields, the Rokhlin class as
-    its int value."""
-    rokhlin = bounds.rokhlin
-    return {**bounds._asdict(), "rokhlin": None if rokhlin is None else rokhlin.value}
 
 
 class _Quarters(dict):
@@ -197,7 +191,7 @@ def _cmd_lens(args) -> Output:
         "alpha": report.space.alpha,
         "beta": report.space.beta,
         "cf": row.cf,
-        "bounds": _bounds(report.bounds),
+        "bounds": report.bounds._asdict(),
         "order": report.order,
         "order_reason": report.reason,
     }
@@ -265,7 +259,7 @@ def _cmd_plumbing(args) -> Output:
     doc = {
         **triple._asdict(),
         **plumbing.tpqr_invariants(triple)._asdict(),
-        "bounds": _bounds(plumbing.sigma_pqr_bounds(triple)),
+        "bounds": plumbing.sigma_pqr_bounds(triple)._asdict(),
     }
     return Output(doc, _PLUMBING_TEXT)
 
@@ -316,7 +310,7 @@ def _cmd_genus_bound(args) -> Output:
         h, rk, m_lower = args.h, RokhlinClass(args.rokhlin), args.m_lower
     doc = {
         "h": h,
-        "rokhlin": rk.value,
+        "rokhlin": rk,
         "m_lower": m_lower,
         "genus_lower": surgery.slice_genus_lower(h, rk, m_lower),
     }
@@ -334,7 +328,7 @@ def _cmd_table1(args) -> Output:
         {
             "alpha": r.space.alpha,
             "beta": r.space.beta,
-            "bounds": _bounds(r.bounds),
+            "bounds": r.bounds._asdict(),
             "cf": row.cf,
             "order": r.order,
         }

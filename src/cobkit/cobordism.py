@@ -7,7 +7,8 @@ with equality only when both vanish together with the Rokhlin invariant;
 m is superadditive and mbar subadditive under connected sum, and
 orientation reversal swaps them with a sign.  Exact values are multiples
 of 1/2, certified bounds multiples of 1/4, and both reduce mod 2 to a
-quarter of the Rokhlin invariant.
+quarter of the Rokhlin invariant, which RokhlinClass holds as the int
+it is in Z/16.
 """
 
 from fractions import Fraction
@@ -17,12 +18,8 @@ from .arith import _index
 from .errors import DomainError
 
 
-class _RokhlinFields(NamedTuple):
-    value: int
-
-
-class RokhlinClass(_RokhlinFields):
-    """Rokhlin invariant in Z/16, stored as the even representative 0..14.
+class RokhlinClass(int):
+    """Rokhlin invariant in Z/16: the int of its even representative 0..14.
     Takes an integer, or a RokhlinClass (returned unchanged); anything
     else, a bool, a float, a Fraction or a str, is a TypeError."""
 
@@ -34,14 +31,10 @@ class RokhlinClass(_RokhlinFields):
         v = _index(value) % 16
         if v % 2 != 0:
             raise DomainError("Rokhlin invariant of a Z/2-homology sphere is even")
-        return tuple.__new__(cls, (v,))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+        return int.__new__(cls, v)
 
     def __neg__(self) -> "RokhlinClass":
-        return RokhlinClass(-self.value)
+        return RokhlinClass(-int(self))
 
 
 def _on_grid(x, step: int, what: str) -> Fraction:
@@ -117,11 +110,11 @@ class MBounds(_MBoundsFields):
                 raise DomainError("mbar - m must be an even integer when both exact")
             if diff == 0 and m4 != 0:
                 raise DomainError("m = mbar forces both to vanish")
-            if diff == 0 and rokhlin is not None and rokhlin.value != 0:
+            if diff == 0 and rokhlin:
                 raise DomainError("m = mbar forces a vanishing Rokhlin invariant")
         if rokhlin is not None:
             for exact in (m4, mbar4):
-                if exact is not None and (exact - rokhlin.value) % 8 != 0:
+                if exact is not None and (exact - rokhlin) % 8 != 0:
                     raise DomainError(
                         "exact values must equal rokhlin/4 modulo 2"
                     )
@@ -180,7 +173,7 @@ class OrderCertificate(NamedTuple):
 _REASONS: dict[str, str] = {
     "m_pos": "m >= {b.m_lower} > 0",
     "mbar_neg": "mbar <= {b.mbar_upper} < 0",
-    "exact_rokhlin": "{side} = 0 with Rokhlin invariant {b.rokhlin.value} != 0",
+    "exact_rokhlin": "{side} = 0 with Rokhlin invariant {b.rokhlin} != 0",
     "none": "no certificate applies",
     "<=2": "admits an orientation-reversing self-diffeomorphism,"
     " so the class has order at most 2",
@@ -202,7 +195,7 @@ def _verdict(
         return "m_pos", "inf"
     if upper < 0:
         return "mbar_neg", "inf"
-    if rokhlin is not None and rokhlin.value != 0 and 0 in (m_exact, mbar_exact):
+    if rokhlin and 0 in (m_exact, mbar_exact):
         return "exact_rokhlin", "inf"
     return ("none", "?") if annotated is None else ("annotation", annotated)
 

@@ -4,11 +4,12 @@ L(alpha, beta) with alpha odd is the branched double cover of the
 two-bridge knot S(alpha, beta), so any admissible expansion of
 alpha/beta yields certified bounds on m and mbar and the exact Rokhlin
 invariant sigma(S(alpha, beta)) mod 16.  For even beta the mirror
-L(alpha, alpha - beta) is computed and the orientation reversed, which
-negates its interval and sigma, not its tally.  Every report reads one
-forced walk of the odd-beta pair, which makes the terms, their tally
-and every check in a single pass, and meets a supplied expansion's
-interval with the walk's, so the order label is the space's.
+L(alpha, alpha - beta) is computed and cobordism.reverse_orientation
+reverses its bounds and Rokhlin class, never its tally.  Every report
+reads one forced walk of the odd-beta pair, which makes the terms,
+their tally and every check in a single pass, and meets a supplied
+expansion's interval with the walk's, so the order label is the
+space's.
 _interval is the one function from a tally to 4m >= 5 sigma(K) - 8g,
 4 mbar <= 5 sigma(K) + 8g, and one cobordism._verdict call gives a
 verdict's kind and label.  census yields the rows, with a cache of
@@ -25,7 +26,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import _index
-from .cobordism import MBounds, _quarters, _reason, _verdict, merge_bounds
+from .cobordism import MBounds, _quarters, _reason, _verdict, merge_bounds, reverse_orientation
 from .contfrac import (
     AdmissibleCF,
     _format_terms,
@@ -130,9 +131,9 @@ def _census_fields(tally, last_positive: bool, annotated) -> tuple[int, int, int
 def _cover(alpha: int, beta: int, odd: int, text: str, last_positive: bool, tally) -> MBounds:
     """The MBounds of L(alpha, beta) from an expansion of alpha/odd, odd the
     odd-beta representative: its text, a_n > 0 and its tally.  For even
-    beta the space is the reversed cover of S(alpha, odd), so its interval
-    and sigma are the cover's negated, m(-Y) = -mbar(Y), mbar(-Y) = -m(Y),
-    R(-Y) = -R(Y), the step the trail ends with."""
+    beta the space is the reversed cover of S(alpha, odd): the cover's
+    trail is headed as the reversed mirror, and reverse_orientation
+    reverses its bounds and ends its trail."""
     lower, upper, sigma, genus = _interval(tally, last_positive)
     trail = (
         f"L({alpha},{odd}) branched over S({alpha},{odd})",
@@ -140,9 +141,9 @@ def _cover(alpha: int, beta: int, odd: int, text: str, last_positive: bool, tall
         f"branched double cover (sigma(K)={sigma}, slice genus <= {genus})",
     )
     if odd != beta:
-        lower, upper, sigma = -upper, -lower, -sigma
-        trail = (f"L({alpha},{beta}) as reversed mirror", *trail, "orientation reversed")
-    return MBounds(Fraction(lower, 4), Fraction(upper, 4), rokhlin=sigma % 16, provenance=trail)
+        trail = (f"L({alpha},{beta}) as reversed mirror", *trail)
+    cover = MBounds(Fraction(lower, 4), Fraction(upper, 4), rokhlin=sigma, provenance=trail)
+    return cover if odd == beta else reverse_orientation(cover)
 
 
 def m_bounds(space: LensSpace, cf: AdmissibleCF | None = None) -> MBounds:
@@ -188,7 +189,7 @@ def classify_order(space: LensSpace, cf: AdmissibleCF | None = None) -> OrderRep
         bounds = merge_bounds(supplied, bounds)
     lower, upper = _quarters(bounds.m_lower), _quarters(bounds.mbar_upper)
     kind, label = _verdict(lower, upper, annotated=ORDER_ANNOTATIONS.get(space))
-    row = CensusRow(alpha, beta, lower, upper, bounds.rokhlin.value, text, label)
+    row = CensusRow(alpha, beta, lower, upper, bounds.rokhlin, text, label)
     return OrderReport(space, bounds, kind, _reason(kind, label, bounds), cf, row)
 
 

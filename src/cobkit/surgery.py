@@ -34,7 +34,7 @@ def arf_from_surgery(n: int, rokhlin) -> int | None:
     if n == 0 or n % 2 == 0:
         raise DomainError("arf_from_surgery requires odd nonzero n")
     eps = 1 if n > 0 else -1
-    eighths, rest = divmod(n - eps + RokhlinClass(rokhlin).value, 8)
+    eighths, rest = divmod(n - eps + RokhlinClass(rokhlin), 8)
     return None if rest else eighths % 2
 
 
@@ -83,7 +83,7 @@ def slice_genus_lower(h: int, rokhlin, m_lower) -> Fraction:
     if h < 1 or h % 2 == 0:
         raise DomainError("slice_genus_lower requires odd h >= 1")
     rokhlin = RokhlinClass(rokhlin)
-    if rokhlin.value % 8 == 4:
+    if rokhlin % 8 == 4:
         raise DomainError("slice_genus_lower requires R != 4 mod 8")
     mu = arf_from_surgery(h, rokhlin)
     if mu is None:

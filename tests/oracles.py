@@ -364,7 +364,7 @@ def paper_verdict(x: MBounds) -> str:
     (m(-Y) = -mbar(Y), mbar(-Y) = -m(Y), R(-Y) = -R(Y)), since
     [-Y] = -[Y]; else 'unknown'.  Read on the Fractions, one side at a time."""
 
-    rokhlin = 0 if x.rokhlin is None else x.rokhlin.value
+    rokhlin = x.rokhlin or 0
 
     def fires(m_lower, mbar_upper, m_exact):
         return m_lower > 0 or mbar_upper < 0 or (m_exact == 0 and rokhlin != 0)

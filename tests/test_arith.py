@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from cobkit.arith import (
     DIGIT_LIMIT,
-    SQUARE_ENUM_LIMIT,
+    TRIAL_DIVISION_LIMIT,
     check_digits,
     dec,
     is_square_mod,
@@ -106,7 +106,7 @@ class TestIsSquareMod:
         rng = random.Random(20261018)
         # random moduli, and high powers of small primes for the 2-adic
         # and odd prime power rules
-        moduli = [rng.randint(1, SQUARE_ENUM_LIMIT) for _ in range(6)]
+        moduli = [rng.randint(1, TRIAL_DIVISION_LIMIT) for _ in range(6)]
         moduli += [2**19, 3**12, 7**7, 2**6 * 3**4 * 5**3]
         for n in moduli:
             squares = square_residues(n)
@@ -126,10 +126,10 @@ class TestIsSquareMod:
         assert not is_square_mod(-2, 15)
 
     def test_cap(self):
-        assert is_square_mod(4, SQUARE_ENUM_LIMIT)
-        cap = f"^is_square_mod enumeration capped at n <= {SQUARE_ENUM_LIMIT}$"
+        assert is_square_mod(4, TRIAL_DIVISION_LIMIT)
+        cap = f"^is_square_mod trial division capped at n <= {TRIAL_DIVISION_LIMIT}$"
         with pytest.raises(ResourceLimitError, match=cap):
-            is_square_mod(2, SQUARE_ENUM_LIMIT + 1)
+            is_square_mod(2, TRIAL_DIVISION_LIMIT + 1)
         with pytest.raises(DomainError, match=r"^is_square_mod requires n >= 1$"):
             is_square_mod(2, 0)
 

@@ -101,7 +101,7 @@ class TestLens:
     def test_bounds_round_trip(self, capsys):
         payload = run_json(capsys, "lens", "13", "5", "--json")
         bounds = bounds_from_json_dict(payload["bounds"])
-        assert bounds.m_lower == -2 and bounds.rokhlin.value == 0
+        assert bounds.m_lower == -2 and bounds.rokhlin == 0
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "lens", "3", "1")

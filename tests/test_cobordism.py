@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cobkit.cli import Output, _bounds, _render
+from cobkit.cli import Output, _render
 from cobkit.cobordism import (
     MBounds,
     OrderCertificate,
@@ -38,7 +38,7 @@ def nums(x: MBounds):
         x.mbar_upper,
         x.m_exact,
         x.mbar_exact,
-        None if x.rokhlin is None else x.rokhlin.value,
+        x.rokhlin,
     )
 
 
@@ -103,17 +103,17 @@ def exact_records(draw):
 
 class TestRokhlinClass:
     def test_normalization(self):
-        assert RokhlinClass(18).value == 2
-        assert RokhlinClass(-8).value == 8
-        assert RokhlinClass(-2).value == 14
-        assert RokhlinClass(0).value == 0
+        assert RokhlinClass(18) == 2
+        assert RokhlinClass(-8) == 8
+        assert RokhlinClass(-2) == 14
+        assert RokhlinClass(0) == 0
 
     def test_rejects_odd(self):
         with pytest.raises(DomainError):
             RokhlinClass(3)
 
     def test_group_operations(self):
-        assert (-RokhlinClass(2)).value == 14
+        assert -RokhlinClass(2) == 14
 
     def test_refuses_non_integers(self):
         for value in (2.0, Fraction(2), "2", "x"):
@@ -132,7 +132,7 @@ class TestRokhlinClass:
     def test_involution(self, v):
         r = RokhlinClass(v)
         assert (-(-r)) == r
-        assert (r.value + (-r).value) % 16 == 0
+        assert (r + -r) % 16 == 0
 
 
 class TestMBoundsValidation:
@@ -202,7 +202,7 @@ class TestMBoundsValidation:
             MBounds(-2, 0, m_exact=-2, mbar_exact=0, rokhlin=8),
             MBounds(Fraction(1, 4), Fraction(3, 4)),
         ):
-            text = "".join(_render(args, Output({"bounds": _bounds(x)})))
+            text = "".join(_render(args, Output({"bounds": x._asdict()})))
             assert bounds_from_json_dict(json.loads(text)["bounds"]) == x
 
 
@@ -219,7 +219,7 @@ class TestFilling:
     def test_negative_definite_like(self):
         x = bound_from_filling(SpinFillingData(-8, 10))
         assert (x.m_lower, x.mbar_upper) == (-20, 0)
-        assert x.rokhlin.value == 8
+        assert x.rokhlin == 8
 
     def test_quarter_values(self):
         x = bound_from_filling(SpinFillingData(2, 10))
@@ -240,7 +240,7 @@ class TestMerge:
         x = bound_from_filling(SpinFillingData(-8, 10))
         y = reverse_orientation(bound_from_filling(SpinFillingData(-8, 12)))
         z = merge_bounds(x, y)
-        assert (z.m_lower, z.mbar_upper, z.rokhlin.value) == (-2, 0, 8)
+        assert (z.m_lower, z.mbar_upper, z.rokhlin) == (-2, 0, 8)
 
     def test_rokhlin_conflict(self):
         with pytest.raises(DomainError, match="^merge_bounds requires matching Rokhlin classes$"):
@@ -387,7 +387,7 @@ class TestVerdict:
 class TestBranchedCover:
     def test_trefoil_cover(self):
         x = branched_cover_bounds(2, 1)
-        assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (
+        assert (x.m_lower, x.mbar_upper, x.rokhlin) == (
             Fraction(1, 2),
             Fraction(9, 2),
             2,
@@ -395,7 +395,7 @@ class TestBranchedCover:
 
     def test_torus_knot_cover(self):
         x = branched_cover_bounds(8, 5)
-        assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (0, 20, 8)
+        assert (x.m_lower, x.mbar_upper, x.rokhlin) == (0, 20, 8)
 
     def test_slice_cover(self):
         x = branched_cover_bounds(0, 0)
@@ -403,4 +403,4 @@ class TestBranchedCover:
 
     def test_negative_signature(self):
         x = branched_cover_bounds(-4, 2)
-        assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (-9, -1, 12)
+        assert (x.m_lower, x.mbar_upper, x.rokhlin) == (-9, -1, 12)

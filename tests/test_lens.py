@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import time
@@ -108,7 +109,7 @@ class TestLensSpace:
 class TestMBounds:
     def test_trefoil_cover(self):
         x = m_bounds(LensSpace(3, 1))
-        assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (
+        assert (x.m_lower, x.mbar_upper, x.rokhlin) == (
             Fraction(1, 2),
             Fraction(9, 2),
             2,
@@ -116,11 +117,11 @@ class TestMBounds:
 
     def test_amphichiral_cover(self):
         x = m_bounds(LensSpace(13, 5))
-        assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (-2, 2, 0)
+        assert (x.m_lower, x.mbar_upper, x.rokhlin) == (-2, 2, 0)
 
     def test_series_member(self):
         x = m_bounds(LensSpace(39, 17))
-        assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (
+        assert (x.m_lower, x.mbar_upper, x.rokhlin) == (
             Fraction(-3, 2),
             Fraction(13, 2),
             2,
@@ -128,7 +129,7 @@ class TestMBounds:
 
     def test_even_beta_routes_through_mirror(self):
         x = m_bounds(LensSpace(5, 2))
-        assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (-2, 2, 0)
+        assert (x.m_lower, x.mbar_upper, x.rokhlin) == (-2, 2, 0)
         assert x.provenance == (
             "L(5,2) as reversed mirror",
             "L(5,3) branched over S(5,3)",
@@ -169,17 +170,17 @@ class TestMBounds:
                     continue
                 x = m_bounds(LensSpace(alpha, beta))
                 for endpoint in (x.m_lower, x.mbar_upper):
-                    d = endpoint - Fraction(x.rokhlin.value, 4)
+                    d = endpoint - Fraction(x.rokhlin, 4)
                     assert d.denominator == 1 and d.numerator % 2 == 0
 
 
 class TestRokhlin:
     def test_values(self):
-        assert m_bounds(LensSpace(3, 1)).rokhlin.value == 2
-        assert m_bounds(LensSpace(3, 2)).rokhlin.value == 14
-        assert m_bounds(LensSpace(7, 1)).rokhlin.value == 6
-        assert m_bounds(LensSpace(7, 3)).rokhlin.value == 2
-        assert m_bounds(LensSpace(5, 2)).rokhlin.value == 0
+        assert m_bounds(LensSpace(3, 1)).rokhlin == 2
+        assert m_bounds(LensSpace(3, 2)).rokhlin == 14
+        assert m_bounds(LensSpace(7, 1)).rokhlin == 6
+        assert m_bounds(LensSpace(7, 3)).rokhlin == 2
+        assert m_bounds(LensSpace(5, 2)).rokhlin == 0
 
     def test_mirror_negates(self):
         for alpha, beta in ((5, 3), (7, 3), (11, 5), (13, 7), (39, 17)):
@@ -195,12 +196,33 @@ class TestRokhlin:
             for beta in range(1, alpha):
                 if math.gcd(alpha, beta) != 1 or (beta % 2 == 0 and alpha >= 200):
                     continue
-                r = m_bounds(LensSpace(alpha, beta)).rokhlin.value
+                r = m_bounds(LensSpace(alpha, beta)).rokhlin
                 assert r == plumbing_rokhlin(alpha, beta), (alpha, beta)
                 counts[beta % 2] += 1
         assert counts == [4075, 9116]
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"sweep took {elapsed:.2f}s, budget 10s"
+
+    def test_row_and_bounds_hold_one_rokhlin_int(self):
+        # a report's row and bounds hold one R, the int the census row of
+        # the odd-beta pair reaches as sigma mod 16 (negated for even
+        # beta, through reverse_orientation), and json writes it as a number
+        census_rokhlin = {(row.alpha, row.beta): row.rokhlin for row in census(99)}
+        pairs = 0
+        for alpha in range(3, 100, 2):
+            for beta in range(1, alpha):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                report = classify_order(LensSpace(alpha, beta))
+                r = report.bounds.rokhlin
+                assert report.row.rokhlin == r, (alpha, beta)
+                odd = census_rokhlin[alpha, beta if beta % 2 else alpha - beta]
+                assert (odd if beta % 2 else -odd % 16) == r, (alpha, beta)
+                text = json.dumps(report.bounds._asdict(), default=cli._json_value)
+                assert f'"rokhlin": {r},' in text, (alpha, beta)
+                assert json.loads(text)["rokhlin"] == r
+                pairs += 1
+        assert pairs == 2006
 
     def test_bounds_independent_rokhlin(self):
         # the invariant must not depend on which admissible expansion
@@ -432,7 +454,7 @@ class TestTable:
             assert (row.space.alpha, row.space.beta) == (alpha, beta)
             assert row.bounds.m_lower == lo
             assert row.bounds.mbar_upper == hi
-            assert row.bounds.rokhlin.value == rk
+            assert row.bounds.rokhlin == rk
             assert row.order == order
 
     def test_expansions_hit_their_targets(self):
@@ -460,11 +482,11 @@ class TestFamily:
         space, cf = family(2)
         assert space == LensSpace(39, 17)
         x = m_bounds(space, cf)
-        assert (x.m_lower, x.rokhlin.value) == (Fraction(-3, 2), 2)
+        assert (x.m_lower, x.rokhlin) == (Fraction(-3, 2), 2)
         space, cf = family(4)
         assert space == LensSpace(71, 31)
         x = m_bounds(space, cf)
-        assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (
+        assert (x.m_lower, x.mbar_upper, x.rokhlin) == (
             Fraction(-3, 2),
             Fraction(13, 2),
             2,

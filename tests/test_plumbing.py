@@ -184,22 +184,22 @@ class TestTpqrInvariants:
 class TestSigmaPqrBounds:
     def test_poincare_like_sphere(self):
         x = sigma_pqr_bounds(MpqrTriple(2, 3, 7))
-        assert (x.m_exact, x.mbar_exact, x.rokhlin.value) == (-2, 0, 8)
+        assert (x.m_exact, x.mbar_exact, x.rokhlin) == (-2, 0, 8)
 
     def test_deeper_sphere(self):
         x = sigma_pqr_bounds(MpqrTriple(2, 3, 11))
-        assert (x.m_exact, x.mbar_exact, x.rokhlin.value) == (-3, -1, 4)
+        assert (x.m_exact, x.mbar_exact, x.rokhlin) == (-3, -1, 4)
         assert infinite_order_certificate(x).verdict == "infinite"
 
     def test_same_invariants_different_triple(self):
         x = sigma_pqr_bounds(MpqrTriple(3, 4, 5))
-        assert (x.m_exact, x.mbar_exact, x.rokhlin.value) == (-2, 0, 8)
+        assert (x.m_exact, x.mbar_exact, x.rokhlin) == (-2, 0, 8)
 
     def test_gap_always_two(self):
         for t in all_valid_triples():
             x = sigma_pqr_bounds(t)
             assert x.mbar_exact - x.m_exact == 2
-            assert x.rokhlin.value == (4 - t.total) % 16
+            assert x.rokhlin == (4 - t.total) % 16
 
     def test_exact_mbar_zero_certifies(self):
         # m = -2, mbar = 0 exactly with R = 8: -Y has m = 0 with R = 8, and

@@ -229,7 +229,7 @@ class TestSpinModel:
 class TestSurgeryBounds:
     def test_positive_framing(self):
         x = m_bounds_from_surgery(3, 14, 0)
-        assert (x.m_lower, x.mbar_upper, x.rokhlin.value) == (
+        assert (x.m_lower, x.mbar_upper, x.rokhlin) == (
             Fraction(-9, 2),
             Fraction(-1, 2),
             14,
@@ -509,7 +509,7 @@ class TestDedekindLink:
             for q in range(1, p):
                 if math.gcd(p, q) != 1:
                     continue
-                r = m_bounds(LensSpace(p, q)).rokhlin.value
+                r = m_bounds(LensSpace(p, q)).rokhlin
                 scaled = 4 * p * p * dedekind_sum(q, p)
                 assert scaled.denominator == 1
                 assert (r - scaled.numerator) % 8 == 0
